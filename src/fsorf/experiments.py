@@ -374,7 +374,14 @@ def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db):
             if spec.metric is Metric.OUTAGE:
                 closed = float(outage_closed_form(topology, params))
             else:
-                closed = float(ber_closed_form(topology, params).value)
+                ber = ber_closed_form(topology, params)
+                if ber.converged:
+                    closed = float(ber.value)
+                else:
+                    errors.append(
+                        f"closed-form: ConvergenceError: BER series "
+                        f"unconverged after {ber.n_terms} terms, "
+                        f"truncation {ber.truncation:.3g}")
         except Exception as exc:
             errors.append(f"closed-form: {exc}")
 

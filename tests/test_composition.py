@@ -3,6 +3,7 @@ and the outage composition rule.  Frozen oracles are 30-digit mpmath
 quadratures of the defining integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from fsorf.composition import (
     second_relay_cdf_fixed,
     second_relay_cdf_fixed_numeric,
 )
+from fsorf.special import ConvergenceError
 
 
 def params(gamma_db=20.0, **kw):
@@ -217,8 +219,32 @@ def test_fixed_segment_closed_vs_numeric():
         numeric = second_relay_cdf_fixed_numeric(gth, n, p)
         assert closed == pytest.approx(ref, rel=1e-8)
         assert numeric == pytest.approx(ref, rel=1e-10)
+    # above ~50 dB the FSO feature sits near x = gamma c_gain / gamma_bar,
+    # far left of x = 1 / s, where cuts at multiples of 1 / s miss it
+    for n, gdb in [(2, 50.0), (4, 50.0), (1, 60.0), (2, 60.0), (4, 60.0)]:
+        p = params(gamma_db=gdb)
+        assert second_relay_cdf_fixed_numeric(10.0, n, p) == pytest.approx(
+            second_relay_cdf_fixed(10.0, n, p), rel=1e-8), (n, gdb)
+    # at low SNR the segment is in outage; at -30 dB the RF and FSO cuts
+    # of the rule cross
+    for gdb in [-30.0, -10.0]:
+        assert second_relay_cdf_fixed_numeric(
+            10.0, 2, params(gamma_db=gdb)) == 1.0
     assert second_relay_cdf_fixed(0.0, 2, params()) == 0.0
     assert second_relay_cdf_fixed_numeric(0.0, 2, params()) == 0.0
+
+
+def test_fixed_segment_numeric_raises_on_missed_error_estimate(monkeypatch):
+    # a stepped FSO CDF breaks the rule's smoothness: the step-h and
+    # step-2h sums then differ by O(h), far past the tolerance
+    def stepped_cdf(gamma, params):
+        return np.where(np.asarray(gamma) > 7.3, 1.0, 0.0)
+
+    monkeypatch.setattr("fsorf.composition.ne_pe_snr_cdf", stepped_cdf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="step-halving"):
+            second_relay_cdf_fixed_numeric(10.0, 2, params())
 
 
 def test_fixed_segment_kernel_is_laplace_weighted_tail():

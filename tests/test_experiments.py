@@ -16,6 +16,7 @@ from fsorf.experiments import (
     spec_from_sources,
     validate_config,
 )
+from fsorf.metrics import BerResult
 from fsorf import cli
 
 
@@ -215,6 +216,20 @@ def test_point_failure_lands_in_error_column(tmp_path, monkeypatch):
     assert point.quadrature is not None  # other methods still ran
     assert "closed-form: synthetic blow-up" in point.error
     assert read_csv(str(out)) == [point]
+
+
+def test_unconverged_ber_series_lands_in_error_column(monkeypatch):
+    def unconverged(topology, params):
+        return BerResult(value=0.125, truncation=3.5e-4, n_terms=201,
+                         converged=False)
+
+    monkeypatch.setattr("fsorf.experiments.ber_closed_form", unconverged)
+    spec = spec_from_sources(overrides=_tiny_overrides(
+        gamma_avg_db="15", mode="unknown-csi", metric="ber"))
+    (point,) = run_experiment(spec)
+    assert point.closed_form is None
+    assert point.error == ("closed-form: ConvergenceError: BER series "
+                           "unconverged after 201 terms, truncation 0.00035")
 
 
 # ------------------------------------------------------------------ CLI
