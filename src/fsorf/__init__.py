@@ -1,133 +1,38 @@
 """Outage and DBPSK BER for multiuser multihop hybrid FSO/RF relay chains.
 
-The public surface re-exported here covers the channel laws, the
-relay-chain composition, closed-form and quadrature metrics, the
-Monte-Carlo estimators, and the sweep/CSV experiment layer; the special
-function core (Meijer-G, incomplete gamma) is importable from
-fsorf.special for direct use.
+The names re-exported here are the ones the README's Library section
+uses: the link and chain descriptions, the closed-form, quadrature and
+Monte-Carlo routes for both metrics, and ConvergenceError.  Everything
+else (channel laws, composition algebra, the series and special-function
+core, the sweep/CSV experiment layer) is imported from its submodule,
+for example fsorf.channels or fsorf.experiments.
 """
 
-from .channels import (
-    LinkParams,
-    a0_from_geometry,
-    db_to_linear,
-    linear_to_db,
-    ne_pe_joint_pdf,
-    ne_pe_snr_cdf,
-    ne_pe_snr_pdf,
-    rayleigh_snr_cdf,
-    rayleigh_snr_pdf,
-    sample_fso_snr,
-    sample_rf_snr,
-)
-from .composition import (
-    GainMode,
-    Topology,
-    af_adaptive_snr,
-    af_fixed_snr,
-    end_to_end_outage_semianalytic,
-    hybrid_hop_cdf,
-    multiuser_select_cdf,
-    multiuser_select_pdf,
-    second_relay_cdf_adaptive,
-    second_relay_cdf_adaptive_exact,
-    second_relay_cdf_fixed,
-    second_relay_cdf_fixed_numeric,
-)
-from .experiments import (
-    ConfigError,
-    CurvePoint,
-    ExperimentSpec,
-    Metric,
-    preset_entries,
-    read_csv,
-    run_experiment,
-    spec_from_sources,
-    validate_config,
-    write_csv,
-)
-from .metrics import (
-    BerResult,
-    ber_adaptive_closed,
-    ber_closed_form,
-    ber_fixed_closed,
-    ber_quadrature,
-    outage_adaptive,
-    outage_closed_form,
-    outage_fixed,
-)
+from .channels import LinkParams, db_to_linear
+from .composition import GainMode, Topology, end_to_end_outage_semianalytic
+from .metrics import ber_closed_form, ber_quadrature, outage_closed_form
 from .montecarlo import (
-    BerModel,
-    MetricEstimate,
     SimConfig,
-    SimLevel,
-    sample_chain_min_snr,
-    sample_chain_stage_snrs,
     simulate_ber_signal_level,
     simulate_ber_snr_level,
     simulate_outage,
-    wilson_interval,
 )
-from .series import SeriesCoeffs, ne_pe_snr_cdf_series, series_coeffs
-from .special import ConvergenceError, PoleCollisionError
+from .special import ConvergenceError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BerModel",
-    "BerResult",
-    "ConfigError",
     "ConvergenceError",
-    "CurvePoint",
-    "ExperimentSpec",
     "GainMode",
     "LinkParams",
-    "Metric",
-    "MetricEstimate",
-    "PoleCollisionError",
-    "SeriesCoeffs",
     "SimConfig",
-    "SimLevel",
     "Topology",
-    "a0_from_geometry",
-    "af_adaptive_snr",
-    "af_fixed_snr",
-    "ber_adaptive_closed",
     "ber_closed_form",
-    "ber_fixed_closed",
     "ber_quadrature",
     "db_to_linear",
     "end_to_end_outage_semianalytic",
-    "hybrid_hop_cdf",
-    "linear_to_db",
-    "multiuser_select_cdf",
-    "multiuser_select_pdf",
-    "ne_pe_joint_pdf",
-    "ne_pe_snr_cdf",
-    "ne_pe_snr_cdf_series",
-    "ne_pe_snr_pdf",
-    "outage_adaptive",
     "outage_closed_form",
-    "outage_fixed",
-    "preset_entries",
-    "rayleigh_snr_cdf",
-    "rayleigh_snr_pdf",
-    "read_csv",
-    "run_experiment",
-    "sample_chain_min_snr",
-    "sample_chain_stage_snrs",
-    "sample_fso_snr",
-    "sample_rf_snr",
-    "second_relay_cdf_adaptive",
-    "second_relay_cdf_adaptive_exact",
-    "second_relay_cdf_fixed",
-    "second_relay_cdf_fixed_numeric",
-    "series_coeffs",
     "simulate_ber_signal_level",
     "simulate_ber_snr_level",
     "simulate_outage",
-    "spec_from_sources",
-    "validate_config",
-    "wilson_interval",
-    "write_csv",
 ]

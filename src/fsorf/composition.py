@@ -156,23 +156,6 @@ def fixed_segment_kernel(gamma, s, params):
     return pref * meijer_g(_fixed_kernel_params(z2), arg / 4.0)
 
 
-def second_relay_cdf_fixed(gamma, n, params):
-    """First-segment SNR CDF under the fixed gain, closed form."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if gamma == 0.0:
-        return 0.0
-    total = 1.0
-    for k in range(n):
-        s = (k + 1.0) / params.gamma_bar_rf
-        tail = 1.0 - fixed_segment_kernel(gamma, s, params)
-        total -= (math.comb(n - 1, k) * (-1.0) ** k * (n / (k + 1.0))
-                  * math.exp(-(k + 1.0) * gamma / params.gamma_bar_rf) * tail)
-    return min(max(total, 0.0), 1.0)
-
-
 # Trapezoid step in t = ln x for the fixed-gain oracle.  The integrand is
 # analytic and decays at both ends, so the rule converges exponentially in
 # the step: over gamma_bar in [-30, 80] dB, N <= 8 and xi in {0.8, 1.45,
@@ -189,8 +172,9 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
     """Quadrature evaluation of the fixed-gain first-segment CDF.
 
     Integrates the defining conditional form directly and so serves as the
-    independent oracle for the Meijer-G closed form: it uses only the
-    incomplete-gamma FSO CDF.  User term k needs
+    independent oracle for the Meijer-G closed form (the single-relay
+    metrics.outage_closed_form): it uses only the incomplete-gamma FSO
+    CDF.  User term k needs
 
         J_k = int_0^inf e^{-s_k x} (1 - F_FSO(gamma c_gain / x)) dx,
 
@@ -244,25 +228,19 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
 
 # ------------------------------------------------------------ composition
 
-def end_to_end_outage_semianalytic(topology, params, fixed_variant="numeric"):
+def end_to_end_outage_semianalytic(topology, params):
     """Outage probability at params.gamma_th by CDF composition.
 
-    The method-independent reference: the first-segment CDF (quadrature
-    oracle by default in fixed-gain mode, exact product form in adaptive
-    mode) composed with M-1 hybrid-hop factors.  fixed_variant chooses
-    "numeric" (defining integral) or "closed" (Meijer-G) for the
-    fixed-gain first segment.
+    The method-independent reference: the first-segment CDF (the
+    quadrature oracle in fixed-gain mode, the exact product form in
+    adaptive mode) composed with M-1 hybrid-hop factors.
     """
     g = params.gamma_th
     n = topology.n_users
     if topology.first_segment_mode is GainMode.ADAPTIVE:
         f2 = second_relay_cdf_adaptive(g, n, params)
-    elif fixed_variant == "numeric":
-        f2 = second_relay_cdf_fixed_numeric(g, n, params)
-    elif fixed_variant == "closed":
-        f2 = second_relay_cdf_fixed(g, n, params)
     else:
-        raise ValueError(f"unknown fixed_variant {fixed_variant!r}")
+        f2 = second_relay_cdf_fixed_numeric(g, n, params)
     hop = hybrid_hop_cdf(g, params)
     out = 1.0 - (1.0 - f2) * (1.0 - hop) ** (topology.m_relays - 1)
     return min(max(out, 0.0), 1.0)

@@ -3,9 +3,9 @@
 An ExperimentSpec names one sweep: an average-SNR axis in dB, one
 optional family variable (user count, relay count, or turbulence rate),
 the gain modes to cover, the metric, and the estimation methods to run.
-run_experiment evaluates every point, optionally in a worker pool, and
-emits a fixed-schema CSV whose rows round-trip back into CurvePoint
-values exactly.
+run_experiment evaluates every point in sweep order and emits a
+fixed-schema CSV whose rows round-trip back into CurvePoint values
+exactly.
 
 Config files are plain `key = value` lines with `#` comments; lists are
 comma separated and the SNR axis is `start:step:stop`.  validate_config
@@ -24,7 +24,6 @@ import dataclasses
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -428,20 +427,11 @@ def _expand(spec):
 def run_experiment(spec):
     """Evaluate every sweep point; write the CSV when out_path is set.
 
-    Points run on a pool of spec.sim.workers threads but are reduced in
-    sweep order, so output never depends on completion order.  Method
+    Points run in sweep order in the calling thread; spec.sim.workers
+    threads only the Monte-Carlo batches inside a point.  Method
     failures land in the point's error field and the run continues.
     """
-    grid = list(_expand(spec))
-
-    def job(args):
-        return _evaluate_point(spec, *args)
-
-    if spec.sim.workers == 1 or len(grid) == 1:
-        points = [job(args) for args in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.sim.workers) as pool:
-            points = list(pool.map(job, grid))
+    points = [_evaluate_point(spec, *args) for args in _expand(spec)]
     if spec.out_path:
         write_csv(points, spec.out_path)
     return points

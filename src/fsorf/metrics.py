@@ -1,13 +1,16 @@
 """Closed-form outage and DBPSK bit error rate for the relay chain.
 
-Outage in both gain modes reduces to finite alternating sums over the
-chain's binomial structure; the fixed-gain mode additionally carries a
-Meijer-G Laplace kernel for the relay cascade.  The bit error rate is
-the Laplace-type integral (1/2) int_0^inf e^{-gamma} P_out(gamma) dgamma,
-offered two ways: adaptive quadrature of the outage curve, and a closed
-multi-sum obtained by expanding the FSO CDF power F^t through its series
-form, which turns every term into Gamma(1+H) sigma^{-1-H} minus a
-Meijer-G correction.
+Both metrics come from one structure: the best of N Rayleigh users feeds
+the first relay, and M - 1 selection-combined FSO/RF hops follow.
+Expanding 1 - (1 - F_2nd)(1 - F_hop)^(M-1) binomially turns the chain
+into one alternating sum over (k, t, u), written once in _chain_terms;
+outage_closed_form and ber_closed_form are its only consumers.  The
+fixed-gain mode additionally carries a Meijer-G Laplace kernel for the
+relay cascade.  The bit error rate is the Laplace-type integral
+(1/2) int_0^inf e^{-gamma} P_out(gamma) dgamma, offered two ways:
+adaptive quadrature of the outage curve, and a closed multi-sum obtained
+by expanding the FSO CDF power F^t through its series form, which turns
+every term into Gamma(1+H) sigma^{-1-H} minus a Meijer-G correction.
 
 The expansion bookkeeping: with the CDF series
 
@@ -17,8 +20,8 @@ the t-th power contributes terms C(t,k1) F0^{t-k1} E_n^{(k1)} g^H where
 E^{(k1)} is the k1-fold Cauchy self-convolution of the E coefficients
 and H = (n + k1 + zeta (t - k1)) / 2.  The infinite n-sum is truncated
 when three consecutive index blocks each contribute less than 1e-12 of
-the running total (hard cap configurable); the reported truncation
-estimate is the magnitude of those final blocks.
+the running total (hard cap _N_MAX); the reported truncation estimate
+is the magnitude of those final blocks.
 """
 
 import math
@@ -32,24 +35,11 @@ from .special import ConvergenceError, MeijerParams, gamma_fn, meijer_g
 
 _BLOCK_TOL = 1e-12
 _BLOCK_RUN = 3
-
-
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One term of the error-rate multi-sum.
-
-    coefficient already folds in the mode's outer sign, the alternating
-    binomial weight, and C(t,k1) F0^{t-k1} E_n^{(k1)}; exponent_h is the
-    power of gamma the term carries into the Laplace kernel.
-    """
-
-    k: int
-    t: int
-    u: int
-    k1: int
-    n: int
-    coefficient: float
-    exponent_h: float
+# hard cap on the error-rate series index n
+_N_MAX = 200
+# gate on the BER kernels' distance outside their provable range; the
+# floor of the closed-form vs quadrature BER tolerance
+_KERNEL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,54 +97,59 @@ def _ber_kernel_fixed(h_exp, sigma, s, params):
             - pref * sigma ** (-1.0 - h_exp - z2 / 2.0) * g)
 
 
+# ------------------------------------------------------------ chain terms
+
+def _chain_terms(topology):
+    """Terms (k, t, weight, shift) of the chain's alternating binomial sum.
+
+    Outage is 1 + sum weight e^{-shift gamma_th / gamma_bar_rf} F^t T_k,
+    with F the FSO CDF at gamma_th and T_k the first segment's tail for
+    user term k; the error rate sums the same terms against Laplace
+    kernels.  The adaptive gain has k = 1..N, weight
+    C(N, k) C(M-1, t) C(t, u) (-1)^{k+t+u} and shift k + u.  The fixed
+    gain has k = 0..N-1, C(N-1, k) in place of C(N, k), an extra factor
+    -N / (k + 1) that folds in its outer sign, and shift k + u + 1.
+    """
+    n_users = topology.n_users
+    m_relays = topology.m_relays
+    adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
+    for k in range(1, n_users + 1) if adaptive else range(n_users):
+        for t in range(m_relays):
+            for u in range(t + 1):
+                weight = (math.comb(n_users if adaptive else n_users - 1, k)
+                          * math.comb(m_relays - 1, t) * math.comb(t, u)
+                          * (-1.0) ** (k + t + u))
+                if adaptive:
+                    yield k, t, weight, k + u
+                else:
+                    yield k, t, -(weight * n_users / (k + 1.0)), k + u + 1
+
+
 # ----------------------------------------------------------------- outage
 
-def outage_adaptive(topology, params):
-    """Closed-form outage probability, adaptive-gain first segment."""
-    n_users = topology.n_users
-    m_relays = topology.m_relays
-    gr = params.gamma_bar_rf
-    gth = params.gamma_th
-    ff = _snr_cdf_meijer(gth, params)
-    total = 1.0
-    for k in range(1, n_users + 1):
-        for t in range(m_relays):
-            for u in range(t + 1):
-                om = (math.comb(n_users, k) * math.comb(m_relays - 1, t)
-                      * math.comb(t, u) * (-1.0) ** (k + t + u))
-                total += (om * math.exp(-(k + u) * gth / gr)
-                          * ff ** t * (1.0 - ff))
-    return min(max(total, 0.0), 1.0)
-
-
-def outage_fixed(topology, params):
-    """Closed-form outage probability, fixed-gain first segment."""
-    n_users = topology.n_users
-    m_relays = topology.m_relays
-    gr = params.gamma_bar_rf
-    gth = params.gamma_th
-    if gth == 0.0:
-        return 0.0
-    ff = _snr_cdf_meijer(gth, params)
-    total = 1.0
-    for k in range(n_users):
-        s = (k + 1.0) / gr
-        bracket = 1.0 - fixed_segment_kernel(gth, s, params)
-        for t in range(m_relays):
-            for u in range(t + 1):
-                om = (math.comb(n_users - 1, k) * math.comb(m_relays - 1, t)
-                      * math.comb(t, u) * (-1.0) ** (k + t + u)
-                      * n_users / (k + 1.0))
-                total -= (om * math.exp(-(k + u + 1.0) * gth / gr)
-                          * bracket * ff ** t)
-    return min(max(total, 0.0), 1.0)
-
-
 def outage_closed_form(topology, params):
-    """Dispatch to the mode's closed form."""
-    if topology.first_segment_mode is GainMode.ADAPTIVE:
-        return outage_adaptive(topology, params)
-    return outage_fixed(topology, params)
+    """Closed-form outage probability at params.gamma_th."""
+    gr = params.gamma_bar_rf
+    gth = params.gamma_th
+    adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
+    ff = _snr_cdf_meijer(gth, params)
+    tails = {}
+    total = 1.0
+    for k, t, weight, shift in _chain_terms(topology):
+        decay = math.exp(-shift * gth / gr)
+        if decay == 0.0:
+            # the term is exactly 0; at low SNR its kernel may not converge
+            continue
+        if k not in tails:
+            tails[k] = 1.0 - (ff if adaptive else fixed_segment_kernel(
+                gth, (k + 1.0) / gr, params))
+        # each mode multiplies in its paper form's order: the error-rate
+        # quadrature over this curve moves by up to 1e-12 relative when
+        # one value changes in its last bit
+        head = weight * decay
+        total += (head * ff ** t * tails[k] if adaptive
+                  else head * tails[k] * ff ** t)
+    return min(max(total, 0.0), 1.0)
 
 
 # ------------------------------------------------------------- quadrature
@@ -182,114 +177,61 @@ def ber_quadrature(outage_curve, epsabs=1e-10):
     return 0.5 * val
 
 
-# ------------------------------------------------------------- expansions
+# ------------------------------------------------------------ closed BER
 
-def cdf_power_terms(t, coeffs, n_max):
-    """Terms (k1, n, coeff, H) with F(g)^t = sum coeff * g^H.
+def ber_closed_form(topology, params):
+    """Closed-form DBPSK error rate of the chain.
 
-    coeffs is the SeriesCoeffs bundle of the FSO CDF.  The k1 = 0 slot
-    appears once (n = 0) as the pure F0^t term.
+    Each Laplace kernel integrates e^{-sigma g} g^H times a factor in
+    [0, 1], so it lies in [0, Gamma(1+H) sigma^{-1-H}].  The weighted
+    distance of the evaluated kernels outside that range bounds the
+    result's error from below; past _KERNEL_TOL the call raises
+    ConvergenceError instead of returning a silently wrong value.
     """
-    f0 = coeffs.f0
-    z2 = coeffs.xi_sq
-    out = []
-    for k1 in range(t + 1):
-        p = series_power_coeffs(coeffs.e, k1)
-        top = 0 if k1 == 0 else n_max
-        for n in range(top + 1):
-            e_n = p[n] if n < p.size else 0.0
-            if e_n == 0.0:
-                continue
-            coeff = math.comb(t, k1) * f0 ** (t - k1) * e_n
-            h_exp = (n + k1 + z2 * (t - k1)) / 2.0
-            out.append((k1, n, coeff, h_exp))
-    return out
-
-
-def expansion_terms(topology, params, n_max=60):
-    """Materialized multi-sum terms for the mode's error-rate expansion."""
-    coeffs = series_coeffs(params, n_max)
-    n_users = topology.n_users
-    m_relays = topology.m_relays
-    adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
-    k_range = range(1, n_users + 1) if adaptive else range(n_users)
-    terms = []
-    for k in k_range:
-        for t in range(m_relays):
-            for u in range(t + 1):
-                if adaptive:
-                    om = (math.comb(n_users, k)
-                          * math.comb(m_relays - 1, t) * math.comb(t, u)
-                          * (-1.0) ** (k + t + u))
-                else:
-                    om = -(math.comb(n_users - 1, k)
-                           * math.comb(m_relays - 1, t) * math.comb(t, u)
-                           * (-1.0) ** (k + t + u) * n_users / (k + 1.0))
-                for k1, n, coeff, h_exp in cdf_power_terms(t, coeffs, n_max):
-                    terms.append(ExpansionTerm(
-                        k=k, t=t, u=u, k1=k1, n=n,
-                        coefficient=om * coeff, exponent_h=h_exp))
-    return terms
-
-
-def _ber_closed(topology, params, n_max):
-    coeffs = series_coeffs(params, n_max)
-    n_users = topology.n_users
-    m_relays = topology.m_relays
+    coeffs = series_coeffs(params, _N_MAX)
     gr = params.gamma_bar_rf
     adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
-    k_range = range(1, n_users + 1) if adaptive else range(n_users)
-
-    # per-(t, k1) convolution coefficient arrays, shared across blocks
+    terms = list(_chain_terms(topology))
+    # per-k1 convolution coefficient arrays, shared across blocks
     powers = {k1: series_power_coeffs(coeffs.e, k1)
-              for k1 in range(m_relays)}
+              for k1 in range(topology.m_relays)}
     kernel_cache = {}
 
-    def kernel(h_exp, k, u):
-        if adaptive:
-            sigma = 1.0 + (k + u) / gr
-            key = (h_exp, sigma)
-            if key not in kernel_cache:
-                kernel_cache[key] = _ber_kernel_adaptive(h_exp, sigma, params)
-        else:
-            sigma = 1.0 + (k + u + 1.0) / gr
-            s = (k + 1.0) / gr
-            key = (h_exp, sigma, s)
-            if key not in kernel_cache:
-                kernel_cache[key] = _ber_kernel_fixed(h_exp, sigma, s, params)
+    def kernel(h_exp, k, shift):
+        # the adaptive kernel depends on k only through shift
+        key = (h_exp, shift, None if adaptive else k)
+        if key not in kernel_cache:
+            sigma = 1.0 + shift / gr
+            if adaptive:
+                value = _ber_kernel_adaptive(h_exp, sigma, params)
+            else:
+                value = _ber_kernel_fixed(h_exp, sigma, (k + 1.0) / gr,
+                                          params)
+            bound = gamma_fn(1.0 + h_exp) * sigma ** (-1.0 - h_exp)
+            kernel_cache[key] = value, max(-value, value - bound, 0.0)
         return kernel_cache[key]
 
     total = 1.0
+    excess = 0.0
     small_run = 0
     last_blocks = []
     n_used = 0
     converged = False
-    for n in range(n_max + 1):
+    for n in range(_N_MAX + 1):
         block = 0.0
-        for k in k_range:
-            for t in range(m_relays):
-                for u in range(t + 1):
-                    if adaptive:
-                        om = (math.comb(n_users, k)
-                              * math.comb(m_relays - 1, t) * math.comb(t, u)
-                              * (-1.0) ** (k + t + u))
-                    else:
-                        om = -(math.comb(n_users - 1, k)
-                               * math.comb(m_relays - 1, t)
-                               * math.comb(t, u)
-                               * (-1.0) ** (k + t + u) * n_users / (k + 1.0))
-                    for k1 in range(t + 1):
-                        if k1 == 0 and n > 0:
-                            continue
-                        p = powers[k1]
-                        e_n = 1.0 if k1 == 0 else (
-                            p[n] if n < p.size else 0.0)
-                        if e_n == 0.0:
-                            continue
-                        coeff = (math.comb(t, k1)
-                                 * coeffs.f0 ** (t - k1) * e_n)
-                        h_exp = (n + k1 + coeffs.xi_sq * (t - k1)) / 2.0
-                        block += om * coeff * kernel(h_exp, k, u)
+        for k, t, weight, shift in terms:
+            for k1 in range(t + 1):
+                if k1 == 0 and n > 0:
+                    continue
+                p = powers[k1]
+                e_n = 1.0 if k1 == 0 else (p[n] if n < p.size else 0.0)
+                if e_n == 0.0:
+                    continue
+                coeff = math.comb(t, k1) * coeffs.f0 ** (t - k1) * e_n
+                h_exp = (n + k1 + coeffs.xi_sq * (t - k1)) / 2.0
+                value, outside = kernel(h_exp, k, shift)
+                block += weight * coeff * value
+                excess += abs(weight * coeff) * outside
         total += block
         n_used = n + 1
         last_blocks.append(abs(block))
@@ -302,29 +244,10 @@ def _ber_closed(topology, params, n_max):
                 break
         else:
             small_run = 0
-    truncation = sum(last_blocks)
-    value = 0.5 * total
-    value = min(max(value, 0.0), 0.5)
-    return BerResult(value=value, truncation=0.5 * truncation,
+    if not 0.5 * excess <= _KERNEL_TOL:
+        raise ConvergenceError(
+            f"BER Laplace kernels lie {0.5 * excess:.3g} outside "
+            f"[0, Gamma(1+H) sigma^(-1-H)] (gamma_bar={gr:g})")
+    value = min(max(0.5 * total, 0.0), 0.5)
+    return BerResult(value=value, truncation=0.5 * sum(last_blocks),
                      n_terms=n_used, converged=converged)
-
-
-def ber_adaptive_closed(topology, params, n_max=200):
-    """Closed-form DBPSK error rate, adaptive-gain first segment."""
-    if topology.first_segment_mode is not GainMode.ADAPTIVE:
-        raise ValueError("topology mode must be adaptive-gain")
-    return _ber_closed(topology, params, n_max)
-
-
-def ber_fixed_closed(topology, params, n_max=200):
-    """Closed-form DBPSK error rate, fixed-gain first segment."""
-    if topology.first_segment_mode is not GainMode.FIXED:
-        raise ValueError("topology mode must be fixed-gain")
-    return _ber_closed(topology, params, n_max)
-
-
-def ber_closed_form(topology, params, n_max=200):
-    """Dispatch to the mode's closed error-rate form."""
-    if topology.first_segment_mode is GainMode.ADAPTIVE:
-        return ber_adaptive_closed(topology, params, n_max)
-    return ber_fixed_closed(topology, params, n_max)

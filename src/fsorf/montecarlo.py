@@ -43,11 +43,6 @@ class BerModel(Enum):
     CASCADE_XOR = "cascade-xor"
 
 
-class SimLevel(Enum):
-    SIGNAL = "signal"
-    SNR = "snr"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation knobs shared by every estimator.
@@ -61,7 +56,6 @@ class SimConfig:
     seed: int = 42
     workers: int = 1
     ber_model: BerModel = BerModel.MIN_SNR_EQUIVALENT
-    level: SimLevel = SimLevel.SNR
 
     def __post_init__(self):
         if not isinstance(self.trials_or_bits, int) or isinstance(
@@ -78,8 +72,6 @@ class SimConfig:
             raise ValueError("workers must be a positive integer")
         if not isinstance(self.ber_model, BerModel):
             raise ValueError("ber_model must be a BerModel")
-        if not isinstance(self.level, SimLevel):
-            raise ValueError("level must be a SimLevel")
 
 
 @dataclass(frozen=True)
@@ -315,8 +307,6 @@ def simulate_ber_signal_level(topology, params, cfg):
     confidence interval treats frames, not bits, as the independent
     unit, since errors within a frame share the fading state.
     """
-    if cfg.level is not SimLevel.SIGNAL:
-        raise ValueError("signal-level simulation requires level=Signal")
     frame = _FRAME_BITS
     n_frames = -(-cfg.trials_or_bits // frame)
     n_bits = n_frames * frame

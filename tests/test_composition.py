@@ -28,9 +28,9 @@ from fsorf.composition import (
     multiuser_select_pdf,
     second_relay_cdf_adaptive,
     second_relay_cdf_adaptive_exact,
-    second_relay_cdf_fixed,
     second_relay_cdf_fixed_numeric,
 )
+from fsorf.metrics import outage_closed_form
 from fsorf.special import ConvergenceError
 
 
@@ -210,12 +210,18 @@ def test_adaptive_exact_cdf_dominates_min_model():
 
 # ---------------------------------------------- first segment, fixed mode
 
+def fixed_closed(n, p):
+    # with one relay the chain's closed-form outage is the first segment
+    return outage_closed_form(
+        Topology(n_users=n, m_relays=1, first_segment_mode=GainMode.FIXED), p)
+
+
 def test_fixed_segment_closed_vs_numeric():
     cases = [(2, 10.0, 10.0), (4, 25.0, 10.0), (1, 0.0, 2.0)]
     refs = [0.685998008427558, 0.014869734212895, 0.985149748145108]
     for (n, gdb, gth), ref in zip(cases, refs):
         p = params(gamma_db=gdb, gamma_th=gth)
-        closed = second_relay_cdf_fixed(gth, n, p)
+        closed = fixed_closed(n, p)
         numeric = second_relay_cdf_fixed_numeric(gth, n, p)
         assert closed == pytest.approx(ref, rel=1e-8)
         assert numeric == pytest.approx(ref, rel=1e-10)
@@ -224,13 +230,12 @@ def test_fixed_segment_closed_vs_numeric():
     for n, gdb in [(2, 50.0), (4, 50.0), (1, 60.0), (2, 60.0), (4, 60.0)]:
         p = params(gamma_db=gdb)
         assert second_relay_cdf_fixed_numeric(10.0, n, p) == pytest.approx(
-            second_relay_cdf_fixed(10.0, n, p), rel=1e-8), (n, gdb)
+            fixed_closed(n, p), rel=1e-8), (n, gdb)
     # at low SNR the segment is in outage; at -30 dB the RF and FSO cuts
     # of the rule cross
     for gdb in [-30.0, -10.0]:
         assert second_relay_cdf_fixed_numeric(
             10.0, 2, params(gamma_db=gdb)) == 1.0
-    assert second_relay_cdf_fixed(0.0, 2, params()) == 0.0
     assert second_relay_cdf_fixed_numeric(0.0, 2, params()) == 0.0
 
 
@@ -267,7 +272,7 @@ def test_fixed_segment_vs_sampled_af_chain():
     g2 = sample_fso_snr(p, rng, size=trials)
     eq = af_fixed_snr(g1, g2, p.c_gain)
     p_hat = np.mean(eq <= 10.0)
-    pv = second_relay_cdf_fixed(10.0, 2, p)
+    pv = fixed_closed(2, p)
     se = math.sqrt(pv * (1 - pv) / trials)
     assert abs(p_hat - pv) < 3 * se
 
@@ -282,8 +287,7 @@ def test_e2e_frozen_points():
         0.435646624962466, rel=1e-10)
     assert end_to_end_outage_semianalytic(t_f, p) == pytest.approx(
         0.107942142967643, rel=1e-8)
-    assert end_to_end_outage_semianalytic(
-        t_f, p, fixed_variant="closed") == pytest.approx(
+    assert outage_closed_form(t_f, p) == pytest.approx(
         0.107942142967643, rel=1e-8)
 
 
@@ -323,9 +327,3 @@ def test_e2e_monotonicity():
             Topology(n_users=n, m_relays=2, first_segment_mode=mode), p0)
             for n in [1, 2, 4]]
         assert by_n[0] >= by_n[1] >= by_n[2], mode
-
-
-def test_e2e_rejects_unknown_variant():
-    t = Topology(n_users=1, m_relays=1, first_segment_mode=GainMode.FIXED)
-    with pytest.raises(ValueError):
-        end_to_end_outage_semianalytic(t, params(), fixed_variant="guess")

@@ -22,21 +22,17 @@ from fsorf.composition import (
     Topology,
     end_to_end_outage_semianalytic,
     second_relay_cdf_adaptive,
-    second_relay_cdf_fixed,
+    second_relay_cdf_fixed_numeric,
 )
 from fsorf.metrics import (
     BerResult,
-    ber_adaptive_closed,
+    _chain_terms,
     ber_closed_form,
-    ber_fixed_closed,
     ber_quadrature,
-    cdf_power_terms,
-    expansion_terms,
-    outage_adaptive,
     outage_closed_form,
-    outage_fixed,
 )
-from fsorf.series import series_coeffs
+from fsorf.series import series_coeffs, series_power_coeffs
+from fsorf.special import ConvergenceError
 
 XI = 1.45
 
@@ -83,7 +79,8 @@ BER_FIXED_REF = {
 @pytest.mark.parametrize("point,ref", sorted(OUTAGE_ADAPTIVE_REF.items()))
 def test_outage_adaptive_frozen(point, ref):
     n, m, gdb = point
-    value = outage_adaptive(topo(n, m, GainMode.ADAPTIVE), make_params(gdb))
+    value = outage_closed_form(topo(n, m, GainMode.ADAPTIVE),
+                               make_params(gdb))
     assert value == pytest.approx(ref, rel=1e-12)
 
 
@@ -91,7 +88,7 @@ def test_outage_adaptive_frozen(point, ref):
 def test_outage_fixed_frozen(point, ref):
     # perturbed Meijer-G evaluation bounds the achievable agreement
     n, m, gdb = point
-    value = outage_fixed(topo(n, m, GainMode.FIXED), make_params(gdb))
+    value = outage_closed_form(topo(n, m, GainMode.FIXED), make_params(gdb))
     assert value == pytest.approx(ref, rel=1e-9)
 
 
@@ -99,7 +96,7 @@ def test_outage_fixed_frozen(point, ref):
 def test_outage_adaptive_matches_composition(n, m, gdb):
     t = topo(n, m, GainMode.ADAPTIVE)
     p = make_params(gdb)
-    closed = outage_adaptive(t, p)
+    closed = outage_closed_form(t, p)
     semi = end_to_end_outage_semianalytic(t, p)
     assert closed == pytest.approx(semi, rel=1e-8)
 
@@ -108,17 +105,9 @@ def test_outage_adaptive_matches_composition(n, m, gdb):
 def test_outage_fixed_matches_composition(n, m, gdb):
     t = topo(n, m, GainMode.FIXED)
     p = make_params(gdb)
-    closed = outage_fixed(t, p)
+    closed = outage_closed_form(t, p)
     semi = end_to_end_outage_semianalytic(t, p)
     assert closed == pytest.approx(semi, rel=1e-8)
-
-
-def test_outage_dispatch_follows_mode():
-    p = make_params(12.0)
-    ta = topo(2, 2, GainMode.ADAPTIVE)
-    tf = topo(2, 2, GainMode.FIXED)
-    assert outage_closed_form(ta, p) == outage_adaptive(ta, p)
-    assert outage_closed_form(tf, p) == outage_fixed(tf, p)
 
 
 def test_outage_vanishes_for_tiny_threshold():
@@ -144,12 +133,25 @@ def test_outage_decreases_with_average_snr():
 def test_single_hop_outage_is_second_relay_cdf():
     # m_relays = 1 leaves no decode-and-forward hops after the relay
     p = make_params(12.0)
-    adaptive = outage_adaptive(topo(3, 1, GainMode.ADAPTIVE), p)
+    adaptive = outage_closed_form(topo(3, 1, GainMode.ADAPTIVE), p)
     assert adaptive == pytest.approx(
         second_relay_cdf_adaptive(p.gamma_th, 3, p), rel=1e-12)
-    fixed = outage_fixed(topo(3, 1, GainMode.FIXED), p)
+    fixed = outage_closed_form(topo(3, 1, GainMode.FIXED), p)
     assert fixed == pytest.approx(
-        second_relay_cdf_fixed(p.gamma_th, 3, p), rel=1e-9)
+        second_relay_cdf_fixed_numeric(p.gamma_th, 3, p), rel=1e-9)
+
+
+@pytest.mark.parametrize("xi", [0.8, 1.45, 2.5])
+@pytest.mark.parametrize("n,m", [(6, 1), (6, 2), (8, 1), (8, 2)])
+def test_fixed_outage_at_low_snr_is_one(n, m, xi):
+    # every user term's weight e^{-(k+1) gamma_th / gamma_bar} underflows
+    # to 0 at -30 dB, where the Meijer-G kernel does not converge
+    g = db_to_linear(-30.0)
+    p = LinkParams(gamma_bar_rf=g, gamma_bar_fso=g, lam=1.0, a0=1.0,
+                   xi=xi, gamma_th=10.0)
+    t = topo(n, m, GainMode.FIXED)
+    assert outage_closed_form(t, p) == 1.0
+    assert end_to_end_outage_semianalytic(t, p) == 1.0
 
 
 # -------------------------------------------------------- quadrature
@@ -172,9 +174,10 @@ def test_ber_quadrature_best_of_two_anchor():
     assert value == pytest.approx(exact, rel=1e-9)
 
 
-def _outage_curve(t, p, fn):
+def _outage_curve(t, p):
     def curve(gamma):
-        return fn(t, dataclasses.replace(p, gamma_th=max(gamma, 1e-300)))
+        return outage_closed_form(
+            t, dataclasses.replace(p, gamma_th=max(gamma, 1e-300)))
     return curve
 
 
@@ -183,8 +186,8 @@ def _outage_curve(t, p, fn):
 def test_ber_adaptive_closed_matches_quadrature(n, m, gdb):
     t = topo(n, m, GainMode.ADAPTIVE)
     p = make_params(gdb)
-    result = ber_adaptive_closed(t, p)
-    quad = ber_quadrature(_outage_curve(t, p, outage_adaptive))
+    result = ber_closed_form(t, p)
+    quad = ber_quadrature(_outage_curve(t, p))
     tol = max(1e-6, 10.0 * result.truncation)
     assert abs(result.value - quad) <= tol
     assert result.converged
@@ -195,8 +198,8 @@ def test_ber_adaptive_closed_matches_quadrature(n, m, gdb):
 def test_ber_fixed_closed_matches_quadrature(n, m, gdb):
     t = topo(n, m, GainMode.FIXED)
     p = make_params(gdb)
-    result = ber_fixed_closed(t, p)
-    quad = ber_quadrature(_outage_curve(t, p, outage_fixed))
+    result = ber_closed_form(t, p)
+    quad = ber_quadrature(_outage_curve(t, p))
     tol = max(1e-6, 10.0 * result.truncation)
     assert abs(result.value - quad) <= tol
     assert result.converged
@@ -207,37 +210,21 @@ def test_ber_fixed_closed_matches_quadrature(n, m, gdb):
 @pytest.mark.parametrize("point,ref", sorted(BER_ADAPTIVE_REF.items()))
 def test_ber_adaptive_frozen(point, ref):
     n, m, gdb = point
-    result = ber_adaptive_closed(topo(n, m, GainMode.ADAPTIVE),
-                                 make_params(gdb))
+    result = ber_closed_form(topo(n, m, GainMode.ADAPTIVE),
+                             make_params(gdb))
     assert result.value == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("point,ref", sorted(BER_FIXED_REF.items()))
 def test_ber_fixed_frozen(point, ref):
     n, m, gdb = point
-    result = ber_fixed_closed(topo(n, m, GainMode.FIXED), make_params(gdb))
+    result = ber_closed_form(topo(n, m, GainMode.FIXED), make_params(gdb))
     assert result.value == pytest.approx(ref, rel=1e-9)
 
 
-def test_ber_dispatch_follows_mode():
-    p = make_params(10.0)
-    ta = topo(2, 2, GainMode.ADAPTIVE)
-    tf = topo(2, 2, GainMode.FIXED)
-    assert ber_closed_form(ta, p) == ber_adaptive_closed(ta, p)
-    assert ber_closed_form(tf, p) == ber_fixed_closed(tf, p)
-
-
-def test_ber_wrong_mode_rejected():
-    p = make_params(10.0)
-    with pytest.raises(ValueError):
-        ber_adaptive_closed(topo(2, 2, GainMode.FIXED), p)
-    with pytest.raises(ValueError):
-        ber_fixed_closed(topo(2, 2, GainMode.ADAPTIVE), p)
-
-
 def test_ber_result_fields():
-    result = ber_adaptive_closed(topo(2, 2, GainMode.ADAPTIVE),
-                                 make_params(10.0))
+    result = ber_closed_form(topo(2, 2, GainMode.ADAPTIVE),
+                             make_params(10.0))
     assert isinstance(result, BerResult)
     assert 0.0 <= result.value <= 0.5
     assert result.truncation >= 0.0
@@ -254,41 +241,48 @@ def test_ber_decreases_with_average_snr():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def test_ber_raises_where_kernels_leave_their_range():
+    # at -30 dB the fixed-gain kernels fall outside [0, Gamma(1+H)
+    # sigma^{-1-H}] and the sum lands far from the true value of ~0.5
+    t = topo(6, 2, GainMode.FIXED)
+    with pytest.raises(ConvergenceError, match="Laplace kernels lie"):
+        ber_closed_form(t, make_params(-30.0))
+    assert ber_closed_form(t, make_params(-20.0)).value == pytest.approx(
+        0.49988, abs=1e-5)
+
+
 # -------------------------------------------------------- expansions
 
 @pytest.mark.parametrize("t_power", [0, 1, 2, 3])
 @pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
 def test_power_terms_reconstruct_cdf_power(t_power, gamma):
+    # the (k1, n) terms ber_closed_form sums for F^t:
+    # C(t,k1) F0^{t-k1} E_n^{(k1)} g^H, H = (n + k1 + zeta (t - k1)) / 2
     p = make_params(20.0)
     coeffs = series_coeffs(p, 40)
-    total = sum(coeff * gamma ** h
-                for _, _, coeff, h in cdf_power_terms(t_power, coeffs, 40))
+    total = 0.0
+    for k1 in range(t_power + 1):
+        for n, e_n in enumerate(series_power_coeffs(coeffs, k1)):
+            h = (n + k1 + coeffs.xi_sq * (t_power - k1)) / 2.0
+            total += (math.comb(t_power, k1) * coeffs.f0 ** (t_power - k1)
+                      * e_n * gamma ** h)
     direct = ne_pe_snr_cdf(gamma, p) ** t_power
     assert total == pytest.approx(direct, rel=1e-10)
 
 
-def test_power_terms_single_constant_for_zero_power():
-    coeffs = series_coeffs(make_params(20.0), 20)
-    terms = cdf_power_terms(0, coeffs, 20)
-    assert len(terms) == 1
-    k1, n, coeff, h = terms[0]
-    assert (k1, n, h) == (0, 0, 0.0)
-    assert coeff == pytest.approx(1.0)
-
-
 def test_expansion_term_exponents_and_signs():
-    p = make_params(12.0)
-    coeffs = series_coeffs(p, 10)
-    for mode in (GainMode.ADAPTIVE, GainMode.FIXED):
-        terms = expansion_terms(topo(2, 2, mode), p, n_max=10)
-        for term in terms:
-            expected_h = (term.n + term.k1
-                          + coeffs.xi_sq * (term.t - term.k1)) / 2.0
-            assert term.exponent_h == pytest.approx(expected_h)
-    # leading k1 = 0 weight at t = 0: both modes fold the outer sign in
-    lead_a = [t for t in expansion_terms(topo(2, 2, GainMode.ADAPTIVE), p)
-              if (t.k, t.t, t.u, t.k1) == (1, 0, 0, 0)]
-    assert len(lead_a) == 1 and lead_a[0].coefficient == pytest.approx(-2.0)
-    lead_f = [t for t in expansion_terms(topo(2, 2, GainMode.FIXED), p)
-              if (t.k, t.t, t.u, t.k1) == (0, 0, 0, 0)]
-    assert len(lead_f) == 1 and lead_f[0].coefficient == pytest.approx(-2.0)
+    # (k, t, weight, shift) for N=2, M=2, in (k, t, u) order; both modes
+    # fold the outer sign into the leading weight
+    adaptive = list(_chain_terms(topo(2, 2, GainMode.ADAPTIVE)))
+    assert adaptive == [(1, 0, -2.0, 1), (1, 1, 2.0, 1), (1, 1, -2.0, 2),
+                        (2, 0, 1.0, 2), (2, 1, -1.0, 2), (2, 1, 1.0, 3)]
+    fixed = list(_chain_terms(topo(2, 2, GainMode.FIXED)))
+    assert fixed == [(0, 0, -2.0, 1), (0, 1, 2.0, 1), (0, 1, -2.0, 2),
+                     (1, 0, 1.0, 2), (1, 1, -1.0, 2), (1, 1, 1.0, 3)]
+    # outage vanishes as gamma_th -> 0, where F = 0 and T_k = 1: the
+    # t = 0 weights sum to -1
+    for n in (1, 3, 8):
+        for mode in GainMode:
+            weights = [w for _, t, w, _ in _chain_terms(topo(n, 3, mode))
+                       if t == 0]
+            assert math.fsum(weights) == pytest.approx(-1.0, abs=1e-12)

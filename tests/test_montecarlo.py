@@ -18,17 +18,11 @@ from fsorf.composition import (
     Topology,
     end_to_end_outage_semianalytic,
 )
-from fsorf.metrics import (
-    ber_adaptive_closed,
-    ber_fixed_closed,
-    outage_adaptive,
-    outage_fixed,
-)
+from fsorf.metrics import ber_closed_form, outage_closed_form
 from fsorf.montecarlo import (
     BerModel,
     MetricEstimate,
     SimConfig,
-    SimLevel,
     differential_encode,
     differential_detect,
     sample_chain_min_snr,
@@ -74,8 +68,7 @@ def test_ber_identical_across_worker_counts():
            for w in (1, 3)]
     assert snr[0] == snr[1]
     sig = [simulate_ber_signal_level(
-        t, p, SimConfig(trials_or_bits=100000, seed=9, workers=w,
-                        level=SimLevel.SIGNAL))
+        t, p, SimConfig(trials_or_bits=100000, seed=9, workers=w))
         for w in (1, 3)]
     assert sig[0] == sig[1]
 
@@ -111,8 +104,6 @@ def test_sim_config_rejects_bad_fields():
         SimConfig(workers=0)
     with pytest.raises(ValueError):
         SimConfig(ber_model="cascade-xor")
-    with pytest.raises(ValueError):
-        SimConfig(level="snr")
 
 
 def test_metric_estimate_invariants():
@@ -125,13 +116,6 @@ def test_metric_estimate_invariants():
     exact = MetricEstimate.exact(0.25, "closed-form")
     assert exact.mean == exact.ci_low == exact.ci_high == 0.25
     assert exact.n == 0
-
-
-def test_signal_level_requires_signal_config():
-    t = topo(1, 1, GainMode.ADAPTIVE)
-    p = make_params(10.0)
-    with pytest.raises(ValueError):
-        simulate_ber_signal_level(t, p, SimConfig(trials_or_bits=10000))
 
 
 def test_first_segment_knob_validated():
@@ -187,7 +171,7 @@ def test_outage_mc_min_matches_closed_adaptive():
     p = make_params(20.0)
     est = simulate_outage(t, p, SimConfig(trials_or_bits=10 ** 6, seed=7),
                           first_segment="min")
-    closed = outage_adaptive(t, p)
+    closed = outage_closed_form(t, p)
     assert abs(est.mean - closed) <= 3.0 * sigma_of(est)
 
 
@@ -195,7 +179,7 @@ def test_outage_mc_exact_matches_closed_fixed():
     t = topo(2, 2, GainMode.FIXED)
     p = make_params(20.0)
     est = simulate_outage(t, p, SimConfig(trials_or_bits=10 ** 6, seed=7))
-    closed = outage_fixed(t, p)
+    closed = outage_closed_form(t, p)
     assert abs(est.mean - closed) <= 3.0 * sigma_of(est)
 
 
@@ -246,7 +230,7 @@ def test_ber_minsnr_matches_closed_adaptive():
     est = simulate_ber_snr_level(t, p, SimConfig(trials_or_bits=10 ** 6,
                                                  seed=11),
                                  first_segment="min")
-    closed = ber_adaptive_closed(t, p)
+    closed = ber_closed_form(t, p)
     assert abs(est.mean - closed.value) <= 3.0 * sigma_of(est)
 
 
@@ -255,7 +239,7 @@ def test_ber_minsnr_matches_closed_fixed():
     p = make_params(10.0)
     est = simulate_ber_snr_level(t, p, SimConfig(trials_or_bits=10 ** 6,
                                                  seed=11))
-    closed = ber_fixed_closed(t, p)
+    closed = ber_closed_form(t, p)
     assert abs(est.mean - closed.value) <= 3.0 * sigma_of(est)
 
 
@@ -276,8 +260,7 @@ def test_signal_level_matches_cascade_xor():
     t = topo(2, 2, GainMode.ADAPTIVE)
     p = make_params(10.0)
     signal = simulate_ber_signal_level(
-        t, p, SimConfig(trials_or_bits=400000, seed=13,
-                        level=SimLevel.SIGNAL))
+        t, p, SimConfig(trials_or_bits=400000, seed=13))
     cascade = simulate_ber_snr_level(
         t, p, SimConfig(trials_or_bits=400000, seed=14,
                         ber_model=BerModel.CASCADE_XOR))
@@ -289,7 +272,7 @@ def test_signal_level_rounds_bits_up_to_frames():
     t = topo(1, 1, GainMode.ADAPTIVE)
     p = make_params(25.0)
     est = simulate_ber_signal_level(
-        t, p, SimConfig(trials_or_bits=1100, seed=3, level=SimLevel.SIGNAL))
+        t, p, SimConfig(trials_or_bits=1100, seed=3))
     assert est.n == 1250
     assert est.ci_low <= est.mean <= est.ci_high
 
@@ -298,8 +281,7 @@ def test_signal_level_fixed_gain_runs():
     t = topo(2, 2, GainMode.FIXED)
     p = make_params(12.0)
     est = simulate_ber_signal_level(
-        t, p, SimConfig(trials_or_bits=50000, seed=4,
-                        level=SimLevel.SIGNAL))
+        t, p, SimConfig(trials_or_bits=50000, seed=4))
     assert 0.0 < est.mean < 0.5
 
 
