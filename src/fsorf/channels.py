@@ -22,10 +22,9 @@ equivalent Meijer-G form exercised by the closed-form metrics layer).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
 from .special import gamma_upper
 
@@ -53,13 +52,12 @@ class LinkParams:
     lam: float
     a0: float
     xi: float
-    eta: float = 1.0          # conversion efficiency, absorbed into gamma_bar_fso
     c_gain: float = 1.0       # fixed-gain relay constant
-    gamma_th: float = field(default=1.0)
+    gamma_th: float = 1.0
 
     def __post_init__(self):
         for name in ("gamma_bar_rf", "gamma_bar_fso", "lam", "a0",
-                     "xi", "eta", "c_gain", "gamma_th"):
+                     "xi", "c_gain", "gamma_th"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
@@ -92,23 +90,6 @@ class LinkParams:
 
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
-
-
-def a0_from_geometry(aperture_radius, beam_width):
-    """Fraction of collected power at zero displacement, erf(v)^2.
-
-    v = sqrt(pi/2) * aperture_radius / beam_width.  Offered as a
-    convenience for physically parameterized setups; a0 itself is the
-    canonical stored parameter.
-    """
-    if aperture_radius <= 0 or beam_width <= 0:
-        raise ValueError("aperture_radius and beam_width must be positive")
-    v = math.sqrt(math.pi / 2.0) * aperture_radius / beam_width
-    return float(sc.erf(v)) ** 2
 
 
 # ------------------------------------------------------------------ RF link
@@ -191,33 +172,16 @@ def ne_pe_snr_cdf(gamma, params):
     return out.reshape(np.shape(gamma))
 
 
-def ne_snr_cdf_no_pointing(gamma, params):
-    """FSO SNR CDF with the pointing-error gain pinned at a0.
-
-    Then sqrt(gamma / gamma_bar) / a0 is the turbulence gain itself and
-    the CDF collapses to 1 - exp(-c sqrt(gamma)).
-    """
-    g = _as_float_array(gamma, "gamma")
-    if np.any(g < 0):
-        raise ValueError("gamma must be non-negative")
-    out = -np.expm1(-params.c * np.sqrt(g))
-    return float(out) if np.isscalar(gamma) else out
-
-
-def sample_fso_snr(params, rng, size=None, pointing_error=True):
+def sample_fso_snr(params, rng, size=None):
     """Draw FSO SNR as gamma_bar_fso * (h_a h_p)^2.
 
     h_a is inverse-CDF exponential; h_p is a0 * U^(1/xi^2), the inverse
-    CDF of the pointing-error gain law.  With pointing_error False the
-    pointing gain is pinned at a0, leaving pure turbulence (the xi -> inf
-    limit), which the tests use to isolate the two effects.
+    CDF of the pointing-error gain law.  Each call draws two uniforms per
+    sample, turbulence first.
     """
     u1 = rng.random(size=size)
     h_a = -np.log1p(-u1) / params.lam
-    if pointing_error:
-        h_p = params.a0 * rng.random(size=size) ** (1.0 / params.zeta)
-    else:
-        h_p = params.a0 if size is None else np.full(size, params.a0)
+    h_p = params.a0 * rng.random(size=size) ** (1.0 / params.zeta)
     i = h_a * h_p
     return params.gamma_bar_fso * i * i
 

@@ -1,14 +1,15 @@
 """Command-line sweep runner.
 
-Thin argparse shell over the experiments module: flags use the same
-key = value vocabulary as config files and override them, per-flag
-values are handed to the config parser untouched so both surfaces
-share one validator, and the CSV goes to --out or stdout.
+Thin argparse shell over the experiments module: each flag's dest is
+a config-file key, flags override the file, and every flag value is
+handed to the config parser as an untouched string, so both surfaces
+share one validator.  The CSV goes to --out or stdout.
 
-Exit codes: 0 success, 1 configuration problem (bad flag, bad config
-file, invariant violation), 2 a requested method failed numerically at
-one or more sweep points (failures are listed on stderr and recorded
-in the CSV error column).
+Exit codes: 0 success, 1 configuration problem (unknown flag, bad
+value, bad config file, missing output directory), found before any
+point is computed, 2 a requested method failed numerically at one or
+more sweep points (failures are listed on stderr and recorded in the
+CSV error column).
 """
 
 import argparse
@@ -40,27 +41,27 @@ def build_parser():
         description="Outage and DBPSK bit-error-rate sweeps for the "
                     "multi-user hybrid FSO/RF relay chain, computed "
                     "closed-form, by quadrature, and by Monte-Carlo.")
-    parser.add_argument("--preset",
-                        choices=("fig1", "fig2", "fig3", "custom"),
-                        help="start from a named parameter set")
+    parser.add_argument("--preset", metavar="NAME",
+                        help="start from a named parameter set: fig1, "
+                             "fig2, fig3 or custom")
     parser.add_argument("--config", metavar="PATH",
                         help="key = value config file")
-    parser.add_argument("--metric", choices=("outage", "ber"))
-    parser.add_argument("--mode",
-                        choices=("known-csi", "unknown-csi", "both"),
-                        help="first-segment relaying mode")
+    parser.add_argument("--metric", metavar="NAME",
+                        help="outage or ber")
+    parser.add_argument("--mode", metavar="NAME",
+                        help="first-segment relaying mode: known-csi, "
+                             "unknown-csi or both")
     parser.add_argument("--users", metavar="N[,N...]",
                         help="user count, or comma list to sweep")
     parser.add_argument("--relays", metavar="M[,M...]",
                         help="relay count, or comma list to sweep")
     parser.add_argument("--xi", metavar="XI",
                         help="pointing-error severity")
-    parser.add_argument("--lambda", dest="lam", metavar="L[,L...]",
+    parser.add_argument("--lambda", dest="lambda", metavar="L[,L...]",
                         help="turbulence rate, or comma list to sweep")
-    parser.add_argument("--gamma-th-db", dest="gamma_th_db", metavar="DB",
+    parser.add_argument("--gamma-th-db", metavar="DB",
                         help="outage threshold SNR in dB")
-    parser.add_argument("--gamma-avg-db", dest="gamma_avg_db",
-                        metavar="START:STEP:STOP",
+    parser.add_argument("--gamma-avg-db", metavar="START:STEP:STOP",
                         help="average SNR axis in dB (or one value)")
     parser.add_argument("--methods", metavar="LIST",
                         help="comma subset of closed-form, quadrature, "
@@ -92,19 +93,8 @@ def main(argv=None):
             print(f"config error: {exc}", file=sys.stderr)
             return 1
 
-    overrides = {}
-    for key, value in (
-            ("preset", args.preset), ("metric", args.metric),
-            ("mode", args.mode), ("users", args.users),
-            ("relays", args.relays), ("xi", args.xi),
-            ("lambda", args.lam), ("gamma_th_db", args.gamma_th_db),
-            ("gamma_avg_db", args.gamma_avg_db),
-            ("methods", args.methods), ("trials", args.trials),
-            ("seed", args.seed), ("workers", args.workers),
-            ("out", args.out)):
-        if value is not None:
-            overrides[key] = value
-
+    overrides = {key: value for key, value in vars(args).items()
+                 if key != "config" and value is not None}
     try:
         spec = spec_from_sources(config_text, overrides)
     except ConfigError as exc:

@@ -13,7 +13,8 @@ threshold g is
 where F_2nd is the CDF of the first segment's end-to-end SNR.  For the
 adaptive gain the formulas model the standard min(g1, g2) upper bound of
 g1 g2 / (g1 + g2 + 1); the exact-law gap is measurable through
-second_relay_cdf_adaptive_exact.
+montecarlo.simulate_outage with first_segment="exact" on a one-relay
+chain.
 
 Everything here is expressed over CDFs so that closed-form, quadrature,
 and Monte-Carlo paths can share one composition rule.
@@ -114,24 +115,6 @@ def second_relay_cdf_adaptive(gamma, n, params):
     f1 = multiuser_select_cdf(gamma, n, params.gamma_bar_rf)
     f2 = ne_pe_snr_cdf(gamma, params)
     return 1.0 - (1.0 - f1) * (1.0 - f2)
-
-
-def second_relay_cdf_adaptive_exact(gamma, n, params, rng, trials=1_000_000):
-    """Empirical CDF of the exact adaptive-gain SNR, for gap measurement.
-
-    Draws the best-of-n RF SNR and the FSO SNR, pushes them through
-    g1 g2 / (g1 + g2 + 1), and counts threshold crossings.  Returns the
-    estimate and its binomial standard error.
-    """
-    from .channels import sample_fso_snr, sample_rf_snr
-
-    g1 = np.max(sample_rf_snr(params.gamma_bar_rf, rng, size=(trials, n)),
-                axis=1)
-    g2 = sample_fso_snr(params, rng, size=trials)
-    eq = af_adaptive_snr(g1, g2)
-    p = float(np.mean(eq <= gamma))
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials)
-    return p, se
 
 
 def _fixed_kernel_params(z2):

@@ -8,7 +8,7 @@ fixed-schema CSV whose rows round-trip back into CurvePoint values
 exactly.
 
 Config files are plain `key = value` lines with `#` comments; lists are
-comma separated and the SNR axis is `start:step:stop`.  validate_config
+comma separated and the SNR axis is `start:step:stop`.  spec_from_sources
 resolves presets and defaults and anchors every complaint to its source
 line.
 
@@ -35,9 +35,6 @@ from .composition import (
 )
 from .metrics import ber_closed_form, ber_quadrature, outage_closed_form
 from .montecarlo import (
-    METHOD_CLOSED,
-    METHOD_MC,
-    METHOD_QUADRATURE,
     MetricEstimate,
     SimConfig,
     simulate_ber_snr_level,
@@ -49,6 +46,10 @@ CSV_COLUMNS = (
     "gamma_th_db", "gamma_avg_db", "closed_form", "quadrature",
     "mc_mean", "mc_ci_low", "mc_ci_high", "mc_n", "seed", "error",
 )
+
+METHOD_CLOSED = "closed-form"
+METHOD_QUADRATURE = "quadrature"
+METHOD_MC = "monte-carlo"
 
 _MODE_LABELS = {GainMode.ADAPTIVE: "known-csi", GainMode.FIXED: "unknown-csi"}
 _LABEL_MODES = {v: k for k, v in _MODE_LABELS.items()}
@@ -91,23 +92,6 @@ class ExperimentSpec:
     methods: tuple
     sim: SimConfig
     out_path: str = None
-
-    def __post_init__(self):
-        if self.preset not in _PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
-        if not isinstance(self.metric, Metric):
-            raise ValueError("metric must be a Metric")
-        for name in ("modes", "n_users", "m_relays", "lam",
-                     "gamma_avg_db", "methods"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if any(m not in (METHOD_CLOSED, METHOD_QUADRATURE, METHOD_MC)
-               for m in self.methods):
-            raise ValueError("unknown method name")
-        families = sum(len(v) > 1
-                       for v in (self.n_users, self.m_relays, self.lam))
-        if families > 1:
-            raise ValueError("at most one of users/relays/lambda may sweep")
 
 
 @dataclass(frozen=True)
@@ -309,9 +293,6 @@ def _spec_from_entries(entries):
     except ValueError as exc:
         raise ConfigError(str(exc), val("trials")[1]) from None
 
-    out_entry = resolved.get("out")
-    out_path = out_entry[0] if out_entry else None
-
     # surface channel-parameter violations at their source lines
     for lam_value in lam:
         try:
@@ -323,19 +304,26 @@ def _spec_from_entries(entries):
             line = xi_line if "xi" in message else val("lambda")[1]
             raise ConfigError(message, line) from None
 
-    try:
-        return ExperimentSpec(
-            preset=preset, metric=metric, modes=modes, n_users=users,
-            m_relays=relays, lam=lam, xi=xi, gamma_th_db=gamma_th_db,
-            gamma_avg_db=sweep, methods=methods, sim=sim,
-            out_path=out_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # the later sweeping key is the one that breaks the rule
+    sweeping = [resolved[key][1] for key, values in (
+        ("users", users), ("relays", relays), ("lambda", lam))
+        if len(values) > 1]
+    if len(sweeping) > 1:
+        raise ConfigError("at most one of users/relays/lambda may sweep",
+                          max((line for line in sweeping if line),
+                              default=None))
 
+    out_path, out_line = resolved.get("out", (None, None))
+    # fail before the sweep, not in write_csv after it
+    if out_path and not os.path.isdir(
+            os.path.dirname(os.path.abspath(out_path))):
+        raise ConfigError(
+            f"output directory of {out_path!r} does not exist", out_line)
 
-def validate_config(text):
-    """Parse and resolve a config file's text into an ExperimentSpec."""
-    return _spec_from_entries(_parse_entries(text))
+    return ExperimentSpec(
+        preset=preset, metric=metric, modes=modes, n_users=users,
+        m_relays=relays, lam=lam, xi=xi, gamma_th_db=gamma_th_db,
+        gamma_avg_db=sweep, methods=methods, sim=sim, out_path=out_path)
 
 
 def spec_from_sources(config_text="", overrides=None):
@@ -502,8 +490,7 @@ def read_csv(path):
         if rec["mc_mean"]:
             mc = MetricEstimate(
                 mean=float(rec["mc_mean"]), ci_low=float(rec["mc_ci_low"]),
-                ci_high=float(rec["mc_ci_high"]), n=int(rec["mc_n"]),
-                method=METHOD_MC)
+                ci_high=float(rec["mc_ci_high"]), n=int(rec["mc_n"]))
         points.append(CurvePoint(
             preset=rec["preset"],
             mode=_LABEL_MODES[rec["mode"]],

@@ -40,6 +40,8 @@ _N_MAX = 200
 # gate on the BER kernels' distance outside their provable range; the
 # floor of the closed-form vs quadrature BER tolerance
 _KERNEL_TOL = 1e-6
+# absolute tolerance of the error-rate quadrature
+_QUAD_EPSABS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -154,12 +156,13 @@ def outage_closed_form(topology, params):
 
 # ------------------------------------------------------------- quadrature
 
-def ber_quadrature(outage_curve, epsabs=1e-10):
+def ber_quadrature(outage_curve):
     """(1/2) int_0^inf e^{-gamma} F(gamma) dgamma by adaptive quadrature.
 
     The substitution u = e^{-gamma} maps the integral to
     (1/2) int_0^1 F(-ln u) du on a finite interval.  Raises when the
-    quadrature error estimate exceeds the requested tolerance.
+    quadrature error estimate exceeds both ten times _QUAD_EPSABS and
+    1e-7 of the value.
     """
 
     def integrand(u):
@@ -169,9 +172,9 @@ def ber_quadrature(outage_curve, epsabs=1e-10):
             return 0.0
         return outage_curve(-math.log(u))
 
-    val, err = si.quad(integrand, 0.0, 1.0, epsabs=epsabs,
+    val, err = si.quad(integrand, 0.0, 1.0, epsabs=_QUAD_EPSABS,
                        epsrel=1e-9, limit=400)
-    if err > max(10.0 * epsabs, 1e-7 * abs(val)):
+    if err > max(10.0 * _QUAD_EPSABS, 1e-7 * abs(val)):
         raise ConvergenceError(
             f"error-rate quadrature achieved only {err:.2e} absolute error")
     return 0.5 * val

@@ -30,11 +30,6 @@ _FRAME_BITS = 250           # bits per fading frame at signal level
 _FRAMES_PER_BATCH = 200
 _Z95 = 1.959963984540054    # two-sided 95% normal quantile
 
-METHOD_CLOSED = "closed-form"
-METHOD_QUADRATURE = "quadrature"
-METHOD_MC = "monte-carlo"
-_METHODS = (METHOD_CLOSED, METHOD_QUADRATURE, METHOD_MC)
-
 
 class BerModel(Enum):
     """Error-rate interpretation of the decode-and-forward chain."""
@@ -76,21 +71,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MetricEstimate:
-    """A metric value labeled with the route that produced it.
-
-    Monte-Carlo estimates carry the trial count and a 95% confidence
-    interval; analytic methods collapse the interval onto the value.
-    """
+    """A Monte-Carlo metric value with its trial count and 95% interval."""
 
     mean: float
     ci_low: float
     ci_high: float
     n: int
-    method: str
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
         if not (math.isfinite(self.mean) and math.isfinite(self.ci_low)
                 and math.isfinite(self.ci_high)):
             raise ValueError("estimate fields must be finite")
@@ -99,12 +87,6 @@ class MetricEstimate:
         if not isinstance(self.n, int) or isinstance(self.n, bool) \
                 or self.n < 0:
             raise ValueError("n must be a non-negative integer")
-
-    @classmethod
-    def exact(cls, value, method):
-        """Wrap an analytic value with a degenerate interval."""
-        return cls(mean=value, ci_low=value, ci_high=value, n=0,
-                   method=method)
 
 
 def wilson_interval(successes, n):
@@ -208,8 +190,7 @@ def simulate_outage(topology, params, cfg, first_segment="exact"):
     n = cfg.trials_or_bits
     successes = sum(counts)
     low, high = wilson_interval(successes, n)
-    return MetricEstimate(mean=successes / n, ci_low=low, ci_high=high,
-                          n=n, method=METHOD_MC)
+    return MetricEstimate(mean=successes / n, ci_low=low, ci_high=high, n=n)
 
 
 # ------------------------------------------------------- SNR-level BER
@@ -245,8 +226,7 @@ def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):
         var = max(s2 / n - mean * mean, 0.0)
         half = _Z95 * math.sqrt(var / n)
         return MetricEstimate(mean=mean, ci_low=max(mean - half, 0.0),
-                              ci_high=min(mean + half, 1.0), n=n,
-                              method=METHOD_MC)
+                              ci_high=min(mean + half, 1.0), n=n)
 
     def one_batch(i):
         rng = _stream(cfg.seed, i)
@@ -260,8 +240,7 @@ def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):
     counts = _run_batches(one_batch, len(sizes), cfg.workers)
     errors = sum(counts)
     low, high = wilson_interval(errors, n)
-    return MetricEstimate(mean=errors / n, ci_low=low, ci_high=high,
-                          n=n, method=METHOD_MC)
+    return MetricEstimate(mean=errors / n, ci_low=low, ci_high=high, n=n)
 
 
 # ---------------------------------------------------- signal-level BER
@@ -357,5 +336,4 @@ def simulate_ber_signal_level(topology, params, cfg):
     frame_var = max(total_sq / n_frames - frame_mean * frame_mean, 0.0)
     half = _Z95 * math.sqrt(frame_var / n_frames) / frame
     return MetricEstimate(mean=mean, ci_low=max(mean - half, 0.0),
-                          ci_high=min(mean + half, 1.0), n=n_bits,
-                          method=METHOD_MC)
+                          ci_high=min(mean + half, 1.0), n=n_bits)

@@ -31,13 +31,13 @@ from .special import gamma_fn
 class SeriesCoeffs:
     """Coefficient bundle of the CDF series.
 
-    f0 multiplies gamma^{xi_sq/2}; e[n] multiplies gamma^{(n+1)/2}.
-    Extending n_max only appends entries (prefix stability).
+    f0 multiplies gamma^{xi_sq/2}; e[n] multiplies gamma^{(n+1)/2}, for
+    n = 0..n_max of the series_coeffs call.  A larger n_max only appends
+    entries (prefix stability).
     """
 
     f0: float
     e: np.ndarray
-    n_max: int
     xi_sq: float
 
 
@@ -53,20 +53,18 @@ def series_coeffs(params, n_max):
     log_fact = np.array([math.lgamma(k + 2.0) for k in n])
     e = ((-1.0) ** (n + 1) * z2 * np.exp((n + 1) * math.log(c) - log_fact)
          / (n + 1.0 - z2))
-    return SeriesCoeffs(f0=float(f0), e=e, n_max=n_max, xi_sq=z2)
+    return SeriesCoeffs(f0=float(f0), e=e, xi_sq=z2)
 
 
 def series_power_coeffs(e_coeffs, k):
     """Coefficients of the k-th power of sum_n e_n y^{n+1}.
 
-    Accepts either a SeriesCoeffs bundle or a bare coefficient array.
+    e_coeffs is the coefficient array, for example SeriesCoeffs.e.
     Returns an array p with sum_m p[m] y^{m+k} truncated to the input
     length; p = [1] for k = 0 (empty product).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if isinstance(e_coeffs, SeriesCoeffs):
-        e_coeffs = e_coeffs.e
     if k == 0:
         return np.array([1.0])
     base = np.asarray(e_coeffs, dtype=float)

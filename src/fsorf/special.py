@@ -44,10 +44,18 @@ class ConvergenceError(ArithmeticError):
 
 
 _INT_TOL = 1e-9
+# continued-fraction iterations of the large-x incomplete gamma branch
+_CF_MAX_ITER = 300
+# hypergeometric series: relative term size that counts as negligible,
+# and the hard cap on the number of terms
+_HYP_TOL = 1e-14
+_HYP_MAX_TERMS = 500
+# spread of a logarithmic-case parameter cluster (see meijer_g)
+_LOG_EPS = 1e-3
 
 
-def _is_nonpos_int(x, tol=_INT_TOL):
-    return x <= tol and abs(x - round(x)) < tol
+def _is_nonpos_int(x):
+    return x <= _INT_TOL and abs(x - round(x)) < _INT_TOL
 
 
 def gamma_fn(x):
@@ -57,15 +65,9 @@ def gamma_fn(x):
     non-positive integers instead of returning nan/inf so that callers
     building parameter-dependent prefactors fail loudly.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(_is_nonpos_int_arr(x_arr)):
+    if _is_nonpos_int(x):
         raise ValueError(f"gamma_fn pole at non-positive integer argument: {x}")
-    out = sc.gamma(x_arr)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
-
-def _is_nonpos_int_arr(x):
-    return (x <= _INT_TOL) & (np.abs(x - np.round(x)) < _INT_TOL)
+    return float(sc.gamma(x))
 
 
 def gamma_upper(a, x):
@@ -127,7 +129,7 @@ def gamma_upper(a, x):
     return float(out) if scalar else out
 
 
-def _gamma_upper_cf(a, x, max_iter=300):
+def _gamma_upper_cf(a, x):
     """Legendre continued fraction for Gamma(a, x), x not small.
 
     Gamma(a,x) = exp(-x + a ln x) / (x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(...)))
@@ -142,7 +144,7 @@ def _gamma_upper_cf(a, x, max_iter=300):
     d = 1.0 / np.where(b != 0.0, b, tiny)
     h = d.copy()
     done = np.zeros(x.shape, dtype=bool)
-    for i in range(1, max_iter + 1):
+    for i in range(1, _CF_MAX_ITER + 1):
         an = -i * (i - a)
         b = b + 2.0
         d = an * d + b
@@ -158,22 +160,12 @@ def _gamma_upper_cf(a, x, max_iter=300):
     raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}")
 
 
-def poch(x, k):
-    """Pochhammer symbol (x)_k = x (x+1) ... (x+k-1), k a non-negative integer."""
-    if k < 0 or k != int(k):
-        raise ValueError("poch requires a non-negative integer k")
-    out = 1.0
-    for i in range(int(k)):
-        out *= x + i
-    return out
-
-
-def hyp_pfq(a_params, b_params, z, tol=1e-14, max_terms=500):
+def hyp_pfq(a_params, b_params, z):
     """Generalized hypergeometric series pFq(a; b; z) by direct summation.
 
     Returns ``(value, converged)``.  The sum stops once three consecutive
-    terms fall below ``tol`` relative to the running partial sum, or hard
-    stops at ``max_terms`` with ``converged=False``.  A zero upper
+    terms fall below _HYP_TOL relative to the running partial sum, or
+    hard stops at _HYP_MAX_TERMS with ``converged=False``.  A zero upper
     parameter short-circuits to exactly 1.0, and a negative-integer upper
     parameter makes the series a polynomial which is summed exactly.
 
@@ -203,7 +195,7 @@ def hyp_pfq(a_params, b_params, z, tol=1e-14, max_terms=500):
     total = 1.0
     term = 1.0
     small_run = 0
-    n_cap = stop if stop is not None else max_terms
+    n_cap = stop if stop is not None else _HYP_MAX_TERMS
     for n in range(n_cap):
         ratio = z / (n + 1.0)
         for av in a_params:
@@ -214,7 +206,7 @@ def hyp_pfq(a_params, b_params, z, tol=1e-14, max_terms=500):
         total += term
         if not math.isfinite(total):
             return total, False
-        if abs(term) <= tol * max(abs(total), 1e-300):
+        if abs(term) <= _HYP_TOL * max(abs(total), 1e-300):
             small_run += 1
             if small_run >= 3:
                 return total, True
@@ -353,14 +345,14 @@ def _perturbed(params, eps):
     return MeijerParams(m=params.m, n=params.n, a=params.a, b=tuple(b))
 
 
-def meijer_g(params, z, eps=1e-3):
+def meijer_g(params, z):
     """Meijer G-function at positive real argument, Slater-expansion path.
 
     Logarithmic cases (two of b_1..b_m differing by an integer) are
-    evaluated at parameters perturbed by ``eps`` and ``2 eps`` and
+    evaluated at parameters perturbed by eps = _LOG_EPS and 2 eps and
     Richardson extrapolated; the symmetric spread makes the perturbation
     error even in eps, so the extrapolation removes the eps^2 term and
-    leaves an O(eps^4) residual.  The default eps balances that residual
+    leaves an O(eps^4) residual.  This eps balances that residual
     against roundoff: the paired pole terms carry Gamma(+/-eps) ~ 1/eps
     prefactors that nearly cancel, so roundoff grows like machine-eps/eps
     while the post-extrapolation analytic error stays below it until eps
@@ -378,17 +370,17 @@ def meijer_g(params, z, eps=1e-3):
         raise ValueError(f"meijer_g requires a finite argument z > 0, got {z}")
     p, q = params.p, params.q
     if p > q or (p == q and z > 1.0):
-        return meijer_g(params.flipped(), 1.0 / z, eps=eps)
+        return meijer_g(params.flipped(), 1.0 / z)
     if p == q and z == 1.0:
         raise ConvergenceError("Slater series boundary |z| = 1 with p = q")
     if any(len(cl) > 1 for cl in _log_case_clusters(params)):
-        s1 = _slater_sum(_perturbed(params, eps), z)
-        s2 = _slater_sum(_perturbed(params, 2.0 * eps), z)
+        s1 = _slater_sum(_perturbed(params, _LOG_EPS), z)
+        s2 = _slater_sum(_perturbed(params, 2.0 * _LOG_EPS), z)
         return (4.0 * s1 - s2) / 3.0
     return _slater_sum(params, z)
 
 
-def meijer_g_contour(params, z, t_max=None):
+def meijer_g_contour(params, z):
     """Meijer G-function by numerical Mellin-Barnes contour integration.
 
     Integrates along the vertical line Re s = c0 placed strictly between
@@ -439,9 +431,8 @@ def meijer_g_contour(params, z, t_max=None):
             w -= sc.loggamma(aj - s)
         return np.exp(w).real
 
-    if t_max is None:
-        # decay ~ exp(-delta*pi*t/2): pick t_max so the tail is ~1e-18
-        t_max = max(60.0, 2.0 * 18.0 * math.log(10.0) / (delta * math.pi) + 40.0)
+    # decay ~ exp(-delta*pi*t/2): pick t_max so the tail is ~1e-18
+    t_max = max(60.0, 2.0 * 18.0 * math.log(10.0) / (delta * math.pi) + 40.0)
     val, err = integrate.quad(integrand, 0.0, t_max, limit=800,
                               epsabs=1e-14, epsrel=1e-11)
     if not math.isfinite(val):

@@ -10,13 +10,10 @@ import scipy.stats as st
 
 from fsorf.channels import (
     LinkParams,
-    a0_from_geometry,
     db_to_linear,
-    linear_to_db,
     ne_pe_joint_pdf,
     ne_pe_snr_cdf,
     ne_pe_snr_pdf,
-    ne_snr_cdf_no_pointing,
     rayleigh_snr_cdf,
     rayleigh_snr_pdf,
     sample_fso_snr,
@@ -36,7 +33,7 @@ def default_params(**kw):
 
 def test_params_reject_nonpositive():
     for name in ["gamma_bar_rf", "gamma_bar_fso", "lam", "a0", "xi",
-                 "eta", "c_gain", "gamma_th"]:
+                 "c_gain", "gamma_th"]:
         with pytest.raises(ValueError):
             default_params(**{name: 0.0})
         with pytest.raises(ValueError):
@@ -63,20 +60,7 @@ def test_derived_constants():
     assert p.c == pytest.approx(0.1, rel=1e-15)
 
 
-def test_a0_from_geometry():
-    # erf(sqrt(pi/2))^2 for equal radius and beam width
-    v = math.sqrt(math.pi / 2.0)
-    import scipy.special as sc
-    assert a0_from_geometry(1.0, 1.0) == pytest.approx(
-        float(sc.erf(v)) ** 2, rel=1e-14)
-    assert a0_from_geometry(0.1, 2.5) < a0_from_geometry(0.2, 2.5)
-    with pytest.raises(ValueError):
-        a0_from_geometry(0.0, 1.0)
-
-
 def test_db_helpers_roundtrip():
-    x = np.array([0.5, 1.0, 250.0])
-    assert np.allclose(db_to_linear(linear_to_db(x)), x, rtol=1e-13)
     assert db_to_linear(10.0) == pytest.approx(10.0)
 
 
@@ -197,14 +181,6 @@ def test_fso_sampler_support_and_ks():
 
     s = sample_fso_snr(p, rng, size=200_000)
     res = st.kstest(s, lambda g: ne_pe_snr_cdf(g, p))
-    assert res.pvalue > 0.01
-
-
-def test_fso_sampler_no_pointing_error():
-    p = default_params()
-    rng = np.random.default_rng(5)
-    s = sample_fso_snr(p, rng, size=200_000, pointing_error=False)
-    res = st.kstest(s, lambda g: ne_snr_cdf_no_pointing(g, p))
     assert res.pvalue > 0.01
 
 

@@ -27,10 +27,10 @@ from fsorf.composition import (
     multiuser_select_cdf,
     multiuser_select_pdf,
     second_relay_cdf_adaptive,
-    second_relay_cdf_adaptive_exact,
     second_relay_cdf_fixed_numeric,
 )
 from fsorf.metrics import outage_closed_form
+from fsorf.montecarlo import SimConfig, simulate_outage
 from fsorf.special import ConvergenceError
 
 
@@ -200,9 +200,13 @@ def test_adaptive_exact_cdf_dominates_min_model():
     # min(g1,g2) >= g1 g2/(g1+g2+1) pointwise, so the exact law piles
     # more mass below any threshold
     p = params(gamma_db=20.0)
-    rng = np.random.default_rng(42)
-    p_exact, se = second_relay_cdf_adaptive_exact(10.0, 2, p, rng,
-                                                  trials=400_000)
+    trials = 400_000
+    # a one-relay chain is the first segment alone
+    exact = simulate_outage(
+        Topology(n_users=2, m_relays=1, first_segment_mode=GainMode.ADAPTIVE),
+        p, SimConfig(trials_or_bits=trials, seed=42), first_segment="exact")
+    p_exact = exact.mean
+    se = math.sqrt(p_exact * (1.0 - p_exact) / trials)
     p_min = second_relay_cdf_adaptive(10.0, 2, p)
     assert p_exact > p_min - 3 * se
     assert p_exact - p_min > 0.01     # the gap is real at this SNR

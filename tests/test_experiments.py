@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fsorf import experiments
 from fsorf.composition import GainMode
 from fsorf.experiments import (
     CSV_COLUMNS,
@@ -14,7 +15,6 @@ from fsorf.experiments import (
     read_csv,
     run_experiment,
     spec_from_sources,
-    validate_config,
 )
 from fsorf.metrics import BerResult
 from fsorf import cli
@@ -23,7 +23,7 @@ from fsorf import cli
 # ------------------------------------------------------------- parsing
 
 def test_empty_config_gives_full_default_spec():
-    spec = validate_config("")
+    spec = spec_from_sources("")
     assert spec.preset == "custom"
     assert spec.metric is Metric.OUTAGE
     assert spec.modes == (GainMode.ADAPTIVE, GainMode.FIXED)
@@ -63,14 +63,14 @@ def test_fig1_preset_matches_longhand_config():
     preset = spec_from_sources(overrides={"preset": "fig1"})
     text = "\n".join(f"{k} = {v}" for k, v in preset_entries("fig1").items()
                      if k != "preset")
-    longhand = validate_config(text)
+    longhand = spec_from_sources(text)
     for field in ("metric", "modes", "n_users", "m_relays", "lam", "xi",
                   "gamma_th_db", "gamma_avg_db", "methods", "sim"):
         assert getattr(preset, field) == getattr(longhand, field)
 
 
 def test_comments_and_blank_lines_ignored():
-    spec = validate_config("""
+    spec = spec_from_sources("""
 # full-line comment
 
 users = 4   # trailing comment
@@ -79,9 +79,9 @@ users = 4   # trailing comment
 
 
 def test_sweep_grammar():
-    assert validate_config("gamma_avg_db = 20").gamma_avg_db == (20.0,)
-    assert validate_config("gamma_avg_db = 20:5:20").gamma_avg_db == (20.0,)
-    assert validate_config(
+    assert spec_from_sources("gamma_avg_db = 20").gamma_avg_db == (20.0,)
+    assert spec_from_sources("gamma_avg_db = 20:5:20").gamma_avg_db == (20.0,)
+    assert spec_from_sources(
         "gamma_avg_db = 0:2.5:10").gamma_avg_db == (0.0, 2.5, 5.0, 7.5, 10.0)
 
 
@@ -99,17 +99,25 @@ def test_sweep_grammar():
     ("methods = closed-form,sorcery", "unknown method"),
     ("trials = 10", "at least 1000"),
     ("users = 1,2\nrelays = 2,3", "at most one"),
+    ("out = /nonexistent/dir/x.csv", "does not exist"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError) as excinfo:
-        validate_config(text)
+        spec_from_sources(text)
     assert fragment in str(excinfo.value)
 
 
 def test_config_error_carries_line_number():
     with pytest.raises(ConfigError) as excinfo:
-        validate_config("users = 2\nrelays = 2\nxi = 1.0\n")
+        spec_from_sources("users = 2\nrelays = 2\nxi = 1.0\n")
     assert excinfo.value.line == 3
+    # the later of two sweeping keys carries the complaint
+    with pytest.raises(ConfigError) as excinfo:
+        spec_from_sources("users = 1,2\nrelays = 2,3")
+    assert excinfo.value.line == 2
+    with pytest.raises(ConfigError) as excinfo:
+        spec_from_sources("users = 2\nout = /nonexistent/dir/x.csv")
+    assert excinfo.value.line == 2
 
 
 def test_overrides_win_over_config_text():
@@ -271,6 +279,26 @@ def test_cli_flag_overrides_config(tmp_path):
 
 def test_cli_bad_flag_value_is_config_error(capsys):
     assert cli.main(["--metric", "latency"]) == 1
+    err = capsys.readouterr().err
+    # the config parser, not argparse, judges the value
+    assert "config error" in err
+    assert "metric must be outage or ber" in err
+
+
+def test_cli_flags_are_the_config_keys():
+    dests = {action.dest for action in cli.build_parser()._actions}
+    assert dests - {"help", "config"} == set(experiments._CONFIG_KEYS)
+
+
+def test_cli_missing_output_directory_computes_nothing(tmp_path, capsys,
+                                                       monkeypatch):
+    def never(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("fsorf.cli.run_experiment", never)
+    code = cli.main(["--methods", "closed-form",
+                     "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 1
     assert "config error" in capsys.readouterr().err
 
 

@@ -262,7 +262,7 @@ def test_power_terms_reconstruct_cdf_power(t_power, gamma):
     coeffs = series_coeffs(p, 40)
     total = 0.0
     for k1 in range(t_power + 1):
-        for n, e_n in enumerate(series_power_coeffs(coeffs, k1)):
+        for n, e_n in enumerate(series_power_coeffs(coeffs.e, k1)):
             h = (n + k1 + coeffs.xi_sq * (t_power - k1)) / 2.0
             total += (math.comb(t_power, k1) * coeffs.f0 ** (t_power - k1)
                       * e_n * gamma ** h)

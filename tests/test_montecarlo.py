@@ -108,14 +108,7 @@ def test_sim_config_rejects_bad_fields():
 
 def test_metric_estimate_invariants():
     with pytest.raises(ValueError):
-        MetricEstimate(mean=0.5, ci_low=0.6, ci_high=0.7, n=10,
-                       method="monte-carlo")
-    with pytest.raises(ValueError):
-        MetricEstimate(mean=0.5, ci_low=0.4, ci_high=0.6, n=10,
-                       method="guesswork")
-    exact = MetricEstimate.exact(0.25, "closed-form")
-    assert exact.mean == exact.ci_low == exact.ci_high == 0.25
-    assert exact.n == 0
+        MetricEstimate(mean=0.5, ci_low=0.6, ci_high=0.7, n=10)
 
 
 def test_first_segment_knob_validated():

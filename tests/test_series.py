@@ -14,7 +14,7 @@ P = LinkParams(gamma_bar_rf=100.0, gamma_bar_fso=100.0, lam=1.0, a0=1.0, xi=1.45
 def test_leading_coefficient():
     sc = series_coeffs(P, 4)
     assert sc.f0 == pytest.approx(0.074824984487962466, rel=1e-13)
-    assert sc.n_max == 4
+    assert sc.e.size == 5
     assert sc.xi_sq == pytest.approx(1.45 ** 2, rel=1e-15)
 
 
@@ -43,10 +43,10 @@ def test_signs_alternate_from_n2():
 def test_power_coeffs_identity_and_squares():
     sc = series_coeffs(P, 5)
     e = sc.e
-    p0 = series_power_coeffs(sc, 0)
+    p0 = series_power_coeffs(e, 0)
     assert p0.tolist() == [1.0]
 
-    p1 = series_power_coeffs(sc, 1)
+    p1 = series_power_coeffs(e, 1)
     assert np.allclose(p1, e, rtol=1e-15)
 
     p2 = series_power_coeffs(e, 2)

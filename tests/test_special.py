@@ -19,7 +19,6 @@ from fsorf.special import (
     hyp_pfq,
     meijer_g,
     meijer_g_contour,
-    poch,
 )
 
 XI = 1.45
@@ -101,28 +100,6 @@ def test_gamma_upper_rejects_bad_input():
         gamma_upper(-0.5, 0.0)        # divergent at x = 0 for a <= 0
     with pytest.raises(ValueError):
         gamma_upper(0.5, -1.0)
-
-
-# -------------------------------------------------------------------- poch
-
-def test_poch_zero_order():
-    assert poch(3.0, 0) == 1.0
-
-
-def test_poch_rising_product():
-    assert poch(2.0, 3) == pytest.approx(24.0, rel=1e-15)
-
-
-def test_poch_negative_base():
-    # direct product, cross-checked against the gamma-ratio form
-    assert rel(poch(-0.1025, 4), -0.5057822124609375) < 1e-14
-
-
-def test_poch_gamma_ratio_property():
-    for x in [0.37, 1.9, 4.25]:
-        for k in [0, 1, 2, 5]:
-            ratio = gamma_fn(x + k) / gamma_fn(x)
-            assert poch(x, k) == pytest.approx(ratio, rel=1e-12)
 
 
 # ----------------------------------------------------------------- hyp_pfq
