@@ -27,6 +27,8 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .channels import LinkParams, db_to_linear
 from .composition import (
     GainMode,
@@ -60,6 +62,7 @@ _CONFIG_KEYS = (
     "gamma_th_db", "gamma_avg_db", "methods", "trials", "seed",
     "workers", "out",
 )
+_MAX_SWEEP_POINTS = 10_000    # a gamma_avg_db sweep longer than this is a typo
 
 
 class Metric(Enum):
@@ -196,6 +199,9 @@ def _float_list(value, line, key):
         except ValueError:
             raise ConfigError(f"{key} must be number(s), got {part.strip()!r}",
                               line) from None
+        if not math.isfinite(item):
+            raise ConfigError(f"{key} must be finite, got {part.strip()!r}",
+                              line)
         out.append(item)
     return tuple(out)
 
@@ -207,6 +213,8 @@ def _sweep(value, line):
         nums = [float(p.strip()) for p in parts]
     except ValueError:
         raise ConfigError(f"bad sweep {value!r}", line) from None
+    if not all(map(math.isfinite, nums)):
+        raise ConfigError(f"sweep values must be finite, got {value!r}", line)
     if len(nums) == 1:
         return (nums[0],)
     if len(nums) != 3:
@@ -217,8 +225,22 @@ def _sweep(value, line):
         raise ConfigError("sweep step must be positive", line)
     if stop < start:
         raise ConfigError("sweep stop must be >= start", line)
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if span + 1e-9 >= _MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep {value!r} has more than "
+                          f"{_MAX_SWEEP_POINTS} points", line)
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(start + k * step for k in range(count))
+
+
+def _check_linear(db, line, key):
+    # the value a point will use: finite and positive, and no overflow
+    # warning on the way
+    with np.errstate(over="ignore"):
+        value = float(db_to_linear(db))
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} = {db!r} dB is out of range: its linear "
+                          f"value {value!r} is not finite and positive", line)
 
 
 def _spec_from_entries(entries):
@@ -264,8 +286,12 @@ def _spec_from_entries(entries):
     if len(gamma_th_db) != 1:
         raise ConfigError("gamma_th_db must be a single value", gth_line)
     gamma_th_db = gamma_th_db[0]
+    _check_linear(gamma_th_db, gth_line, "gamma_th_db")
 
-    sweep = _sweep(*val("gamma_avg_db"))
+    sweep_val, sweep_line = val("gamma_avg_db")
+    sweep = _sweep(sweep_val, sweep_line)
+    for gdb in sweep:
+        _check_linear(gdb, sweep_line, "gamma_avg_db")
 
     methods_val, methods_line = val("methods")
     methods = []
@@ -291,7 +317,9 @@ def _spec_from_entries(entries):
         sim = SimConfig(trials_or_bits=trials[0], seed=seed[0],
                         workers=workers[0])
     except ValueError as exc:
-        raise ConfigError(str(exc), val("trials")[1]) from None
+        message = str(exc)
+        key = "seed" if message.startswith("seed") else "trials"
+        raise ConfigError(message, val(key)[1]) from None
 
     # surface channel-parameter violations at their source lines
     for lam_value in lam:
@@ -319,6 +347,9 @@ def _spec_from_entries(entries):
             os.path.dirname(os.path.abspath(out_path))):
         raise ConfigError(
             f"output directory of {out_path!r} does not exist", out_line)
+    if out_path and os.path.isdir(out_path):
+        raise ConfigError(f"output path {out_path!r} is a directory",
+                          out_line)
 
     return ExperimentSpec(
         preset=preset, metric=metric, modes=modes, n_users=users,

@@ -1,24 +1,23 @@
-"""Monte-Carlo simulation of the relay chain.
+"""Monte-Carlo simulation of the relay chain: four estimators.
 
-Two estimator families live here.  SNR-level simulation draws per-stage
-SNRs and applies either the threshold test (outage) or the DBPSK
-conditional error kernel (bit error rate) directly.  Signal-level
-simulation pushes complex-baseband DBPSK symbols through the sampled
-channel gains: amplify-and-forward on the first segment, per-hop
-branch selection plus detect/regenerate on the remaining hops, and
-counts actual bit errors from differential detection.
+simulate_outage, simulate_ber_snr_level and simulate_ber_cascade_xor
+draw per-stage SNRs and apply the threshold test, the DBPSK conditional
+error kernel of the chain minimum, or one XORed bit flip per detection
+stage.  simulate_ber_signal_level pushes complex-baseband DBPSK symbols
+through the sampled channel gains and counts the bit errors of
+differential detection.  Each is a draw(rng, size) body plus a Wilson
+or normal interval builder.
 
-Reproducibility contract: work is cut into fixed-size batches and batch
-i is generated by its own counter-based Philox stream keyed (seed, i).
-Batch boundaries, per-batch draw order, and the reduction order never
-depend on the worker count, so a given (seed, config) produces
-byte-identical estimates whether run serially or on a pool.
+One core, _moments, holds the reproducibility contract: work is cut
+into fixed-size batches, batch i draws from its own counter-based
+Philox stream keyed (seed, i), and batch sums are added in batch order.
+None of that depends on the worker count, so a given (seed, config)
+gives byte-identical estimates serially or on a pool.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,26 +30,19 @@ _FRAMES_PER_BATCH = 200
 _Z95 = 1.959963984540054    # two-sided 95% normal quantile
 
 
-class BerModel(Enum):
-    """Error-rate interpretation of the decode-and-forward chain."""
-
-    MIN_SNR_EQUIVALENT = "min-snr-equivalent"
-    CASCADE_XOR = "cascade-xor"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation knobs shared by every estimator.
 
     trials_or_bits counts chain trials for SNR-level runs and
     transmitted data bits for signal-level runs (rounded up to whole
-    fading frames there).
+    fading frames there).  seed keys the per-batch random streams, and
+    workers threads the batches without changing any estimate.
     """
 
     trials_or_bits: int = 1_000_000
     seed: int = 42
     workers: int = 1
-    ber_model: BerModel = BerModel.MIN_SNR_EQUIVALENT
 
     def __post_init__(self):
         if not isinstance(self.trials_or_bits, int) or isinstance(
@@ -65,8 +57,6 @@ class SimConfig:
         if not isinstance(self.workers, int) or isinstance(
                 self.workers, bool) or self.workers < 1:
             raise ValueError("workers must be a positive integer")
-        if not isinstance(self.ber_model, BerModel):
-            raise ValueError("ber_model must be a BerModel")
 
 
 @dataclass(frozen=True)
@@ -114,18 +104,53 @@ def _stream(seed, index):
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _batch_sizes(total, batch):
-    sizes = [batch] * (total // batch)
-    if total % batch:
-        sizes.append(total % batch)
-    return sizes
+def _moments(cfg, total, batch, draw):
+    """Sums of draw(rng, size) and of its squares over `total` units.
+
+    Units are cut into batches of `batch` (the last one partial), batch
+    i draws from _stream(cfg.seed, i), and batches run serially or on
+    cfg.workers threads.  Batch sums are added in batch order with plain
+    +=, not sum() (compensated from Python 3.12) or np.sum (pairwise),
+    so the bytes match for any worker count.  A boolean draw is counted
+    instead of squared: a BLAS dot would fight the pool for the cores.
+    """
+    sizes = [min(batch, total - k) for k in range(0, total, batch)]
+
+    def one_batch(i):
+        vals = draw(_stream(cfg.seed, i), sizes[i])
+        if vals.dtype == bool:      # 0/1: the squares sum to the count
+            return (int(np.count_nonzero(vals)),) * 2
+        vals = np.asarray(vals, dtype=float)
+        return float(vals.sum()), float(vals @ vals)
+
+    if cfg.workers == 1 or len(sizes) == 1:
+        parts = map(one_batch, range(len(sizes)))
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(one_batch, range(len(sizes))))
+    s1 = s2 = 0     # counts stay exact ints; 0 + x == x for a float x
+    for a, b in parts:
+        s1 += a
+        s2 += b
+    return s1, s2
 
 
-def _run_batches(worker, n_batches, workers):
-    if workers == 1 or n_batches == 1:
-        return [worker(i) for i in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_batches)))
+def _wilson_estimate(hits, n):
+    """Proportion of n 0/1 outcomes with its Wilson 95% interval."""
+    low, high = wilson_interval(hits, n)
+    return MetricEstimate(mean=hits / n, ci_low=low, ci_high=high, n=n)
+
+
+def _normal_estimate(s1, s2, units, per_unit=1):
+    """Per-bit mean and normal 95% interval from the sums s1, s2 of a
+    per-unit value and its square over `units` units of per_unit bits."""
+    unit_mean = s1 / units
+    var = max(s2 / units - unit_mean * unit_mean, 0.0)
+    half = _Z95 * math.sqrt(var / units) / per_unit
+    n = units * per_unit
+    mean = s1 / n
+    return MetricEstimate(mean=mean, ci_low=max(mean - half, 0.0),
+                          ci_high=min(mean + half, 1.0), n=n)
 
 
 # ---------------------------------------------------------- chain draws
@@ -164,9 +189,7 @@ def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
     """Minimum stage SNR over `size` chain realizations."""
     first, hops = sample_chain_stage_snrs(topology, params, rng, size,
                                           first_segment)
-    if hops.shape[0]:
-        return np.minimum(first, hops.min(axis=0))
-    return first
+    return np.minimum(first, hops.min(axis=0)) if hops.shape[0] else first
 
 
 # --------------------------------------------------------------- outage
@@ -177,20 +200,12 @@ def simulate_outage(topology, params, cfg, first_segment="exact"):
     A trial is an outage when any stage SNR falls below gamma_th,
     equivalently when the chain minimum does.
     """
-    sizes = _batch_sizes(cfg.trials_or_bits, _BATCH)
-    gth = params.gamma_th
+    def draw(rng, size):
+        return sample_chain_min_snr(topology, params, rng, size,
+                                    first_segment) < params.gamma_th
 
-    def one_batch(i):
-        rng = _stream(cfg.seed, i)
-        chain = sample_chain_min_snr(topology, params, rng, sizes[i],
-                                     first_segment)
-        return int(np.count_nonzero(chain < gth))
-
-    counts = _run_batches(one_batch, len(sizes), cfg.workers)
-    n = cfg.trials_or_bits
-    successes = sum(counts)
-    low, high = wilson_interval(successes, n)
-    return MetricEstimate(mean=successes / n, ci_low=low, ci_high=high, n=n)
+    hits, _ = _moments(cfg, cfg.trials_or_bits, _BATCH, draw)
+    return _wilson_estimate(hits, cfg.trials_or_bits)
 
 
 # ------------------------------------------------------- SNR-level BER
@@ -198,49 +213,33 @@ def simulate_outage(topology, params, cfg, first_segment="exact"):
 def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):
     """DBPSK bit error rate from per-stage SNR draws.
 
-    MinSnrEquivalent averages the conditional kernel exp(-g)/2 of the
-    chain-minimum SNR, which is exactly the quantity the closed forms
-    integrate.  CascadeXor instead flips a bit independently at every
-    detection stage with its own conditional probability and XORs the
-    flips down the chain, modelling per-hop demodulate/regenerate.
+    Averages the conditional kernel exp(-g)/2 of the chain-minimum SNR,
+    which is exactly the quantity the closed forms integrate.
     """
-    sizes = _batch_sizes(cfg.trials_or_bits, _BATCH)
-    n = cfg.trials_or_bits
+    def draw(rng, size):
+        return 0.5 * np.exp(-sample_chain_min_snr(topology, params, rng,
+                                                  size, first_segment))
 
-    if cfg.ber_model is BerModel.MIN_SNR_EQUIVALENT:
+    s1, s2 = _moments(cfg, cfg.trials_or_bits, _BATCH, draw)
+    return _normal_estimate(s1, s2, cfg.trials_or_bits)
 
-        def one_batch(i):
-            rng = _stream(cfg.seed, i)
-            chain = sample_chain_min_snr(topology, params, rng, sizes[i],
-                                         first_segment)
-            vals = 0.5 * np.exp(-chain)
-            return float(vals.sum()), float(vals @ vals)
 
-        parts = _run_batches(one_batch, len(sizes), cfg.workers)
-        s1 = 0.0
-        s2 = 0.0
-        for a, b in parts:
-            s1 += a
-            s2 += b
-        mean = s1 / n
-        var = max(s2 / n - mean * mean, 0.0)
-        half = _Z95 * math.sqrt(var / n)
-        return MetricEstimate(mean=mean, ci_low=max(mean - half, 0.0),
-                              ci_high=min(mean + half, 1.0), n=n)
+def simulate_ber_cascade_xor(topology, params, cfg):
+    """DBPSK bit error rate of per-hop detect/regenerate, Wilson 95%.
 
-    def one_batch(i):
-        rng = _stream(cfg.seed, i)
-        first, hops = sample_chain_stage_snrs(topology, params, rng,
-                                              sizes[i], first_segment)
-        flips = rng.random(sizes[i]) < 0.5 * np.exp(-first)
+    Flips a bit at every detection stage with its conditional
+    probability exp(-g)/2 and XORs the flips down the chain: the
+    SNR-level reference for simulate_ber_signal_level.
+    """
+    def draw(rng, size):
+        first, hops = sample_chain_stage_snrs(topology, params, rng, size)
+        flips = rng.random(size) < 0.5 * np.exp(-first)
         for hop in hops:
-            flips ^= rng.random(sizes[i]) < 0.5 * np.exp(-hop)
-        return int(np.count_nonzero(flips))
+            flips ^= rng.random(size) < 0.5 * np.exp(-hop)
+        return flips
 
-    counts = _run_batches(one_batch, len(sizes), cfg.workers)
-    errors = sum(counts)
-    low, high = wilson_interval(errors, n)
-    return MetricEstimate(mean=errors / n, ci_low=low, ci_high=high, n=n)
+    errors, _ = _moments(cfg, cfg.trials_or_bits, _BATCH, draw)
+    return _wilson_estimate(errors, cfg.trials_or_bits)
 
 
 # ---------------------------------------------------- signal-level BER
@@ -264,13 +263,9 @@ def differential_detect(symbols):
     return z.real < 0.0
 
 
-def _complex_noise(rng, shape):
-    z = rng.normal(scale=math.sqrt(0.5), size=(2,) + shape)
-    return z[0] + 1j * z[1]
-
-
-def _rayleigh_gains(rng, gamma_bar, shape):
-    z = rng.normal(scale=math.sqrt(gamma_bar / 2.0), size=(2,) + shape)
+def _complex_gaussian(rng, power, shape):
+    # circular complex Gaussian with E|z|^2 = power
+    z = rng.normal(scale=math.sqrt(power / 2.0), size=(2,) + shape)
     return z[0] + 1j * z[1]
 
 
@@ -288,52 +283,37 @@ def simulate_ber_signal_level(topology, params, cfg):
     """
     frame = _FRAME_BITS
     n_frames = -(-cfg.trials_or_bits // frame)
-    n_bits = n_frames * frame
-    sizes = _batch_sizes(n_frames, _FRAMES_PER_BATCH)
-    adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
 
-    def one_batch(i):
-        rng = _stream(cfg.seed, i)
-        fb = sizes[i]
+    def draw(rng, fb):
+        sym = (fb, frame + 1)
         bits = rng.integers(0, 2, size=(fb, frame)).astype(bool)
 
-        users = _rayleigh_gains(rng, params.gamma_bar_rf,
-                                (topology.n_users, fb))
+        users = _complex_gaussian(rng, params.gamma_bar_rf,
+                                  (topology.n_users, fb))
         best = np.take_along_axis(
             users, np.abs(users).argmax(axis=0)[None, :], axis=0)[0]
         fso_amp = np.sqrt(sample_fso_snr(params, rng, size=fb))
 
         d = differential_encode(bits)
-        y1 = best[:, None] * d + _complex_noise(rng, (fb, frame + 1))
-        if adaptive:
+        y1 = best[:, None] * d + _complex_gaussian(rng, 1.0, sym)
+        if topology.first_segment_mode is GainMode.ADAPTIVE:
             gain = 1.0 / np.sqrt(np.abs(best) ** 2 + 1.0)
         else:
             gain = np.full(fb, 1.0 / math.sqrt(params.c_gain))
         y2 = fso_amp[:, None] * (gain[:, None] * y1) \
-            + _complex_noise(rng, (fb, frame + 1))
+            + _complex_gaussian(rng, 1.0, sym)
         decided = differential_detect(y2)
 
         for _ in range(topology.m_relays - 1):
             hop_fso_snr = sample_fso_snr(params, rng, size=fb)
-            hop_rf = _rayleigh_gains(rng, params.gamma_bar_rf, (fb,))
+            hop_rf = _complex_gaussian(rng, params.gamma_bar_rf, (fb,))
             use_fso = hop_fso_snr >= np.abs(hop_rf) ** 2
             hop_gain = np.where(use_fso, np.sqrt(hop_fso_snr) + 0j, hop_rf)
             d = differential_encode(decided)
-            y = hop_gain[:, None] * d + _complex_noise(rng, (fb, frame + 1))
+            y = hop_gain[:, None] * d + _complex_gaussian(rng, 1.0, sym)
             decided = differential_detect(y)
 
-        per_frame = (decided != bits).sum(axis=1)
-        return int(per_frame.sum()), float((per_frame.astype(float) ** 2).sum())
+        return (decided != bits).sum(axis=1)    # bit errors per frame
 
-    parts = _run_batches(one_batch, len(sizes), cfg.workers)
-    total = 0
-    total_sq = 0.0
-    for e, e2 in parts:
-        total += e
-        total_sq += e2
-    mean = total / n_bits
-    frame_mean = total / n_frames
-    frame_var = max(total_sq / n_frames - frame_mean * frame_mean, 0.0)
-    half = _Z95 * math.sqrt(frame_var / n_frames) / frame
-    return MetricEstimate(mean=mean, ci_low=max(mean - half, 0.0),
-                          ci_high=min(mean + half, 1.0), n=n_bits)
+    s1, s2 = _moments(cfg, n_frames, _FRAMES_PER_BATCH, draw)
+    return _normal_estimate(s1, s2, n_frames, per_unit=frame)

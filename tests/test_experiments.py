@@ -100,6 +100,15 @@ def test_sweep_grammar():
     ("trials = 10", "at least 1000"),
     ("users = 1,2\nrelays = 2,3", "at most one"),
     ("out = /nonexistent/dir/x.csv", "does not exist"),
+    ("out = .", "is a directory"),
+    ("gamma_avg_db = 4000", "out of range"),
+    ("gamma_avg_db = nan", "must be finite"),
+    ("gamma_avg_db = 0:inf:10", "must be finite"),
+    ("gamma_avg_db = -inf:1:0", "must be finite"),
+    ("gamma_th_db = 4000", "out of range"),
+    ("gamma_avg_db = -1e308:1:1e308", "more than 10000 points"),
+    ("gamma_avg_db = 0:1e-9:40", "more than 10000 points"),
+    ("gamma_avg_db = 0:1e-300:1", "more than 10000 points"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError) as excinfo:
@@ -117,6 +126,18 @@ def test_config_error_carries_line_number():
     assert excinfo.value.line == 2
     with pytest.raises(ConfigError) as excinfo:
         spec_from_sources("users = 2\nout = /nonexistent/dir/x.csv")
+    assert excinfo.value.line == 2
+    # a SimConfig seed complaint sits at the seed line, not at trials
+    with pytest.raises(ConfigError) as excinfo:
+        spec_from_sources("trials = 2000\nseed = 18446744073709551616")
+    assert excinfo.value.line == 2
+    # a LinkParams xi complaint sits at the xi line, not at lambda
+    with pytest.raises(ConfigError) as excinfo:
+        spec_from_sources("lambda = 1\nxi = 1.0")
+    assert excinfo.value.line == 2
+    # a non-finite threshold is rejected at its own line
+    with pytest.raises(ConfigError) as excinfo:
+        spec_from_sources("lambda = 1\ngamma_th_db = nan")
     assert excinfo.value.line == 2
 
 
@@ -277,12 +298,20 @@ def test_cli_flag_overrides_config(tmp_path):
     assert {p.n_users for p in points} == {2}
 
 
-def test_cli_bad_flag_value_is_config_error(capsys):
+def test_cli_bad_flag_value_is_config_error(capsys, monkeypatch):
     assert cli.main(["--metric", "latency"]) == 1
     err = capsys.readouterr().err
     # the config parser, not argparse, judges the value
     assert "config error" in err
     assert "metric must be outage or ber" in err
+
+    def never(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("fsorf.cli.run_experiment", never)
+    assert cli.main(["--methods", "closed-form",
+                     "--gamma-avg-db", "0:inf:10"]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_flags_are_the_config_keys():
@@ -296,10 +325,13 @@ def test_cli_missing_output_directory_computes_nothing(tmp_path, capsys,
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr("fsorf.cli.run_experiment", never)
-    code = cli.main(["--methods", "closed-form",
-                     "--out", str(tmp_path / "missing" / "x.csv")])
-    assert code == 1
-    assert "config error" in capsys.readouterr().err
+    # a missing parent directory, and an existing directory as the file
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        code = cli.main(["--users", "1", "--relays", "1",
+                         "--methods", "closed-form", "--gamma-avg-db", "10",
+                         "--mode", "known-csi", "--out", str(out)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_cli_bad_config_key_is_config_error(tmp_path, capsys):

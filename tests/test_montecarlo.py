@@ -20,12 +20,12 @@ from fsorf.composition import (
 )
 from fsorf.metrics import ber_closed_form, outage_closed_form
 from fsorf.montecarlo import (
-    BerModel,
     MetricEstimate,
     SimConfig,
     differential_encode,
     differential_detect,
     sample_chain_min_snr,
+    simulate_ber_cascade_xor,
     simulate_ber_signal_level,
     simulate_ber_snr_level,
     simulate_outage,
@@ -67,10 +67,65 @@ def test_ber_identical_across_worker_counts():
                                                   seed=9, workers=w))
            for w in (1, 3)]
     assert snr[0] == snr[1]
+    xor = [simulate_ber_cascade_xor(t, p, SimConfig(trials_or_bits=200000,
+                                                    seed=9, workers=w))
+           for w in (1, 3)]
+    assert xor[0] == xor[1]
     sig = [simulate_ber_signal_level(
         t, p, SimConfig(trials_or_bits=100000, seed=9, workers=w))
         for w in (1, 3)]
     assert sig[0] == sig[1]
+
+
+def test_estimates_pinned_to_random_stream():
+    # the estimates of every estimator, recorded when the estimators were
+    # folded onto one batch core; trial counts leave a partial last batch.
+    # A change here is a change of the random stream or of the reduction,
+    # and has to be a recorded decision.  Event and bit-error counts are
+    # exact; the snr-level mean and the interval bounds go through
+    # exp/log/sqrt, whose last bit may differ between CPUs and numpy
+    # builds, so they match to a relative 1e-12.
+    adaptive = topo(2, 2, GainMode.ADAPTIVE)
+    fixed = topo(2, 3, GainMode.FIXED)
+    counts = {"outage-min": 47605, "outage-exact": 33074,
+              "cascade-xor": 14727, "signal-level": 7029}
+    pinned = {
+        "outage-min": (0.6800714285714285, 0.6766061918728236,
+                       0.6835169024409308, 70000),
+        "outage-exact": (0.4724857142857143, 0.46878895387538455,
+                         0.47618549438734514, 70000),
+        "snr-level": (0.11337516109852508, 0.11224199026639357,
+                      0.11450833193065658, 70000),
+        "cascade-xor": (0.2103857142857143, 0.2073822893004492,
+                        0.21342092442245883, 70000),
+        "signal-level": (0.11715, 0.09768641938487661,
+                         0.1366135806151234, 60000),
+    }
+    runs = []
+    for w in (1, 2):
+        cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
+        got = {
+            "outage-min": simulate_outage(adaptive, make_params(15.0), cfg,
+                                          first_segment="min"),
+            "outage-exact": simulate_outage(fixed, make_params(15.0), cfg,
+                                            first_segment="exact"),
+            "snr-level": simulate_ber_snr_level(fixed, make_params(10.0),
+                                                cfg),
+            "cascade-xor": simulate_ber_cascade_xor(
+                adaptive, make_params(10.0), cfg),
+            "signal-level": simulate_ber_signal_level(
+                fixed, make_params(10.0),
+                SimConfig(trials_or_bits=60000, seed=5, workers=w)),
+        }
+        for name, est in got.items():
+            mean, low, high, n = pinned[name]
+            assert est.n == n, (name, w)
+            if name in counts:
+                assert est.mean == counts[name] / n, (name, w)
+            assert (est.mean, est.ci_low, est.ci_high) \
+                == pytest.approx((mean, low, high), rel=1e-12), (name, w)
+        runs.append(got)
+    assert runs[0] == runs[1]
 
 
 def test_seed_changes_estimate():
@@ -102,8 +157,6 @@ def test_sim_config_rejects_bad_fields():
         SimConfig(seed=2 ** 64)
     with pytest.raises(ValueError):
         SimConfig(workers=0)
-    with pytest.raises(ValueError):
-        SimConfig(ber_model="cascade-xor")
 
 
 def test_metric_estimate_invariants():
@@ -241,11 +294,9 @@ def test_cascade_xor_dominates_min_snr():
     # single worst stage
     t = topo(2, 3, GainMode.ADAPTIVE)
     p = make_params(10.0)
-    cfg_min = SimConfig(trials_or_bits=400000, seed=21)
-    cfg_xor = SimConfig(trials_or_bits=400000, seed=21,
-                        ber_model=BerModel.CASCADE_XOR)
-    low = simulate_ber_snr_level(t, p, cfg_min)
-    high = simulate_ber_snr_level(t, p, cfg_xor)
+    cfg = SimConfig(trials_or_bits=400000, seed=21)
+    low = simulate_ber_snr_level(t, p, cfg)
+    high = simulate_ber_cascade_xor(t, p, cfg)
     assert high.mean > low.mean
 
 
@@ -254,9 +305,8 @@ def test_signal_level_matches_cascade_xor():
     p = make_params(10.0)
     signal = simulate_ber_signal_level(
         t, p, SimConfig(trials_or_bits=400000, seed=13))
-    cascade = simulate_ber_snr_level(
-        t, p, SimConfig(trials_or_bits=400000, seed=14,
-                        ber_model=BerModel.CASCADE_XOR))
+    cascade = simulate_ber_cascade_xor(
+        t, p, SimConfig(trials_or_bits=400000, seed=14))
     combined = math.hypot(sigma_of(signal), sigma_of(cascade))
     assert abs(signal.mean - cascade.mean) <= 3.0 * combined
 
