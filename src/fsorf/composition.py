@@ -151,6 +151,14 @@ _TAIL = 50.0
 _RTOL = 1e-12
 
 
+def _trapezoid_weights(steps):
+    # step-h and step-2h trapezoid weights on steps + 1 nodes, steps even
+    w_h = np.full(steps + 1, _LOG_STEP)
+    w_h[[0, -1]] *= 0.5
+    w_2h = np.where(np.arange(steps + 1) % 2, 0.0, 2.0 * w_h)
+    return w_h, w_2h
+
+
 def second_relay_cdf_fixed_numeric(gamma, n, params):
     """Quadrature evaluation of the fixed-gain first-segment CDF.
 
@@ -162,68 +170,73 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
         J_k = int_0^inf e^{-s_k x} (1 - F_FSO(gamma c_gain / x)) dx,
 
     with s_k = (k + 1) / gamma_bar_rf.  In t = ln x the integrand is
-    e^{t - s_k e^t} (1 - F_FSO(gamma c_gain e^{-t})), and one trapezoid
-    rule of fixed step over a node array shared by every k evaluates it;
-    the FSO factor is computed once for all terms.  The nodes span
-    e^-50 <= s_1 x <= 50, the range of the RF weight, cut on the left
-    where X = c sqrt(gamma c_gain / x) = 50 and the FSO survival is about
-    e^-50.  The error estimate is the change in the returned CDF when
-    every other node is dropped (step 2h); when it misses the tolerance
-    the call raises ConvergenceError.
+    e^{t - s_k e^t} S(ln(gamma c_gain) - t), S(v) = 1 - F_FSO(e^v), and
+    one trapezoid rule of fixed step over a t grid shared by every k
+    evaluates it.  The nodes span e^-50 <= s_1 x <= 50, the range of the
+    RF weight, cut on the left where X = c sqrt(gamma_0 c_gain / x) = 50,
+    gamma_0 the first node, and the FSO survival is about e^-50.  An
+    array gamma must be evenly spaced in ln gamma at _LOG_STEP: S is then
+    evaluated once, and J_k at every node is one discrete convolution.
+    The error estimate is each node's change when every other t node is
+    dropped (step 2h); when it misses the tolerance the call raises
+    ConvergenceError.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if gamma == 0.0:
+    if np.ndim(gamma) == 0 and gamma == 0.0:
         return 0.0
+    g = np.atleast_1d(np.asarray(gamma, dtype=float))
+    if not (g.ndim == 1 and np.all(g > 0) and np.all(np.abs(
+            np.log(g / g[0]) - _LOG_STEP * np.arange(g.size)) <= 1e-9)):
+        raise ValueError("gamma must be positive and evenly spaced in "
+                         f"ln gamma at step {_LOG_STEP}")
     gr = params.gamma_bar_rf
-    y = gamma * params.c_gain
+    y = g[0] * params.c_gain
     hi = math.log(_TAIL * gr)
     lo = max(math.log(gr) - _TAIL, math.log(y * (params.c / _TAIL) ** 2))
     # at low SNR the cuts cross: every x then has a factor below e^-50,
     # the integral is under the rounding floor, and two steps suffice
     steps = 2 * max(1, math.ceil((hi - lo) / (2.0 * _LOG_STEP)))
     t = lo + _LOG_STEP * np.arange(steps + 1)
-    x = np.exp(t)
-    surv = 1.0 - ne_pe_snr_cdf(y / x, params)
+    # surv[i + steps - j] is S at gamma_i c_gain / e^{t_j} = y / e^{t_j - i h}
+    tau = lo + _LOG_STEP * np.arange(steps, -g.size, -1)
+    surv = 1.0 - ne_pe_snr_cdf(y / np.exp(tau), params)
     s = np.arange(1.0, n + 1.0) / gr
-    f = np.exp(t - np.outer(s, x)) * surv
-
-    def trapezoid(vals, h):
-        return h * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
-
-    j_h = trapezoid(f, _LOG_STEP)
-    j_2h = trapezoid(f[:, ::2], 2.0 * _LOG_STEP)
-    coef = np.array([math.comb(n - 1, k) * (-1.0) ** k for k in range(n)])
-    coef *= (n / gr) * np.exp(-s * gamma)
-    value = 1.0 - float(coef @ j_h)
-    err = abs(float(coef @ (j_h - j_2h)))
+    rf = np.exp(t - np.outer(s, np.exp(t)))
+    j_h, j_2h = (np.array([np.convolve(w * r, surv, "valid") for r in rf])
+                 for w in _trapezoid_weights(steps))
+    coef = np.array([[math.comb(n - 1, k) * (-1.0) ** k] for k in range(n)])
+    coef = coef * ((n / gr) * np.exp(-np.outer(s, g)))
+    value = 1.0 - (coef * j_h).sum(axis=0)
+    err = np.abs((coef * (j_h - j_2h)).sum(axis=0))
     # 1 - sum(coef J) cancels; its rounding floor scales with the terms
-    tol = _RTOL * abs(value) + 16.0 * np.finfo(float).eps * (
-        1.0 + float(np.abs(coef * j_h).sum()))
-    if not err <= tol:
+    tol = _RTOL * np.abs(value) + 16.0 * np.finfo(float).eps * (
+        1.0 + np.abs(coef * j_h).sum(axis=0))
+    if not np.all(err <= tol):
+        i = np.argmax(err - tol)
         raise ConvergenceError(
-            f"fixed-gain oracle: step-halving error {err:.3g} exceeds "
-            f"{tol:.3g} (gamma={gamma:g}, n={n})")
-    return min(max(value, 0.0), 1.0)
+            f"fixed-gain oracle: step-halving error {err[i]:.3g} exceeds "
+            f"{tol[i]:.3g} (gamma={g[i]:g}, n={n})")
+    value = np.clip(value, 0.0, 1.0)
+    return float(value[0]) if np.ndim(gamma) == 0 else value
 
 
 # ------------------------------------------------------------ composition
 
-def end_to_end_outage_semianalytic(topology, params):
-    """Outage probability at params.gamma_th by CDF composition.
+def end_to_end_outage_semianalytic(topology, params, gamma=None):
+    """Outage at gamma (params.gamma_th by default) by CDF composition.
 
     The method-independent reference: the first-segment CDF (the
     quadrature oracle in fixed-gain mode, the exact product form in
     adaptive mode) composed with M-1 hybrid-hop factors.
     """
-    g = params.gamma_th
+    g = params.gamma_th if gamma is None else gamma
     n = topology.n_users
     if topology.first_segment_mode is GainMode.ADAPTIVE:
         f2 = second_relay_cdf_adaptive(g, n, params)
     else:
         f2 = second_relay_cdf_fixed_numeric(g, n, params)
     hop = hybrid_hop_cdf(g, params)
-    out = 1.0 - (1.0 - f2) * (1.0 - hop) ** (topology.m_relays - 1)
-    return min(max(out, 0.0), 1.0)
+    out = np.clip(1.0 - (1.0 - f2) * (1.0 - hop) ** (topology.m_relays - 1),
+                  0.0, 1.0)
+    return float(out) if np.ndim(g) == 0 else out

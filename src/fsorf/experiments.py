@@ -20,7 +20,7 @@ count.
 """
 
 import csv
-import dataclasses
+import functools
 import math
 import os
 import tempfile
@@ -387,45 +387,45 @@ def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db):
     mc = None
     errors = []
 
-    if METHOD_CLOSED in spec.methods:
-        try:
-            if spec.metric is Metric.OUTAGE:
-                closed = float(outage_closed_form(topology, params))
-            else:
-                ber = ber_closed_form(topology, params)
-                if ber.converged:
-                    closed = float(ber.value)
+    # floating-point trouble lands in the error column, not on stderr;
+    # underflow is routine in the quadrature rules' tails
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        if METHOD_CLOSED in spec.methods:
+            try:
+                if spec.metric is Metric.OUTAGE:
+                    closed = float(outage_closed_form(topology, params))
                 else:
-                    errors.append(
-                        f"closed-form: ConvergenceError: BER series "
-                        f"unconverged after {ber.n_terms} terms, "
-                        f"truncation {ber.truncation:.3g}")
-        except Exception as exc:
-            errors.append(f"closed-form: {exc}")
+                    ber = ber_closed_form(topology, params)
+                    if ber.converged:
+                        closed = float(ber.value)
+                    else:
+                        errors.append(
+                            f"closed-form: ConvergenceError: BER series "
+                            f"unconverged after {ber.n_terms} terms, "
+                            f"truncation {ber.truncation:.3g}")
+            except Exception as exc:
+                errors.append(f"closed-form: {exc}")
 
-    if METHOD_QUADRATURE in spec.methods:
-        try:
-            if spec.metric is Metric.OUTAGE:
-                quad = float(end_to_end_outage_semianalytic(topology, params))
-            else:
-                def curve(g):
-                    p = dataclasses.replace(params,
-                                            gamma_th=max(g, 1e-300))
-                    return outage_closed_form(topology, p)
-                quad = float(ber_quadrature(curve))
-        except Exception as exc:
-            errors.append(f"quadrature: {exc}")
+        if METHOD_QUADRATURE in spec.methods:
+            try:
+                if spec.metric is Metric.OUTAGE:
+                    quad = end_to_end_outage_semianalytic(topology, params)
+                else:
+                    quad = ber_quadrature(functools.partial(
+                        end_to_end_outage_semianalytic, topology, params))
+            except Exception as exc:
+                errors.append(f"quadrature: {exc}")
 
-    if METHOD_MC in spec.methods:
-        try:
-            if spec.metric is Metric.OUTAGE:
-                mc = simulate_outage(topology, params, spec.sim,
-                                     first_segment=first_segment)
-            else:
-                mc = simulate_ber_snr_level(topology, params, spec.sim,
-                                            first_segment=first_segment)
-        except Exception as exc:
-            errors.append(f"monte-carlo: {exc}")
+        if METHOD_MC in spec.methods:
+            try:
+                if spec.metric is Metric.OUTAGE:
+                    mc = simulate_outage(topology, params, spec.sim,
+                                         first_segment=first_segment)
+                else:
+                    mc = simulate_ber_snr_level(topology, params, spec.sim,
+                                                first_segment=first_segment)
+            except Exception as exc:
+                errors.append(f"monte-carlo: {exc}")
 
     return CurvePoint(
         preset=spec.preset, mode=mode, metric=spec.metric, n_users=n,

@@ -7,10 +7,13 @@ into one alternating sum over (k, t, u), written once in _chain_terms;
 outage_closed_form and ber_closed_form are its only consumers.  The
 fixed-gain mode additionally carries a Meijer-G Laplace kernel for the
 relay cascade.  The bit error rate is the Laplace-type integral
-(1/2) int_0^inf e^{-gamma} P_out(gamma) dgamma, offered two ways:
-adaptive quadrature of the outage curve, and a closed multi-sum obtained
-by expanding the FSO CDF power F^t through its series form, which turns
-every term into Gamma(1+H) sigma^{-1-H} minus a Meijer-G correction.
+(1/2) int_0^inf e^{-gamma} P_out(gamma) dgamma, offered two ways: a
+closed multi-sum obtained by expanding the FSO CDF power F^t through its
+series form, which turns every term into Gamma(1+H) sigma^{-1-H} minus a
+Meijer-G correction, and ber_quadrature, a trapezoid rule in ln gamma
+over any vectorised outage curve.  The experiments layer hands it the
+incomplete-gamma composition end_to_end_outage_semianalytic, so that
+the two BER routes share no Meijer-G code.
 
 The expansion bookkeeping: with the CDF series
 
@@ -27,9 +30,10 @@ is the magnitude of those final blocks.
 import math
 from dataclasses import dataclass
 
-import scipy.integrate as si
+import numpy as np
 
-from .composition import GainMode, fixed_segment_kernel
+from .composition import (_LOG_STEP, GainMode, _trapezoid_weights,
+                          fixed_segment_kernel)
 from .series import series_coeffs, series_power_coeffs
 from .special import ConvergenceError, MeijerParams, gamma_fn, meijer_g
 
@@ -40,8 +44,9 @@ _N_MAX = 200
 # gate on the BER kernels' distance outside their provable range; the
 # floor of the closed-form vs quadrature BER tolerance
 _KERNEL_TOL = 1e-6
-# absolute tolerance of the error-rate quadrature
-_QUAD_EPSABS = 1e-10
+# u = ln gamma span of the error-rate rule: its integrand e^{u - e^u} F
+# leaves out at most e^-60 below and e^-50 above; relative tolerance
+_BER_LN_LO, _BER_LN_HI, _BER_RTOL = -60.0, math.log(50.0), 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,10 +68,6 @@ def _snr_cdf_meijer(gamma, params):
     so that comparisons against the channel layer's incomplete-gamma
     form cross-check two different special-function pipelines.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    if gamma == 0.0:
-        return 0.0
     z2 = params.zeta
     row = MeijerParams(m=2, n=1, a=(1.0, 1.0 + z2), b=(1.0, z2, 0.0))
     return z2 * meijer_g(row, params.c * math.sqrt(gamma))
@@ -145,39 +146,31 @@ def outage_closed_form(topology, params):
         if k not in tails:
             tails[k] = 1.0 - (ff if adaptive else fixed_segment_kernel(
                 gth, (k + 1.0) / gr, params))
-        # each mode multiplies in its paper form's order: the error-rate
-        # quadrature over this curve moves by up to 1e-12 relative when
-        # one value changes in its last bit
-        head = weight * decay
-        total += (head * ff ** t * tails[k] if adaptive
-                  else head * tails[k] * ff ** t)
+        total += weight * decay * tails[k] * ff ** t
     return min(max(total, 0.0), 1.0)
 
 
 # ------------------------------------------------------------- quadrature
 
 def ber_quadrature(outage_curve):
-    """(1/2) int_0^inf e^{-gamma} F(gamma) dgamma by adaptive quadrature.
+    """(1/2) int_0^inf e^{-gamma} F(gamma) dgamma by a trapezoid rule.
 
-    The substitution u = e^{-gamma} maps the integral to
-    (1/2) int_0^1 F(-ln u) du on a finite interval.  Raises when the
-    quadrature error estimate exceeds both ten times _QUAD_EPSABS and
-    1e-7 of the value.
+    In u = ln gamma the integrand e^{u - e^u} F(e^u) is smooth and decays
+    at both ends, so one rule of step _LOG_STEP converges exponentially.
+    outage_curve is called once, on the node array (evenly spaced in
+    ln gamma, as the fixed-gain oracle needs).  A step-halving change
+    past _BER_RTOL of the sum plus a rounding floor raises ConvergenceError.
     """
-
-    def integrand(u):
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0:
-            return 0.0
-        return outage_curve(-math.log(u))
-
-    val, err = si.quad(integrand, 0.0, 1.0, epsabs=_QUAD_EPSABS,
-                       epsrel=1e-9, limit=400)
-    if err > max(10.0 * _QUAD_EPSABS, 1e-7 * abs(val)):
+    steps = 2 * math.ceil((_BER_LN_HI - _BER_LN_LO) / (2.0 * _LOG_STEP))
+    u = _BER_LN_LO + _LOG_STEP * np.arange(steps + 1)
+    f = np.exp(u - np.exp(u)) * outage_curve(np.exp(u))
+    value, coarse = (float(w @ f) for w in _trapezoid_weights(steps))
+    err = abs(value - coarse)
+    if not err <= _BER_RTOL * abs(value) + 64.0 * np.finfo(float).eps:
         raise ConvergenceError(
-            f"error-rate quadrature achieved only {err:.2e} absolute error")
-    return 0.5 * val
+            f"error-rate quadrature: step-halving error {err:.3g} exceeds "
+            f"{_BER_RTOL:g} of {value:.6g}")
+    return 0.5 * value
 
 
 # ------------------------------------------------------------ closed BER

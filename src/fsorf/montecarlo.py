@@ -115,13 +115,15 @@ def _moments(cfg, total, batch, draw):
     instead of squared: a BLAS dot would fight the pool for the cores.
     """
     sizes = [min(batch, total - k) for k in range(0, total, batch)]
+    errstate = np.geterr()      # pool threads start from numpy's defaults
 
     def one_batch(i):
-        vals = draw(_stream(cfg.seed, i), sizes[i])
-        if vals.dtype == bool:      # 0/1: the squares sum to the count
-            return (int(np.count_nonzero(vals)),) * 2
-        vals = np.asarray(vals, dtype=float)
-        return float(vals.sum()), float(vals @ vals)
+        with np.errstate(**errstate):
+            vals = draw(_stream(cfg.seed, i), sizes[i])
+            if vals.dtype == bool:      # 0/1: the squares sum to the count
+                return (int(np.count_nonzero(vals)),) * 2
+            vals = np.asarray(vals, dtype=float)
+            return float(vals.sum()), float(vals @ vals)
 
     if cfg.workers == 1 or len(sizes) == 1:
         parts = map(one_batch, range(len(sizes)))

@@ -154,7 +154,7 @@ def _gamma_upper_cf(a, x):
         d = 1.0 / d
         delta = d * c
         h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) < 1e-16
+        done |= np.abs(delta - 1.0) <= np.finfo(float).eps
         if np.all(done):
             return np.exp(-x + a * np.log(x)) * h
     raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}")

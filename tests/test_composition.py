@@ -256,6 +256,28 @@ def test_fixed_segment_numeric_raises_on_missed_error_estimate(monkeypatch):
             second_relay_cdf_fixed_numeric(10.0, 2, params())
 
 
+@pytest.mark.parametrize("n,gdb", [(1, 0.0), (2, 20.0), (4, 40.0),
+                                   (8, -20.0), (8, 60.0)])
+def test_fixed_segment_numeric_array_is_scalar_nodewise(n, gdb):
+    # an ln-spaced array runs one convolution per user term; each node
+    # must equal the one-node call, cuts and all.  The CDF is
+    # 1 - sum(coef J) with sum |coef J| <= 2^n - 1, so a small value
+    # carries an absolute rounding floor of a few ulps of 2^n.
+    p = params(gamma_db=gdb)
+    gammas = np.exp(-6.0 + np.arange(0, 161) / 16.0)
+    values = second_relay_cdf_fixed_numeric(gammas, n, p)
+    assert values.shape == gammas.shape
+    floor = 16.0 * np.finfo(float).eps * 2.0 ** n
+    for g, value in zip(gammas, values):
+        assert value == pytest.approx(
+            second_relay_cdf_fixed_numeric(float(g), n, p), rel=1e-12,
+            abs=floor), g
+    for bad in (np.array([1.0, 2.0, 3.0]), gammas[::-1],
+                np.array([0.0, math.exp(1.0 / 16.0)]), gammas[None, :]):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            second_relay_cdf_fixed_numeric(bad, n, p)
+
+
 def test_fixed_segment_kernel_is_laplace_weighted_tail():
     # s * int e^{-sx} F_FSO(gamma c / x) dx, directly
     p = params(gamma_db=10.0)

@@ -1,9 +1,14 @@
 """Sweep specs, config grammar, CSV contract, and the CLI shell."""
 
+import csv
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fsorf
 from fsorf import experiments
 from fsorf.composition import GainMode
 from fsorf.experiments import (
@@ -359,6 +364,47 @@ def test_cli_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "failed" in capsys.readouterr().err
     assert read_csv(str(out))[0].error is not None
+
+
+def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
+    # numpy floating-point trouble at extreme SNR raises inside each
+    # route, also in the Monte-Carlo pool threads, and lands in the
+    # error column; nothing is printed as a RuntimeWarning.  Run in a
+    # subprocess so no pytest warning filter hides a printed warning.
+    src = os.path.dirname(os.path.dirname(fsorf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    for db in ("-3000", "3000"):
+        out = tmp_path / f"extreme{db}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsorf.cli", "--users", "1",
+             "--relays", "1", f"--gamma-avg-db={db}", "--trials", "140000",
+             "--workers", "2", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+        with open(out, newline="") as handle:
+            errors = [row["error"] for row in csv.DictReader(handle)]
+        assert any("encountered in" in e for e in errors), errors
+
+
+def test_ber_quadrature_column_needs_no_meijer_g(monkeypatch):
+    # the BER quadrature route integrates the incomplete-gamma
+    # composition, so it checks the Meijer-G closed form from outside
+    def boom(*args, **kwargs):
+        raise AssertionError("meijer_g reached")
+
+    monkeypatch.setattr("fsorf.metrics.meijer_g", boom)
+    monkeypatch.setattr("fsorf.composition.meijer_g", boom)
+    spec = spec_from_sources(overrides=_tiny_overrides(
+        metric="ber", users="2", relays="2", gamma_avg_db="0:20:40",
+        methods="quadrature"))
+    points = run_experiment(spec)
+    assert len(points) == 6
+    for p in points:
+        assert p.error is None, p.error
+        assert 0.0 < p.quadrature < 0.5
 
 
 def test_cli_help_exits_zero():

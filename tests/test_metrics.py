@@ -6,14 +6,16 @@ direct quadrature of the outage integral to ~1e-30.  The double
 precision package must land on them within the tolerance of its own
 Meijer-G evaluation (the fixed-gain rows go through perturbed-parameter
 evaluation, which costs a few digits).  Cross-checks here pit the
-closed forms against the semianalytic composition layer and against
-adaptive quadrature of the outage curve; those paths share no code
-beyond the special-function core.
+closed forms against the semianalytic composition layer and against the
+ln-grid trapezoid rule over that layer's outage curve; those routes
+share no Meijer-G code, only the incomplete-gamma FSO CDF.
 """
 
-import dataclasses
+import functools
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from fsorf.channels import LinkParams, db_to_linear, ne_pe_snr_cdf
@@ -163,22 +165,79 @@ def test_ber_quadrature_constant_curve():
 def test_ber_quadrature_rayleigh_anchor():
     # single Rayleigh branch: (1/2) / (1 + gbar) exactly
     gbar = 10.0
-    value = ber_quadrature(lambda g: -math.expm1(-g / gbar))
+    value = ber_quadrature(lambda g: -np.expm1(-g / gbar))
     assert value == pytest.approx(1.0 / 22.0, rel=1e-9)
 
 
 def test_ber_quadrature_best_of_two_anchor():
     gbar = 10.0
-    value = ber_quadrature(lambda g: (-math.expm1(-g / gbar)) ** 2)
+    value = ber_quadrature(lambda g: (-np.expm1(-g / gbar)) ** 2)
     exact = 0.5 * (1.0 - 2.0 * gbar / (gbar + 1.0) + gbar / (gbar + 2.0))
     assert value == pytest.approx(exact, rel=1e-9)
 
 
+def test_ber_quadrature_calls_curve_once_and_returns_float():
+    calls = []
+
+    def curve(g):
+        calls.append(g)
+        return -np.expm1(-g)
+
+    value = ber_quadrature(curve)
+    assert len(calls) == 1 and calls[0].ndim == 1
+    assert type(value) is float       # the CSV writes repr(value)
+
+
+def test_ber_quadrature_raises_on_missed_error_estimate():
+    # a stepped curve breaks the rule's smoothness: the step-h and
+    # step-2h sums then differ by O(h), far past the tolerance
+    with pytest.raises(ConvergenceError, match="step-halving"):
+        ber_quadrature(lambda g: np.where(g > 0.73, 1.0, 0.0))
+
+
 def _outage_curve(t, p):
-    def curve(gamma):
-        return outage_closed_form(
-            t, dataclasses.replace(p, gamma_th=max(gamma, 1e-300)))
-    return curve
+    return functools.partial(end_to_end_outage_semianalytic, t, p)
+
+
+@pytest.mark.parametrize("point,ref", sorted(BER_ADAPTIVE_REF.items()))
+def test_ber_quadrature_adaptive_frozen(point, ref):
+    n, m, gdb = point
+    t = topo(n, m, GainMode.ADAPTIVE)
+    p = make_params(gdb)
+    assert ber_quadrature(_outage_curve(t, p)) == pytest.approx(
+        ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("point,ref", sorted(BER_FIXED_REF.items()))
+def test_ber_quadrature_fixed_frozen(point, ref):
+    n, m, gdb = point
+    t = topo(n, m, GainMode.FIXED)
+    p = make_params(gdb)
+    assert ber_quadrature(_outage_curve(t, p)) == pytest.approx(
+        ref, rel=1e-13)
+
+
+def test_ber_quadrature_domain():
+    # -30..120 dB, both modes, N <= 8, M <= 5: finite, a valid error
+    # rate, non-increasing in the average SNR, and no floating-point
+    # overflow, invalid operation or division by zero on the way.  No
+    # accuracy bound is set: above 40 dB in fixed gain this route and the
+    # closed form drift apart (6.6e-6 relative at 120 dB for N = M = 1),
+    # and which one is right is not settled.
+    gdbs = np.arange(-30.0, 121.0, 10.0)
+    cases = itertools.product((0.8, 1.45, 2.5), GainMode, (1, 2, 4, 8),
+                              (1, 3, 5))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for xi, mode, n, m in cases:
+            curve = []
+            for g in db_to_linear(gdbs):
+                p = LinkParams(gamma_bar_rf=float(g), gamma_bar_fso=float(g),
+                               lam=1.0, a0=1.0, xi=xi, gamma_th=10.0)
+                curve.append(ber_quadrature(_outage_curve(topo(n, m, mode),
+                                                          p)))
+            tag = (xi, mode, n, m)
+            assert all(0.0 < v <= 0.5 for v in curve), tag
+            assert all(a >= b for a, b in zip(curve, curve[1:])), tag
 
 
 @pytest.mark.parametrize("n,m,gdb", [(1, 1, 10.0), (2, 2, 10.0),

@@ -5,7 +5,6 @@ deterministic; 3-sigma gates were chosen against values measured at
 much higher trial counts.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -260,11 +259,8 @@ def test_chain_min_snr_distribution_ks():
         np.random.Philox(key=np.array([2026, 0], dtype=np.uint64)))
     samples = sample_chain_min_snr(t, p, rng, 8000, first_segment="min")
 
-    def cdf(values):
-        return np.array([end_to_end_outage_semianalytic(
-            t, dataclasses.replace(p, gamma_th=float(v))) for v in values])
-
-    result = st.kstest(samples, cdf)
+    result = st.kstest(
+        samples, lambda values: end_to_end_outage_semianalytic(t, p, values))
     assert result.pvalue > 0.01
 
 

@@ -93,6 +93,14 @@ def test_gamma_upper_vectorized():
         assert v == pytest.approx(gamma_upper(-2.7, float(x)), rel=1e-13)
 
 
+def test_gamma_upper_continued_fraction_converges_at_huge_x():
+    # past x ~ 1e16 the Lentz ratio settles one ulp off 1.0 and never on
+    # it, so the stop test has to accept that; the value underflows to 0
+    xs = np.array([9005713731203060.0, 2.3797363016302988e16, 1e20])
+    for a in (-1.1025, -5.25):
+        assert np.all(gamma_upper(a, xs) == 0.0)
+
+
 def test_gamma_upper_rejects_bad_input():
     with pytest.raises(ValueError):
         gamma_upper(-2.0, 1.0)        # non-positive integer a
