@@ -6,17 +6,22 @@ handed to the config parser as an untouched string, so both surfaces
 share one validator.  The CSV goes to --out or stdout.
 
 Exit codes: 0 success, 1 configuration problem (unknown flag, bad
-value, bad config file, missing output directory), found before any
+value, bad config file, an output path whose directory is missing or
+that is a directory, a dB value that is not finite or whose linear
+value overflows, a sweep of more than 10,000 points), found before any
 point is computed, 2 a requested method failed numerically at one or
 more sweep points (failures are listed on stderr and recorded in the
-CSV error column).
+CSV error column).  A reader that closes stdout early ends no sweep
+with a traceback; the exit code stays the one the sweep earned.
 """
 
 import argparse
 import csv
+import os
 import sys
 
 from .experiments import (
+    _CONFIG_KEYS,
     ConfigError,
     csv_rows,
     run_experiment,
@@ -24,15 +29,12 @@ from .experiments import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route that into the
     # config-error path (exit 1) instead
     def error(self, message):
-        raise _UsageError(message)
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def build_parser():
@@ -41,70 +43,40 @@ def build_parser():
         description="Outage and DBPSK bit-error-rate sweeps for the "
                     "multi-user hybrid FSO/RF relay chain, computed "
                     "closed-form, by quadrature, and by Monte-Carlo.")
-    parser.add_argument("--preset", metavar="NAME",
-                        help="start from a named parameter set: fig1, "
-                             "fig2, fig3 or custom")
     parser.add_argument("--config", metavar="PATH",
                         help="key = value config file")
-    parser.add_argument("--metric", metavar="NAME",
-                        help="outage or ber")
-    parser.add_argument("--mode", metavar="NAME",
-                        help="first-segment relaying mode: known-csi, "
-                             "unknown-csi or both")
-    parser.add_argument("--users", metavar="N[,N...]",
-                        help="user count, or comma list to sweep")
-    parser.add_argument("--relays", metavar="M[,M...]",
-                        help="relay count, or comma list to sweep")
-    parser.add_argument("--xi", metavar="XI",
-                        help="pointing-error severity")
-    parser.add_argument("--lambda", dest="lambda", metavar="L[,L...]",
-                        help="turbulence rate, or comma list to sweep")
-    parser.add_argument("--gamma-th-db", metavar="DB",
-                        help="outage threshold SNR in dB")
-    parser.add_argument("--gamma-avg-db", metavar="START:STEP:STOP",
-                        help="average SNR axis in dB (or one value)")
-    parser.add_argument("--methods", metavar="LIST",
-                        help="comma subset of closed-form, quadrature, "
-                             "monte-carlo")
-    parser.add_argument("--trials", metavar="COUNT",
-                        help="Monte-Carlo trials (or bits)")
-    parser.add_argument("--seed", metavar="SEED")
-    parser.add_argument("--workers", metavar="COUNT")
-    parser.add_argument("--out", metavar="PATH",
-                        help="CSV destination (stdout when omitted)")
+    for key, (_, metavar, help_text) in _CONFIG_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            metavar=metavar, help=help_text)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    config_text = ""
-    if args.config:
-        try:
+        args = build_parser().parse_args(argv)
+        config_text = ""
+        if args.config:
             with open(args.config) as handle:
                 config_text = handle.read()
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-
-    overrides = {key: value for key, value in vars(args).items()
-                 if key != "config" and value is not None}
-    try:
-        spec = spec_from_sources(config_text, overrides)
-    except ConfigError as exc:
+        spec = spec_from_sources(config_text, {
+            key: value for key, value in vars(args).items()
+            if key != "config" and value is not None})
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     points = run_experiment(spec)
     if not spec.out_path:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(
-            csv_rows(points))
+        try:
+            csv.writer(sys.stdout, lineterminator="\n").writerows(
+                csv_rows(points))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (the flush above makes that show here);
+            # Python flushes stdout again at exit, so point it at devnull
+            # as the SIGPIPE note of the signal module docs does
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
 
     failed = [p for p in points if p.error]
     for p in failed:

@@ -31,10 +31,10 @@ from .special import ConvergenceError, MeijerParams, meijer_g
 
 
 class GainMode(enum.Enum):
-    """Relay amplification policy of the first segment."""
+    """Relay amplification policy of the first segment (CLI/CSV label)."""
 
-    ADAPTIVE = "adaptive-gain"   # gain tracks the incoming channel (CSI at relay)
-    FIXED = "fixed-gain"         # constant gain, no CSI
+    ADAPTIVE = "known-csi"       # gain tracks the incoming channel (CSI at relay)
+    FIXED = "unknown-csi"        # constant gain, no CSI
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ count.
 
 import csv
 import functools
+import itertools
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
@@ -42,6 +44,7 @@ from .montecarlo import (
     simulate_ber_snr_level,
     simulate_outage,
 )
+from .special import ConvergenceError
 
 CSV_COLUMNS = (
     "preset", "mode", "metric", "n_users", "m_relays", "xi", "lambda",
@@ -53,15 +56,35 @@ METHOD_CLOSED = "closed-form"
 METHOD_QUADRATURE = "quadrature"
 METHOD_MC = "monte-carlo"
 
-_MODE_LABELS = {GainMode.ADAPTIVE: "known-csi", GainMode.FIXED: "unknown-csi"}
-_LABEL_MODES = {v: k for k, v in _MODE_LABELS.items()}
-
-_PRESETS = ("fig1", "fig2", "fig3", "custom")
-_CONFIG_KEYS = (
-    "preset", "metric", "mode", "users", "relays", "xi", "lambda",
-    "gamma_th_db", "gamma_avg_db", "methods", "trials", "seed",
-    "workers", "out",
-)
+# config key -> (default, CLI metavar, CLI help); a None default is unset
+_CONFIG_KEYS = {
+    "preset": ("custom", "NAME", "start from a named parameter set: fig1, "
+                                 "fig2, fig3 or custom"),
+    "metric": ("outage", "NAME", "outage or ber"),
+    "mode": ("both", "NAME", "first-segment relaying mode: known-csi, "
+                             "unknown-csi or both"),
+    "users": ("2", "N[,N...]", "user count, or comma list to sweep"),
+    "relays": ("2", "M[,M...]", "relay count, or comma list to sweep"),
+    "xi": ("1.45", "XI", "pointing-error severity"),
+    "lambda": ("1", "L[,L...]", "turbulence rate, or comma list to sweep"),
+    "gamma_th_db": ("10", "DB", "outage threshold SNR in dB"),
+    "gamma_avg_db": ("0:5:40", "START:STEP:STOP",
+                     "average SNR axis in dB (or one value)"),
+    "methods": ("closed-form,quadrature,monte-carlo", "LIST",
+                "comma subset of closed-form, quadrature, monte-carlo"),
+    "trials": ("1000000", "COUNT", "Monte-Carlo trials (or bits)"),
+    "seed": ("42", "SEED", None),
+    "workers": ("1", "COUNT", None),
+    "out": (None, "PATH", "CSV destination (stdout when omitted)"),
+}
+# preset -> the entries it sets apart from the defaults
+_PRESETS = {
+    "fig1": {"users": "1,2,4"},
+    # turbulence variance 1/lambda^2 swept over {0.5, 1, 2}
+    "fig2": {"lambda": "1.4142135623730951,1,0.7071067811865476"},
+    "fig3": {"metric": "ber", "relays": "1,2,3"},
+    "custom": {},
+}
 _MAX_SWEEP_POINTS = 10_000    # a gamma_avg_db sweep longer than this is a typo
 
 
@@ -75,7 +98,6 @@ class ConfigError(ValueError):
 
     def __init__(self, message, line=None):
         self.line = line
-        self.message = message
         super().__init__(f"line {line}: {message}" if line else message)
 
 
@@ -119,38 +141,13 @@ class CurvePoint:
 
 # -------------------------------------------------------------- presets
 
-def _base_entries():
-    return {
-        "preset": "custom",
-        "metric": "outage",
-        "mode": "both",
-        "users": "2",
-        "relays": "2",
-        "xi": "1.45",
-        "lambda": "1",
-        "gamma_th_db": "10",
-        "gamma_avg_db": "0:5:40",
-        "methods": "closed-form,quadrature,monte-carlo",
-        "trials": "1000000",
-        "seed": "42",
-        "workers": "1",
-    }
-
-
 def preset_entries(name):
     """The key = value content each preset expands to."""
-    entries = _base_entries()
-    entries["preset"] = name
-    if name == "fig1":
-        entries["users"] = "1,2,4"
-    elif name == "fig2":
-        # turbulence variance 1/lambda^2 swept over {0.5, 1, 2}
-        entries["lambda"] = "1.4142135623730951,1,0.7071067811865476"
-    elif name == "fig3":
-        entries["metric"] = "ber"
-        entries["relays"] = "1,2,3"
-    elif name != "custom":
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}")
+    entries = {key: default for key, (default, _, _) in _CONFIG_KEYS.items()
+               if default is not None}
+    entries.update(_PRESETS[name], preset=name)
     return entries
 
 
@@ -244,82 +241,62 @@ def _check_linear(db, line, key):
 
 
 def _spec_from_entries(entries):
-    def get(key):
-        return entries.get(key, (None, None))
-
-    preset_val, preset_line = get("preset")
+    preset_val, preset_line = entries.get("preset", (None, None))
     preset = preset_val or "custom"
     if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}", preset_line)
     resolved = {k: (v, None) for k, v in preset_entries(preset).items()}
     resolved.update(entries)
 
-    def val(key):
-        return resolved[key][0], resolved[key][1]
+    def single(key, parse, *args):
+        values = parse(*resolved[key], key, *args)
+        if len(values) != 1:
+            raise ConfigError(f"{key} must be a single value",
+                              resolved[key][1])
+        return values[0]
 
-    metric_val, metric_line = val("metric")
+    metric_val, metric_line = resolved["metric"]
     try:
         metric = Metric(metric_val)
     except ValueError:
         raise ConfigError(f"metric must be outage or ber, got {metric_val!r}",
                           metric_line) from None
 
-    mode_val, mode_line = val("mode")
+    mode_val, mode_line = resolved["mode"]
     if mode_val not in ("known-csi", "unknown-csi", "both"):
         raise ConfigError(
             "mode must be known-csi, unknown-csi, or both", mode_line)
-    modes = ((GainMode.ADAPTIVE, GainMode.FIXED) if mode_val == "both"
-             else (_LABEL_MODES[mode_val],))
+    modes = tuple(GainMode) if mode_val == "both" else (GainMode(mode_val),)
 
-    users = _int_list(val("users")[0], val("users")[1], "users", 1)
-    relays = _int_list(val("relays")[0], val("relays")[1], "relays", 1)
-    lam = _float_list(val("lambda")[0], val("lambda")[1], "lambda")
+    users = _int_list(*resolved["users"], "users", 1)
+    relays = _int_list(*resolved["relays"], "relays", 1)
+    lam = _float_list(*resolved["lambda"], "lambda")
+    xi = single("xi", _float_list)
+    gamma_th_db = single("gamma_th_db", _float_list)
+    _check_linear(gamma_th_db, resolved["gamma_th_db"][1], "gamma_th_db")
 
-    xi_val, xi_line = val("xi")
-    xi = _float_list(xi_val, xi_line, "xi")
-    if len(xi) != 1:
-        raise ConfigError("xi must be a single value", xi_line)
-    xi = xi[0]
-
-    gth_val, gth_line = val("gamma_th_db")
-    gamma_th_db = _float_list(gth_val, gth_line, "gamma_th_db")
-    if len(gamma_th_db) != 1:
-        raise ConfigError("gamma_th_db must be a single value", gth_line)
-    gamma_th_db = gamma_th_db[0]
-    _check_linear(gamma_th_db, gth_line, "gamma_th_db")
-
-    sweep_val, sweep_line = val("gamma_avg_db")
+    sweep_val, sweep_line = resolved["gamma_avg_db"]
     sweep = _sweep(sweep_val, sweep_line)
     for gdb in sweep:
         _check_linear(gdb, sweep_line, "gamma_avg_db")
 
-    methods_val, methods_line = val("methods")
-    methods = []
-    for part in methods_val.split(","):
-        name = part.strip()
-        if name not in (METHOD_CLOSED, METHOD_QUADRATURE, METHOD_MC):
+    methods_val, methods_line = resolved["methods"]
+    names = [part.strip() for part in methods_val.split(",")]
+    for name in names:
+        if name not in _ROUTES:
             raise ConfigError(f"unknown method {name!r}", methods_line)
-        if name not in methods:
-            methods.append(name)
     # canonical order keeps the spec deterministic
-    methods = tuple(m for m in (METHOD_CLOSED, METHOD_QUADRATURE, METHOD_MC)
-                    if m in methods)
+    methods = tuple(m for m in _ROUTES if m in names)
 
-    trials = _int_list(val("trials")[0], val("trials")[1], "trials", 1)
-    seed = _int_list(val("seed")[0], val("seed")[1], "seed", 0)
-    workers = _int_list(val("workers")[0], val("workers")[1], "workers", 1)
-    for key, tup in (("trials", trials), ("seed", seed),
-                     ("workers", workers)):
-        if len(tup) != 1:
-            raise ConfigError(f"{key} must be a single value",
-                              resolved[key][1])
+    trials = single("trials", _int_list, 1)
+    seed = single("seed", _int_list, 0)
+    workers = single("workers", _int_list, 1)
     try:
-        sim = SimConfig(trials_or_bits=trials[0], seed=seed[0],
-                        workers=workers[0])
+        sim = SimConfig(trials_or_bits=trials, seed=seed, workers=workers)
     except ValueError as exc:
         message = str(exc)
         key = "seed" if message.startswith("seed") else "trials"
-        raise ConfigError(message, val(key)[1]) from None
+        raise ConfigError(message, resolved[key][1]) from None
 
     # surface channel-parameter violations at their source lines
     for lam_value in lam:
@@ -329,7 +306,7 @@ def _spec_from_entries(entries):
                        gamma_th=db_to_linear(gamma_th_db))
         except ValueError as exc:
             message = str(exc)
-            line = xi_line if "xi" in message else val("lambda")[1]
+            line = resolved["xi" if "xi" in message else "lambda"][1]
             raise ConfigError(message, line) from None
 
     # the later sweeping key is the one that breaks the rule
@@ -372,75 +349,66 @@ def spec_from_sources(config_text="", overrides=None):
 
 # ------------------------------------------------------------ execution
 
+def _closed_form(spec, topology, params):
+    if spec.metric is Metric.OUTAGE:
+        return float(outage_closed_form(topology, params))
+    ber = ber_closed_form(topology, params)
+    if not ber.converged:
+        raise ConvergenceError(
+            f"ConvergenceError: BER series unconverged after {ber.n_terms} "
+            f"terms, truncation {ber.truncation:.3g}")
+    return float(ber.value)
+
+
+def _quadrature(spec, topology, params):
+    if spec.metric is Metric.OUTAGE:
+        return end_to_end_outage_semianalytic(topology, params)
+    return ber_quadrature(functools.partial(
+        end_to_end_outage_semianalytic, topology, params))
+
+
+def _monte_carlo(spec, topology, params):
+    # the closed adaptive-gain forms are built on the min combiner, so
+    # their Monte-Carlo column must sample the same quantity
+    first_segment = ("min" if topology.first_segment_mode is GainMode.ADAPTIVE
+                     else "exact")
+    simulate = (simulate_outage if spec.metric is Metric.OUTAGE
+                else simulate_ber_snr_level)
+    return simulate(topology, params, spec.sim, first_segment=first_segment)
+
+
+# method -> route, in the canonical column order; each route looks up the
+# metric functions at call time, so monkeypatching and tracing reach them
+_ROUTES = {
+    METHOD_CLOSED: _closed_form,
+    METHOD_QUADRATURE: _quadrature,
+    METHOD_MC: _monte_carlo,
+}
+
+
 def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db):
     gamma = db_to_linear(gamma_avg_db)
     params = LinkParams(
         gamma_bar_rf=gamma, gamma_bar_fso=gamma, lam=lam, a0=1.0,
         xi=spec.xi, gamma_th=db_to_linear(spec.gamma_th_db))
     topology = Topology(n_users=n, m_relays=m, first_segment_mode=mode)
-    # the closed adaptive-gain forms are built on the min combiner, so
-    # their Monte-Carlo column must sample the same quantity
-    first_segment = "min" if mode is GainMode.ADAPTIVE else "exact"
-
-    closed = None
-    quad = None
-    mc = None
+    cells = {}
     errors = []
-
     # floating-point trouble lands in the error column, not on stderr;
     # underflow is routine in the quadrature rules' tails
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        if METHOD_CLOSED in spec.methods:
+        for method in spec.methods:
             try:
-                if spec.metric is Metric.OUTAGE:
-                    closed = float(outage_closed_form(topology, params))
-                else:
-                    ber = ber_closed_form(topology, params)
-                    if ber.converged:
-                        closed = float(ber.value)
-                    else:
-                        errors.append(
-                            f"closed-form: ConvergenceError: BER series "
-                            f"unconverged after {ber.n_terms} terms, "
-                            f"truncation {ber.truncation:.3g}")
+                cells[method] = _ROUTES[method](spec, topology, params)
             except Exception as exc:
-                errors.append(f"closed-form: {exc}")
-
-        if METHOD_QUADRATURE in spec.methods:
-            try:
-                if spec.metric is Metric.OUTAGE:
-                    quad = end_to_end_outage_semianalytic(topology, params)
-                else:
-                    quad = ber_quadrature(functools.partial(
-                        end_to_end_outage_semianalytic, topology, params))
-            except Exception as exc:
-                errors.append(f"quadrature: {exc}")
-
-        if METHOD_MC in spec.methods:
-            try:
-                if spec.metric is Metric.OUTAGE:
-                    mc = simulate_outage(topology, params, spec.sim,
-                                         first_segment=first_segment)
-                else:
-                    mc = simulate_ber_snr_level(topology, params, spec.sim,
-                                                first_segment=first_segment)
-            except Exception as exc:
-                errors.append(f"monte-carlo: {exc}")
+                errors.append(f"{method}: {exc}")
 
     return CurvePoint(
         preset=spec.preset, mode=mode, metric=spec.metric, n_users=n,
         m_relays=m, xi=spec.xi, lam=lam, gamma_th_db=spec.gamma_th_db,
-        gamma_avg_db=gamma_avg_db, closed_form=closed, quadrature=quad,
-        mc=mc, seed=spec.sim.seed, error="; ".join(errors) or None)
-
-
-def _expand(spec):
-    for mode in spec.modes:
-        for n in spec.n_users:
-            for m in spec.m_relays:
-                for lam in spec.lam:
-                    for gdb in spec.gamma_avg_db:
-                        yield mode, n, m, lam, gdb
+        gamma_avg_db=gamma_avg_db, closed_form=cells.get(METHOD_CLOSED),
+        quadrature=cells.get(METHOD_QUADRATURE), mc=cells.get(METHOD_MC),
+        seed=spec.sim.seed, error="; ".join(errors) or None)
 
 
 def run_experiment(spec):
@@ -450,7 +418,9 @@ def run_experiment(spec):
     threads only the Monte-Carlo batches inside a point.  Method
     failures land in the point's error field and the run continues.
     """
-    points = [_evaluate_point(spec, *args) for args in _expand(spec)]
+    points = [_evaluate_point(spec, *args) for args in itertools.product(
+        spec.modes, spec.n_users, spec.m_relays, spec.lam,
+        spec.gamma_avg_db)]
     if spec.out_path:
         write_csv(points, spec.out_path)
     return points
@@ -469,26 +439,23 @@ def _format(value):
 def csv_rows(points):
     rows = [list(CSV_COLUMNS)]
     for p in points:
-        rows.append([
-            p.preset,
-            _MODE_LABELS[p.mode],
-            p.metric.value,
-            str(p.n_users),
-            str(p.m_relays),
-            _format(p.xi),
-            _format(p.lam),
-            _format(p.gamma_th_db),
-            _format(p.gamma_avg_db),
-            _format(p.closed_form),
-            _format(p.quadrature),
-            _format(p.mc.mean if p.mc else None),
-            _format(p.mc.ci_low if p.mc else None),
-            _format(p.mc.ci_high if p.mc else None),
-            _format(p.mc.n if p.mc else None),
-            str(p.seed),
-            p.error or "",
-        ])
+        mc = ((p.mc.mean, p.mc.ci_low, p.mc.ci_high, p.mc.n) if p.mc
+              else (None,) * 4)
+        rows.append([_format(value) for value in (
+            p.preset, p.mode.value, p.metric.value, p.n_users, p.m_relays,
+            p.xi, p.lam, p.gamma_th_db, p.gamma_avg_db, p.closed_form,
+            p.quadrature, *mc, p.seed, p.error)])
     return rows
+
+
+def _file_mode(path):
+    """The mode open(path, "w") leaves: its own, or 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)   # the umask can only be read by setting it
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def write_csv(points, path):
@@ -499,6 +466,7 @@ def write_csv(points, path):
         with os.fdopen(fd, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerows(csv_rows(points))
+        os.chmod(tmp, _file_mode(path))   # mkstemp creates it 0o600
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -524,7 +492,7 @@ def read_csv(path):
                 ci_high=float(rec["mc_ci_high"]), n=int(rec["mc_n"]))
         points.append(CurvePoint(
             preset=rec["preset"],
-            mode=_LABEL_MODES[rec["mode"]],
+            mode=GainMode(rec["mode"]),
             metric=Metric(rec["metric"]),
             n_users=int(rec["n_users"]),
             m_relays=int(rec["m_relays"]),

@@ -1,10 +1,13 @@
 """Sweep specs, config grammar, CSV contract, and the CLI shell."""
 
 import csv
+import json
 import math
 import os
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +17,17 @@ from fsorf.composition import GainMode
 from fsorf.experiments import (
     CSV_COLUMNS,
     ConfigError,
+    CurvePoint,
     Metric,
     csv_rows,
     preset_entries,
     read_csv,
     run_experiment,
     spec_from_sources,
+    write_csv,
 )
 from fsorf.metrics import BerResult
+from fsorf.montecarlo import MetricEstimate
 from fsorf import cli
 
 
@@ -236,6 +242,62 @@ def test_csv_header_schema():
     assert len(rows[0]) == 17
 
 
+def test_csv_text_is_pinned(tmp_path):
+    # hand-built points, so the text does not depend on the numerics
+    points = [
+        CurvePoint(
+            preset="fig1", mode=GainMode.ADAPTIVE, metric=Metric.OUTAGE,
+            n_users=2, m_relays=3, xi=1.45, lam=1.0, gamma_th_db=10.0,
+            gamma_avg_db=20.0, closed_form=0.1,
+            quadrature=0.30000000000000004,
+            mc=MetricEstimate(mean=0.25, ci_low=0.125, ci_high=0.375,
+                              n=2000),
+            seed=42, error=None),
+        CurvePoint(
+            preset="custom", mode=GainMode.FIXED, metric=Metric.BER,
+            n_users=1, m_relays=1, xi=2.5, lam=0.7071067811865476,
+            gamma_th_db=-3.5, gamma_avg_db=-10.0, closed_form=None,
+            quadrature=None, mc=None, seed=0,
+            error='closed-form: bad, worse; "quoted"'),
+        CurvePoint(
+            preset="fig3", mode=GainMode.FIXED, metric=Metric.BER,
+            n_users=4, m_relays=2, xi=1.45, lam=1.0, gamma_th_db=10.0,
+            gamma_avg_db=40.0, closed_form=1.5e-300, quadrature=None,
+            mc=MetricEstimate(mean=0.0, ci_low=0.0, ci_high=3e-06, n=10),
+            seed=7, error="quadrature: overflow encountered in power"),
+    ]
+    out = tmp_path / "pinned.csv"
+    write_csv(points, str(out))
+    with open(out, newline="") as handle:
+        text = handle.read()
+    assert text == (
+        ",".join(CSV_COLUMNS) + "\n"
+        "fig1,known-csi,outage,2,3,1.45,1.0,10.0,20.0,0.1,"
+        "0.30000000000000004,0.25,0.125,0.375,2000,42,\n"
+        "custom,unknown-csi,ber,1,1,2.5,0.7071067811865476,-3.5,-10.0,"
+        ',,,,,,0,"closed-form: bad, worse; ""quoted"""\n'
+        "fig3,unknown-csi,ber,4,2,1.45,1.0,10.0,40.0,1.5e-300,,0.0,0.0,"
+        "3e-06,10,7,quadrature: overflow encountered in power\n")
+    assert read_csv(str(out)) == points
+
+
+def test_write_csv_leaves_the_mode_open_would(tmp_path):
+    old = os.umask(0o022)
+    try:
+        new = tmp_path / "new.csv"
+        write_csv([], str(new))
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        # an overwritten file keeps its own mode
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        kept.chmod(0o640)
+        write_csv([], str(kept))
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert read_csv(str(kept)) == []
+    finally:
+        os.umask(old)
+
+
 def test_point_failure_lands_in_error_column(tmp_path, monkeypatch):
     def boom(topology, params):
         raise ArithmeticError("synthetic blow-up")
@@ -362,7 +424,9 @@ def test_cli_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
         "--users", "1", "--relays", "1", "--methods", "closed-form",
         "--gamma-avg-db", "10", "--mode", "known-csi", "--out", str(out)])
     assert code == 2
-    assert "failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "failed" in err
+    assert "mode=known-csi" in err
     assert read_csv(str(out))[0].error is not None
 
 
@@ -387,6 +451,47 @@ def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
         with open(out, newline="") as handle:
             errors = [row["error"] for row in csv.DictReader(handle)]
         assert any("encountered in" in e for e in errors), errors
+
+
+@pytest.mark.parametrize("db,code", [("10", 0), ("-3000", 2)])
+def test_cli_closed_stdout_keeps_the_sweep_status(db, code):
+    # the reader of stdout is gone before the CSV is written: no
+    # traceback, the failure lines still on stderr, the sweep's own code
+    src = os.path.dirname(os.path.dirname(fsorf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fsorf.cli", "--users", "1",
+             "--relays", "1", "--methods", "quadrature", "--mode",
+             "known-csi", f"--gamma-avg-db={db}"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == code, err
+    assert "Traceback" not in err, err
+    assert ("mode=known-csi" in err) == (code == 2), err
+
+
+def test_traced_sweep_sees_every_route_call():
+    # the tracer rebinds module attributes; a sweep that called a route
+    # through a stored function object would bypass it and count less
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "outage-analytic",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    # one closed-form call per point, one oracle call per fixed-gain point
+    assert metrics["metrics.outage_closed_form.calls"]["value"] == 54
+    assert metrics[
+        "composition.second_relay_cdf_fixed_numeric.calls"]["value"] == 27
 
 
 def test_ber_quadrature_column_needs_no_meijer_g(monkeypatch):
