@@ -30,6 +30,9 @@ from .special import gamma_upper
 
 _XI2_FORBIDDEN = (1.0, 2.0, 3.0)
 _XI2_GUARD = 1e-6
+# past X = 40, e^{-X} is below half an ulp of 1 and the FSO SNR CDF rounds
+# to exactly 1, while X^zeta alone may overflow
+_X_ONE = 40.0
 
 
 def _as_float_array(x, name):
@@ -154,18 +157,18 @@ def ne_pe_snr_pdf(gamma, params):
 
 
 def ne_pe_snr_cdf(gamma, params):
-    """CDF of the FSO SNR; exactly 0 at gamma = 0."""
+    """CDF of the FSO SNR; exactly 0 at gamma = 0 and 1 from X = _X_ONE."""
     z2 = params.zeta
     g = _as_float_array(gamma, "gamma")
     if np.any(g < 0):
         raise ValueError("gamma must be non-negative")
     g = np.atleast_1d(g)
-    out = np.zeros_like(g)
-    pos = g > 0
-    if np.any(pos):
-        x = params.c * np.sqrt(g[pos])
-        out[pos] = (x ** z2 * gamma_upper(1.0 - z2, x)
-                    - np.expm1(-x))
+    x = params.c * np.sqrt(g)
+    out = np.where(x < _X_ONE, 0.0, 1.0)
+    mid = (g > 0) & (x < _X_ONE)
+    if np.any(mid):
+        x = x[mid]
+        out[mid] = x ** z2 * gamma_upper(1.0 - z2, x) - np.expm1(-x)
     out = np.clip(out, 0.0, 1.0)
     if np.isscalar(gamma):
         return float(out[0])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ne_pe_snr_cdf, rayleigh_snr_cdf, rayleigh_snr_pdf
-from .special import ConvergenceError, MeijerParams, meijer_g
+from .special import MeijerParams, meijer_g, trapezoid
 
 
 class GainMode(enum.Enum):
@@ -117,12 +117,14 @@ def second_relay_cdf_adaptive(gamma, n, params):
     return 1.0 - (1.0 - f1) * (1.0 - f2)
 
 
-def _fixed_kernel_params(z2):
-    # parameter rows of the G^{5,2}_{4,7} first-segment kernel
-    a = (1.0 - z2 / 2.0, (1.0 - z2) / 2.0, 0.5, 1.0)
+def _fixed_kernel_params(z2, arg, *lead):
+    # prefactor and G^{5,2}_{4,7} row of the fixed-gain kernels at arg;
+    # the error-rate kernel's G^{5,3}_{5,7} prepends one upper parameter
+    a = lead + (1.0 - z2 / 2.0, (1.0 - z2) / 2.0, 0.5, 1.0)
     b = ((1.0 - z2) / 2.0, 1.0 - z2 / 2.0, 1.0 - z2 / 2.0, 0.0, 0.5,
          (1.0 - z2) / 2.0, -z2 / 2.0)
-    return MeijerParams(m=5, n=2, a=a, b=b)
+    pref = (z2 * 2.0 ** (-1.0 - z2) / math.sqrt(math.pi)) * arg ** (z2 / 2.0)
+    return pref, MeijerParams(m=5, n=2 + len(lead), a=a, b=b)
 
 
 def fixed_segment_kernel(gamma, s, params):
@@ -132,31 +134,22 @@ def fixed_segment_kernel(gamma, s, params):
     probability-weighted chance the FSO leg fails given the RF leg's
     exponential share, in closed Meijer-G form.
     """
-    z2 = params.zeta
-    c = params.c
-    arg = c * c * gamma * params.c_gain * s
-    pref = (z2 * 2.0 ** (-1.0 - z2) / math.sqrt(math.pi)) * arg ** (z2 / 2.0)
-    return pref * meijer_g(_fixed_kernel_params(z2), arg / 4.0)
+    arg = params.c * params.c * gamma * params.c_gain * s
+    pref, row = _fixed_kernel_params(params.zeta, arg)
+    return pref * meijer_g(row, arg / 4.0)
 
 
-# Trapezoid step in t = ln x for the fixed-gain oracle.  The integrand is
-# analytic and decays at both ends, so the rule converges exponentially in
-# the step: over gamma_bar in [-30, 80] dB, N <= 8 and xi in {0.8, 1.45,
-# 2.5} the sums at steps 1/8 and 1/4 already agree to rounding, so the
-# step-h against step-2h difference is a sound error estimate here.
-_LOG_STEP = 1.0 / 16.0
+# Trapezoid step in t = ln x for the fixed-gain oracle, and the ln gamma
+# spacing of its array form.  The integrand is analytic and decays at both
+# ends, so the rule converges exponentially in the step: over gamma_bar in
+# [-30, 80] dB, N <= 8 and xi in {0.8, 1.45, 2.5} the sums at steps 1/8
+# and 1/4 already agree to rounding, so the step-h against step-2h
+# difference is a sound error estimate here.
+LOG_STEP = 1.0 / 16.0
 # Each cut sits where the factor it truncates has fallen to about e^-50.
 _TAIL = 50.0
 # Relative tolerance on the returned CDF, above its rounding floor.
 _RTOL = 1e-12
-
-
-def _trapezoid_weights(steps):
-    # step-h and step-2h trapezoid weights on steps + 1 nodes, steps even
-    w_h = np.full(steps + 1, _LOG_STEP)
-    w_h[[0, -1]] *= 0.5
-    w_2h = np.where(np.arange(steps + 1) % 2, 0.0, 2.0 * w_h)
-    return w_h, w_2h
 
 
 def second_relay_cdf_fixed_numeric(gamma, n, params):
@@ -175,11 +168,10 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
     evaluates it.  The nodes span e^-50 <= s_1 x <= 50, the range of the
     RF weight, cut on the left where X = c sqrt(gamma_0 c_gain / x) = 50,
     gamma_0 the first node, and the FSO survival is about e^-50.  An
-    array gamma must be evenly spaced in ln gamma at _LOG_STEP: S is then
+    array gamma must be evenly spaced in ln gamma at LOG_STEP: S is then
     evaluated once, and J_k at every node is one discrete convolution.
-    The error estimate is each node's change when every other t node is
-    dropped (step 2h); when it misses the tolerance the call raises
-    ConvergenceError.
+    special.trapezoid checks each node's change when every other t node
+    is dropped (step 2h) and raises ConvergenceError past the tolerance.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -187,36 +179,32 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
         return 0.0
     g = np.atleast_1d(np.asarray(gamma, dtype=float))
     if not (g.ndim == 1 and np.all(g > 0) and np.all(np.abs(
-            np.log(g / g[0]) - _LOG_STEP * np.arange(g.size)) <= 1e-9)):
+            np.log(g / g[0]) - LOG_STEP * np.arange(g.size)) <= 1e-9)):
         raise ValueError("gamma must be positive and evenly spaced in "
-                         f"ln gamma at step {_LOG_STEP}")
+                         f"ln gamma at step {LOG_STEP}")
     gr = params.gamma_bar_rf
     y = g[0] * params.c_gain
     hi = math.log(_TAIL * gr)
     lo = max(math.log(gr) - _TAIL, math.log(y * (params.c / _TAIL) ** 2))
-    # at low SNR the cuts cross: every x then has a factor below e^-50,
-    # the integral is under the rounding floor, and two steps suffice
-    steps = 2 * max(1, math.ceil((hi - lo) / (2.0 * _LOG_STEP)))
-    t = lo + _LOG_STEP * np.arange(steps + 1)
-    # surv[i + steps - j] is S at gamma_i c_gain / e^{t_j} = y / e^{t_j - i h}
-    tau = lo + _LOG_STEP * np.arange(steps, -g.size, -1)
-    surv = 1.0 - ne_pe_snr_cdf(y / np.exp(tau), params)
     s = np.arange(1.0, n + 1.0) / gr
-    rf = np.exp(t - np.outer(s, np.exp(t)))
-    j_h, j_2h = (np.array([np.convolve(w * r, surv, "valid") for r in rf])
-                 for w in _trapezoid_weights(steps))
     coef = np.array([[math.comb(n - 1, k) * (-1.0) ** k] for k in range(n)])
     coef = coef * ((n / gr) * np.exp(-np.outer(s, g)))
-    value = 1.0 - (coef * j_h).sum(axis=0)
-    err = np.abs((coef * (j_h - j_2h)).sum(axis=0))
-    # 1 - sum(coef J) cancels; its rounding floor scales with the terms
-    tol = _RTOL * np.abs(value) + 16.0 * np.finfo(float).eps * (
-        1.0 + np.abs(coef * j_h).sum(axis=0))
-    if not np.all(err <= tol):
-        i = np.argmax(err - tol)
-        raise ConvergenceError(
-            f"fixed-gain oracle: step-halving error {err[i]:.3g} exceeds "
-            f"{tol[i]:.3g} (gamma={g[i]:g}, n={n})")
+
+    def integral(t, weights):
+        # surv[i + steps - j] is S at gamma_i c_gain e^{-t_j} = y e^{ih - t_j}
+        tau = lo + LOG_STEP * np.arange(t.size - 1, -g.size, -1)
+        surv = 1.0 - ne_pe_snr_cdf(y / np.exp(tau), params)
+        rf = np.exp(t - np.outer(s, np.exp(t)))
+        fine, coarse = (coef * np.array([np.convolve(w * r, surv, "valid")
+                                         for r in rf]) for w in weights)
+        # 1 - sum(coef J) cancels; its rounding floor scales with the terms
+        return (1.0 - fine.sum(axis=0), 1.0 - coarse.sum(axis=0),
+                16.0 * np.finfo(float).eps * (1.0 + np.abs(fine).sum(axis=0)))
+
+    # at low SNR the cuts cross: every x then has a factor below e^-50,
+    # the integral is under the rounding floor, and two steps suffice
+    value = trapezoid(integral, lo, hi, LOG_STEP, _RTOL, "fixed-gain oracle "
+                      f"(gamma in [{g[0]:g}, {g[-1]:g}], n={n})")
     value = np.clip(value, 0.0, 1.0)
     return float(value[0]) if np.ndim(gamma) == 0 else value
 

@@ -479,11 +479,15 @@ def write_csv(points, path):
 def read_csv(path):
     """Parse an emitted CSV back into the exact CurvePoint list."""
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0] != list(CSV_COLUMNS):
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader]
+    if not rows or rows[0][1] != list(CSV_COLUMNS):
         raise ValueError("not a curve-point CSV (header mismatch)")
     points = []
-    for row in rows[1:]:
+    for line, row in rows[1:]:
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"line {line}: {len(row)} cells, expected "
+                             f"{len(CSV_COLUMNS)}")
         rec = dict(zip(CSV_COLUMNS, row))
         mc = None
         if rec["mc_mean"]:

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import (_LOG_STEP, GainMode, _trapezoid_weights,
+from .composition import (LOG_STEP, GainMode, _fixed_kernel_params,
                           fixed_segment_kernel)
 from .series import series_coeffs, series_power_coeffs
-from .special import ConvergenceError, MeijerParams, gamma_fn, meijer_g
+from .special import (ConvergenceError, MeijerParams, gamma_fn, meijer_g,
+                      trapezoid)
 
 _BLOCK_TOL = 1e-12
 _BLOCK_RUN = 3
@@ -74,30 +75,23 @@ def _snr_cdf_meijer(gamma, params):
 
 
 def _ber_kernel_adaptive(h_exp, sigma, params):
-    # int_0^inf e^{-sigma g} g^H (1 - F_FSO(g)) dg in closed form
+    # int_0^inf e^{-sigma g} g^H F_FSO(g) dg in closed form
     z2 = params.zeta
-    c = params.c
     a = (-h_exp, 1.0, 0.5, (1.0 + z2) / 2.0, 1.0 + z2 / 2.0)
     b = (0.5, 1.0, z2 / 2.0, (z2 + 1.0) / 2.0, 0.5, 0.0)
-    g = meijer_g(MeijerParams(m=4, n=3, a=a, b=b), c * c / (4.0 * sigma))
-    return (gamma_fn(1.0 + h_exp) * sigma ** (-1.0 - h_exp)
-            - (z2 / (2.0 * math.sqrt(math.pi)))
-            * sigma ** (-1.0 - h_exp) * g)
+    g = meijer_g(MeijerParams(m=4, n=3, a=a, b=b),
+                 params.c * params.c / (4.0 * sigma))
+    return (z2 / (2.0 * math.sqrt(math.pi))) * sigma ** (-1.0 - h_exp) * g
 
 
 def _ber_kernel_fixed(h_exp, sigma, s, params):
-    # int_0^inf e^{-sigma g} g^H (1 - sK(g)) dg with the fixed-gain
-    # cascade tail sK folded through its own Meijer-G Laplace transform
+    # int_0^inf e^{-sigma g} g^H sK(g) dg with the fixed-gain cascade
+    # tail sK folded through its own Meijer-G Laplace transform
     z2 = params.zeta
-    c = params.c
-    cs = c * c * params.c_gain * s
-    pref = (z2 * 2.0 ** (-1.0 - z2) / math.sqrt(math.pi)) * cs ** (z2 / 2.0)
-    a = (-h_exp - z2 / 2.0, 1.0 - z2 / 2.0, (1.0 - z2) / 2.0, 0.5, 1.0)
-    b = ((1.0 - z2) / 2.0, 1.0 - z2 / 2.0, 1.0 - z2 / 2.0, 0.0, 0.5,
-         (1.0 - z2) / 2.0, -z2 / 2.0)
-    g = meijer_g(MeijerParams(m=5, n=3, a=a, b=b), cs / (4.0 * sigma))
-    return (gamma_fn(1.0 + h_exp) * sigma ** (-1.0 - h_exp)
-            - pref * sigma ** (-1.0 - h_exp - z2 / 2.0) * g)
+    cs = params.c * params.c * params.c_gain * s
+    pref, row = _fixed_kernel_params(z2, cs, -h_exp - z2 / 2.0)
+    return (pref * sigma ** (-1.0 - h_exp - z2 / 2.0)
+            * meijer_g(row, cs / (4.0 * sigma)))
 
 
 # ------------------------------------------------------------ chain terms
@@ -156,21 +150,17 @@ def ber_quadrature(outage_curve):
     """(1/2) int_0^inf e^{-gamma} F(gamma) dgamma by a trapezoid rule.
 
     In u = ln gamma the integrand e^{u - e^u} F(e^u) is smooth and decays
-    at both ends, so one rule of step _LOG_STEP converges exponentially.
+    at both ends, so one rule of step LOG_STEP converges exponentially.
     outage_curve is called once, on the node array (evenly spaced in
     ln gamma, as the fixed-gain oracle needs).  A step-halving change
     past _BER_RTOL of the sum plus a rounding floor raises ConvergenceError.
     """
-    steps = 2 * math.ceil((_BER_LN_HI - _BER_LN_LO) / (2.0 * _LOG_STEP))
-    u = _BER_LN_LO + _LOG_STEP * np.arange(steps + 1)
-    f = np.exp(u - np.exp(u)) * outage_curve(np.exp(u))
-    value, coarse = (float(w @ f) for w in _trapezoid_weights(steps))
-    err = abs(value - coarse)
-    if not err <= _BER_RTOL * abs(value) + 64.0 * np.finfo(float).eps:
-        raise ConvergenceError(
-            f"error-rate quadrature: step-halving error {err:.3g} exceeds "
-            f"{_BER_RTOL:g} of {value:.6g}")
-    return 0.5 * value
+    def integral(u, weights):
+        f = np.exp(u - np.exp(u)) * outage_curve(np.exp(u))
+        return (*(float(w @ f) for w in weights), 64.0 * np.finfo(float).eps)
+
+    return 0.5 * trapezoid(integral, _BER_LN_LO, _BER_LN_HI, LOG_STEP,
+                           _BER_RTOL, "error-rate quadrature")
 
 
 # ------------------------------------------------------------ closed BER
@@ -198,12 +188,10 @@ def ber_closed_form(topology, params):
         key = (h_exp, shift, None if adaptive else k)
         if key not in kernel_cache:
             sigma = 1.0 + shift / gr
-            if adaptive:
-                value = _ber_kernel_adaptive(h_exp, sigma, params)
-            else:
-                value = _ber_kernel_fixed(h_exp, sigma, (k + 1.0) / gr,
-                                          params)
             bound = gamma_fn(1.0 + h_exp) * sigma ** (-1.0 - h_exp)
+            value = bound - (
+                _ber_kernel_adaptive(h_exp, sigma, params) if adaptive else
+                _ber_kernel_fixed(h_exp, sigma, (k + 1.0) / gr, params))
             kernel_cache[key] = value, max(-value, value - bound, 0.0)
         return kernel_cache[key]
 
@@ -217,10 +205,8 @@ def ber_closed_form(topology, params):
         block = 0.0
         for k, t, weight, shift in terms:
             for k1 in range(t + 1):
-                if k1 == 0 and n > 0:
-                    continue
                 p = powers[k1]
-                e_n = 1.0 if k1 == 0 else (p[n] if n < p.size else 0.0)
+                e_n = p[n] if n < p.size else 0.0
                 if e_n == 0.0:
                     continue
                 coeff = math.comb(t, k1) * coeffs.f0 ** (t - k1) * e_n

@@ -19,6 +19,9 @@ The Meijer G evaluator offers two independent paths:
   contour are harmless there, so the contour path needs no perturbation
   and serves as an independent cross-check of the Slater path.
 
+Every integral in the package, the contour path's included, is one
+``trapezoid`` rule of fixed step with a step-halving error check.
+
 Only positive real arguments and real parameters are supported; that is
 all the metric formulas need.
 """
@@ -27,7 +30,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sc
 
 
@@ -52,6 +54,9 @@ _HYP_TOL = 1e-14
 _HYP_MAX_TERMS = 500
 # spread of a logarithmic-case parameter cluster (see meijer_g)
 _LOG_EPS = 1e-3
+# contour rule in t = Im s: on the formula classes the step-halving
+# estimate is 1.3e-13 relative at this step, 1.5e-10 at twice it
+_CONTOUR_STEP, _CONTOUR_RTOL = 1.0 / 64.0, 1e-12
 
 
 def _is_nonpos_int(x):
@@ -380,6 +385,33 @@ def meijer_g(params, z):
     return _slater_sum(params, z)
 
 
+def trapezoid(integral, lo, hi, step, rtol, what):
+    """Trapezoid rule of fixed step on [lo, hi], checked by step halving.
+
+    The nodes are lo + step * i, i = 0..2k, for the least k >= 1 that
+    reaches hi.  integral(nodes, weights) applies the step-h and step-2h
+    weight rows to its integrand and returns (fine, coarse, floor): the
+    two sums (scalars or arrays) and the rounding floor of the fine one.
+    The rule converges exponentially for an integrand analytic in a strip
+    and decaying at both cuts, so |fine - coarse| bounds the error of
+    fine; past rtol |fine| + floor the call raises ConvergenceError.
+    """
+    steps = 2 * max(1, math.ceil((hi - lo) / (2.0 * step)))
+    nodes = lo + step * np.arange(steps + 1)
+    w_h = np.full(steps + 1, step)
+    w_h[[0, -1]] *= 0.5
+    w_2h = np.where(np.arange(steps + 1) % 2, 0.0, 2.0 * w_h)
+    fine, coarse, floor = integral(nodes, (w_h, w_2h))
+    err = np.abs(fine - coarse)
+    tol = rtol * np.abs(fine) + floor
+    if not np.all(err <= tol):
+        i = np.argmax(err - tol)
+        raise ConvergenceError(
+            f"{what}: step-halving error {np.ravel(err)[i]:.3g} exceeds "
+            f"{np.ravel(tol)[i]:.3g} of {np.ravel(fine)[i]:.6g}")
+    return fine
+
+
 def meijer_g_contour(params, z):
     """Meijer G-function by numerical Mellin-Barnes contour integration.
 
@@ -391,8 +423,9 @@ def meijer_g_contour(params, z):
     affect the line integral.
 
     Requires m + n > (p + q) / 2 so the integrand decays along the
-    contour.  Accuracy is limited by the oscillatory quadrature; expect
-    ~1e-10 relative, which is ample for a cross-check oracle.
+    contour.  The integrand is analytic in the strip between the nearest
+    poles, where the trapezoid rule converges exponentially; poles that
+    crowd the contour too closely for its step raise ConvergenceError.
     """
     if not isinstance(params, MeijerParams):
         raise TypeError("params must be a MeijerParams")
@@ -418,23 +451,16 @@ def meijer_g_contour(params, z):
 
     ln_z = math.log(z)
 
-    def integrand(t):
-        s = complex(c0, t)
-        w = s * ln_z
-        for bj in b[:m]:
-            w += sc.loggamma(bj - s)
-        for aj in a[:n]:
-            w += sc.loggamma(1.0 - aj + s)
-        for bj in b[m:]:
-            w -= sc.loggamma(1.0 - bj + s)
-        for aj in a[n:]:
-            w -= sc.loggamma(aj - s)
-        return np.exp(w).real
+    def integral(t, weights):
+        s = c0 + 1j * t
+        f = np.exp(s * ln_z + sum(sc.loggamma(bj - s) for bj in b[:m])
+                   + sum(sc.loggamma(1.0 - aj + s) for aj in a[:n])
+                   - sum(sc.loggamma(1.0 - bj + s) for bj in b[m:])
+                   - sum(sc.loggamma(aj - s) for aj in a[n:])).real
+        fine, coarse = (float(wt @ f) for wt in weights)
+        return fine, coarse, 64.0 * np.finfo(float).eps * (weights[0] @ abs(f))
 
     # decay ~ exp(-delta*pi*t/2): pick t_max so the tail is ~1e-18
     t_max = max(60.0, 2.0 * 18.0 * math.log(10.0) / (delta * math.pi) + 40.0)
-    val, err = integrate.quad(integrand, 0.0, t_max, limit=800,
-                              epsabs=1e-14, epsrel=1e-11)
-    if not math.isfinite(val):
-        raise ConvergenceError("Mellin-Barnes quadrature returned a non-finite value")
-    return val / math.pi
+    return trapezoid(integral, 0.0, t_max, _CONTOUR_STEP, _CONTOUR_RTOL,
+                     "Mellin-Barnes contour") / math.pi

@@ -156,6 +156,18 @@ def test_snr_cdf_edges():
         1.0, abs=1e-6)
 
 
+def test_snr_cdf_is_one_from_x_40_without_overflow():
+    # X = c sqrt(gamma) is 1e150 here and X^zeta alone overflows; from
+    # X = 40 on e^{-X} is below half an ulp of 1, so F is exactly 1
+    p = default_params(gamma_bar_fso=1e-300)
+    x = np.array([0.0, 0.5, 40.0, 41.0, 1e3, 1e150])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        f = ne_pe_snr_cdf((x / p.c) ** 2, p)
+        assert ne_pe_snr_cdf(10.0, p) == 1.0
+    assert list(f[[0, 2, 3, 4, 5]]) == [0.0, 1.0, 1.0, 1.0, 1.0]
+    assert f[1] == ne_pe_snr_cdf(float((0.5 / p.c) ** 2), p) < 1.0
+
+
 def test_snr_cdf_monotone_bounded():
     p = default_params(gamma_bar_fso=db_to_linear(18.0), lam=0.9)
     g = np.geomspace(1e-6, 1e7, 1000)

@@ -281,6 +281,23 @@ def test_csv_text_is_pinned(tmp_path):
     assert read_csv(str(out)) == points
 
 
+def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path):
+    # neither a bare KeyError for a short row nor a silently dropped
+    # cell for a long one: both are refused, naming their line
+    header = ",".join(CSV_COLUMNS) + "\n"
+    row = ("fig1,known-csi,outage,2,3,1.45,1.0,10.0,20.0,0.1,0.3,0.25,"
+           "0.125,0.375,2000,42,\n")
+    cases = [(row + "fig1,known-csi,outage,2\n", "line 3: 4 cells"),
+             (row[:-1] + ",extra\n", "line 2: 18 cells")]
+    for body, message in cases:
+        path = tmp_path / "bad.csv"
+        path.write_text(header + body)
+        with pytest.raises(ValueError, match=message):
+            read_csv(str(path))
+    path.write_text(header + row)
+    assert len(read_csv(str(path))) == 1
+
+
 def test_write_csv_leaves_the_mode_open_would(tmp_path):
     old = os.umask(0o022)
     try:
@@ -456,7 +473,8 @@ def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
 @pytest.mark.parametrize("db,code", [("10", 0), ("-3000", 2)])
 def test_cli_closed_stdout_keeps_the_sweep_status(db, code):
     # the reader of stdout is gone before the CSV is written: no
-    # traceback, the failure lines still on stderr, the sweep's own code
+    # traceback, the failure lines still on stderr, the sweep's own code.
+    # At -3000 dB the closed-form Slater series does not converge.
     src = os.path.dirname(os.path.dirname(fsorf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -465,7 +483,7 @@ def test_cli_closed_stdout_keeps_the_sweep_status(db, code):
     try:
         proc = subprocess.Popen(
             [sys.executable, "-m", "fsorf.cli", "--users", "1",
-             "--relays", "1", "--methods", "quadrature", "--mode",
+             "--relays", "1", "--methods", "closed-form", "--mode",
              "known-csi", f"--gamma-avg-db={db}"],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
@@ -474,6 +492,20 @@ def test_cli_closed_stdout_keeps_the_sweep_status(db, code):
     assert proc.returncode == code, err
     assert "Traceback" not in err, err
     assert ("mode=known-csi" in err) == (code == 2), err
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    # every integral in fsorf is special.trapezoid; scipy.integrate
+    # would drag scipy.optimize, scipy.sparse and scipy.linalg in too
+    src = os.path.dirname(os.path.dirname(fsorf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fsorf.cli; print(sorted(m for m "
+         "in sys.modules if m.startswith('scipy.integrate')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
 
 
 def test_traced_sweep_sees_every_route_call():

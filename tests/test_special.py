@@ -243,6 +243,14 @@ def test_meijer_argument_validation():
             meijer_g(p, z)
 
 
+def test_contour_raises_when_poles_crowd_the_step():
+    # the poles at s = 0 and s = -0.01 sit 0.005 off the contour, well
+    # inside one step of the rule: the step-halving check must refuse
+    p = MeijerParams(m=1, n=1, a=(0.99,), b=(0.0,))
+    with pytest.raises(ConvergenceError, match="step-halving"):
+        meijer_g_contour(p, 0.5)
+
+
 def test_contour_matches_slater_simple_classes():
     p = MeijerParams(m=2, n=1, a=(1.0, 1.0 + Z2), b=(1.0, Z2, 0.0))
     for X in [0.1, 0.9, 2.5]:
