@@ -185,7 +185,10 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
     gr = params.gamma_bar_rf
     y = g[0] * params.c_gain
     hi = math.log(_TAIL * gr)
-    lo = max(math.log(gr) - _TAIL, math.log(y * (params.c / _TAIL) ** 2))
+    lo = math.log(gr) - _TAIL
+    fso_cut = y * (params.c / _TAIL) ** 2
+    if fso_cut > 0.0:       # it underflows to 0 at extreme high SNR
+        lo = max(lo, math.log(fso_cut))
     s = np.arange(1.0, n + 1.0) / gr
     coef = np.array([[math.comb(n - 1, k) * (-1.0) ** k] for k in range(n)])
     coef = coef * ((n / gr) * np.exp(-np.outer(s, g)))

@@ -1,16 +1,17 @@
 """Monte-Carlo simulation of the relay chain: four estimators.
 
 simulate_outage, simulate_ber_snr_level and simulate_ber_cascade_xor
-draw per-stage SNRs and apply the threshold test, the DBPSK conditional
-error kernel of the chain minimum, or one XORed bit flip per detection
-stage.  simulate_ber_signal_level pushes complex-baseband DBPSK symbols
-through the sampled channel gains and counts the bit errors of
-differential detection.  Each is a draw(rng, size) body plus a Wilson
-or normal interval builder.
+draw one (m_relays, size) array of stage SNRs and apply the threshold
+test, the DBPSK conditional error kernel of the chain minimum, or one
+XORed bit flip per detection stage.  simulate_ber_signal_level pushes
+complex-baseband DBPSK symbols through the sampled channel gains and
+counts the bit errors of differential detection.  Each is a
+draw(rng, size) body plus a Wilson or normal interval builder.
 
 One core, _moments, holds the reproducibility contract: work is cut
 into fixed-size batches, batch i draws from its own counter-based
-Philox stream keyed (seed, i), and batch sums are added in batch order.
+Philox stream keyed (seed, i), each batch is reduced to numpy's sums of
+its values and their squares, and batch sums are added in batch order.
 None of that depends on the worker count, so a given (seed, config)
 gives byte-identical estimates serially or on a pool.
 """
@@ -109,10 +110,12 @@ def _moments(cfg, total, batch, draw):
 
     Units are cut into batches of `batch` (the last one partial), batch
     i draws from _stream(cfg.seed, i), and batches run serially or on
-    cfg.workers threads.  Batch sums are added in batch order with plain
-    +=, not sum() (compensated from Python 3.12) or np.sum (pairwise),
-    so the bytes match for any worker count.  A boolean draw is counted
-    instead of squared: a BLAS dot would fight the pool for the cores.
+    cfg.workers threads.  Every draw (0/1 flags, integer counts, float
+    kernels) is reduced alike, by numpy's sums of the values and of their
+    squares as Python scalars: exact ints for bool and integer draws, and
+    no BLAS call to fight the pool for the cores.  Batch sums are added
+    in batch order with plain +=, not sum() (compensated from Python
+    3.12), so the bytes match for any worker count.
     """
     sizes = [min(batch, total - k) for k in range(0, total, batch)]
     errstate = np.geterr()      # pool threads start from numpy's defaults
@@ -120,17 +123,14 @@ def _moments(cfg, total, batch, draw):
     def one_batch(i):
         with np.errstate(**errstate):
             vals = draw(_stream(cfg.seed, i), sizes[i])
-            if vals.dtype == bool:      # 0/1: the squares sum to the count
-                return (int(np.count_nonzero(vals)),) * 2
-            vals = np.asarray(vals, dtype=float)
-            return float(vals.sum()), float(vals @ vals)
+            return vals.sum().item(), (vals * vals).sum().item()
 
     if cfg.workers == 1 or len(sizes) == 1:
         parts = map(one_batch, range(len(sizes)))
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             parts = list(pool.map(one_batch, range(len(sizes))))
-    s1 = s2 = 0     # counts stay exact ints; 0 + x == x for a float x
+    s1 = s2 = 0     # 0 + x == x, so an int or a float sum keeps its type
     for a, b in parts:
         s1 += a
         s2 += b
@@ -161,37 +161,36 @@ def sample_chain_stage_snrs(topology, params, rng, size,
                             first_segment="exact"):
     """Draw per-stage SNRs for `size` independent chain realizations.
 
-    Returns (first, hops) where first has shape (size,) and hops has
-    shape (m_relays - 1, size).  Draw order is fixed: the N user RF
-    branches, the first-segment FSO link, then one FSO and one RF draw
-    per remaining hop in hop order.  first_segment selects the exact
-    relay cascade ("exact", the default) or the min of the two segment
-    SNRs ("min", the approximation the closed adaptive-gain forms use).
+    Returns an (m_relays, size) array: row 0 the first segment, row j
+    the j-th remaining hop.  Draw order is fixed: the N user RF branches,
+    the first-segment FSO link, then one FSO and one RF draw per hop in
+    hop order.  first_segment selects the exact relay cascade ("exact",
+    the default) or the min of the two segment SNRs ("min", the
+    approximation the closed adaptive-gain forms use).
     """
     if first_segment not in ("exact", "min"):
         raise ValueError("first_segment must be 'exact' or 'min'")
+    stages = np.empty((topology.m_relays, size))
     g1 = sample_rf_snr(params.gamma_bar_rf, rng,
                        size=(topology.n_users, size)).max(axis=0)
     g2 = sample_fso_snr(params, rng, size=size)
     if first_segment == "min":
-        first = np.minimum(g1, g2)
+        stages[0] = np.minimum(g1, g2)
     elif topology.first_segment_mode is GainMode.ADAPTIVE:
-        first = af_adaptive_snr(g1, g2)
+        stages[0] = af_adaptive_snr(g1, g2)
     else:
-        first = af_fixed_snr(g1, g2, params.c_gain)
-    hops = np.empty((topology.m_relays - 1, size))
-    for j in range(topology.m_relays - 1):
+        stages[0] = af_fixed_snr(g1, g2, params.c_gain)
+    for j in range(1, topology.m_relays):
         fso = sample_fso_snr(params, rng, size=size)
         rf = sample_rf_snr(params.gamma_bar_rf, rng, size=size)
-        hops[j] = np.maximum(fso, rf)
-    return first, hops
+        stages[j] = np.maximum(fso, rf)
+    return stages
 
 
 def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
     """Minimum stage SNR over `size` chain realizations."""
-    first, hops = sample_chain_stage_snrs(topology, params, rng, size,
-                                          first_segment)
-    return np.minimum(first, hops.min(axis=0)) if hops.shape[0] else first
+    return sample_chain_stage_snrs(topology, params, rng, size,
+                                   first_segment).min(axis=0)
 
 
 # --------------------------------------------------------------- outage
@@ -234,10 +233,9 @@ def simulate_ber_cascade_xor(topology, params, cfg):
     SNR-level reference for simulate_ber_signal_level.
     """
     def draw(rng, size):
-        first, hops = sample_chain_stage_snrs(topology, params, rng, size)
-        flips = rng.random(size) < 0.5 * np.exp(-first)
-        for hop in hops:
-            flips ^= rng.random(size) < 0.5 * np.exp(-hop)
+        flips = np.zeros(size, dtype=bool)
+        for stage in sample_chain_stage_snrs(topology, params, rng, size):
+            flips ^= rng.random(size) < 0.5 * np.exp(-stage)
         return flips
 
     errors, _ = _moments(cfg, cfg.trials_or_bits, _BATCH, draw)

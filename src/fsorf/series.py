@@ -47,7 +47,12 @@ def series_coeffs(params, n_max):
         raise ValueError("n_max must be non-negative")
     z2 = params.zeta
     c = params.c
-    f0 = gamma_fn(1.0 - z2) * c ** z2
+    try:
+        c_z2 = c ** z2
+    except OverflowError:       # float ** raises where numpy would warn
+        raise FloatingPointError(
+            f"overflow encountered in c ** zeta (c={c:g})") from None
+    f0 = gamma_fn(1.0 - z2) * c_z2
     n = np.arange(n_max + 1)
     # (n+1)! via lgamma keeps the high orders finite
     log_fact = np.array([math.lgamma(k + 2.0) for k in n])

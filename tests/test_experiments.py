@@ -470,6 +470,28 @@ def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
         assert any("encountered in" in e for e in errors), errors
 
 
+def test_extreme_db_ber_failures_name_their_operation(tmp_path):
+    # Python float ** raises a bare OverflowError at -3000 dB, and the
+    # oracle's FSO cut underflows to 0 at 3000 dB; each has to land in
+    # the error column as the floating-point trouble it is
+    errors = {}
+    for db in ("-3000", "3000"):
+        out = tmp_path / f"ber{db}.csv"
+        assert cli.main([
+            "--users", "1", "--relays", "1", f"--gamma-avg-db={db}",
+            "--metric", "ber", "--methods", "closed-form,quadrature",
+            "--out", str(out)]) == 2
+        for point in read_csv(str(out)):
+            errors[db, point.mode] = point.error or ""
+    for (db, mode), error in errors.items():
+        assert "out of range" not in error, (db, mode, error)
+        assert "domain error" not in error, (db, mode, error)
+    assert "closed-form: overflow encountered in c ** zeta (c=1e+150)" \
+        in errors["-3000", GainMode.FIXED]
+    assert "quadrature: overflow encountered in exp" \
+        in errors["3000", GainMode.FIXED]
+
+
 @pytest.mark.parametrize("db,code", [("10", 0), ("-3000", 2)])
 def test_cli_closed_stdout_keeps_the_sweep_status(db, code):
     # the reader of stdout is gone before the CSV is written: no

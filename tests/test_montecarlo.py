@@ -21,6 +21,8 @@ from fsorf.metrics import ber_closed_form, outage_closed_form
 from fsorf.montecarlo import (
     MetricEstimate,
     SimConfig,
+    _moments,
+    _stream,
     differential_encode,
     differential_detect,
     sample_chain_min_snr,
@@ -143,6 +145,30 @@ def test_trial_count_not_multiple_of_batch():
     est = simulate_outage(t, p, SimConfig(trials_or_bits=100000, seed=3))
     assert est.n == 100000
     assert 0.0 <= est.mean <= 1.0
+
+
+def test_moments_reduce_every_draw_one_way():
+    # batches of 1000 over 2500 units: two full batches and a partial one
+    draws = {
+        "bool": lambda rng, size: rng.random(size) < 0.3,
+        "int64": lambda rng, size: rng.integers(0, 250, size),
+        "float": lambda rng, size: 0.5 * np.exp(-rng.exponential(size=size)),
+    }
+    for name, draw in draws.items():
+        batches = [draw(_stream(7, i), size)
+                   for i, size in enumerate((1000, 1000, 500))]
+        want1 = want2 = 0
+        for vals in batches:
+            want1 += vals.sum().item()
+            want2 += (vals * vals).sum().item()
+        got = [_moments(SimConfig(trials_or_bits=2500, seed=7, workers=w),
+                        2500, 1000, draw) for w in (1, 3)]
+        assert got[0] == got[1] == (want1, want2), name
+        if name != "float":
+            # exact integer sums, equal to the unbatched ones
+            assert all(type(x) is int for x in got[0]), name
+            whole = np.concatenate(batches).astype(object)
+            assert got[0] == (sum(whole), sum(whole * whole)), name
 
 
 # ------------------------------------------------------------ validation
