@@ -175,17 +175,22 @@ def ne_pe_snr_cdf(gamma, params):
     return out.reshape(np.shape(gamma))
 
 
-def sample_fso_snr(params, rng, size=None):
-    """Draw FSO SNR as gamma_bar_fso * (h_a h_p)^2.
+def sample_fso_gain(params, rng, size=None):
+    """Draw the composite FSO gain I = h_a h_p.
 
     h_a is inverse-CDF exponential; h_p is a0 * U^(1/xi^2), the inverse
     CDF of the pointing-error gain law.  Each call draws two uniforms per
-    sample, turbulence first.
+    sample, turbulence first.  The law depends on lam, a0 and xi only.
     """
     u1 = rng.random(size=size)
     h_a = -np.log1p(-u1) / params.lam
     h_p = params.a0 * rng.random(size=size) ** (1.0 / params.zeta)
-    i = h_a * h_p
+    return h_a * h_p
+
+
+def sample_fso_snr(params, rng, size=None):
+    """Draw FSO SNR as gamma_bar_fso * I^2, I from sample_fso_gain."""
+    i = sample_fso_gain(params, rng, size)
     return params.gamma_bar_fso * i * i
 
 

@@ -12,10 +12,12 @@ comma separated and the SNR axis is `start:step:stop`.  spec_from_sources
 resolves presets and defaults and anchors every complaint to its source
 line.
 
-Reproducibility: every point reuses the same simulation seed, so the
-Monte-Carlo columns of neighboring points share their random draws
-(common random numbers).  Curves come out smooth in the abscissa and a
-fixed (spec, seed) pair yields a byte-identical CSV at any worker
+Reproducibility: the Monte-Carlo column of a curve, the points of one
+(mode, users, relays, lambda) that differ only in gamma_avg, is drawn
+once per curve: every point is scored from the same random draws
+(common random numbers), each point's cell equal to what a one-point
+run with the same seed gives.  Curves come out smooth in the abscissa
+and a fixed (spec, seed) pair yields a byte-identical CSV at any worker
 count.
 """
 
@@ -41,8 +43,8 @@ from .metrics import ber_closed_form, ber_quadrature, outage_closed_form
 from .montecarlo import (
     MetricEstimate,
     SimConfig,
-    simulate_ber_snr_level,
-    simulate_outage,
+    simulate_ber_snr_level_curve,
+    simulate_outage_curve,
 )
 from .special import ConvergenceError
 
@@ -367,18 +369,21 @@ def _quadrature(spec, topology, params):
         end_to_end_outage_semianalytic, topology, params))
 
 
-def _monte_carlo(spec, topology, params):
+def _monte_carlo(spec, topology, levels):
     # the closed adaptive-gain forms are built on the min combiner, so
     # their Monte-Carlo column must sample the same quantity
     first_segment = ("min" if topology.first_segment_mode is GainMode.ADAPTIVE
                      else "exact")
-    simulate = (simulate_outage if spec.metric is Metric.OUTAGE
-                else simulate_ber_snr_level)
-    return simulate(topology, params, spec.sim, first_segment=first_segment)
+    simulate = (simulate_outage_curve if spec.metric is Metric.OUTAGE
+                else simulate_ber_snr_level_curve)
+    return simulate(topology, levels, spec.sim, first_segment=first_segment)
 
 
 # method -> route, in the canonical column order; each route looks up the
-# metric functions at call time, so monkeypatching and tracing reach them
+# metric functions at call time, so monkeypatching and tracing reach them.
+# The closed-form and quadrature routes take one point's LinkParams; the
+# Monte-Carlo route takes a curve's and returns a cell or an exception
+# per point
 _ROUTES = {
     METHOD_CLOSED: _closed_form,
     METHOD_QUADRATURE: _quadrature,
@@ -386,22 +391,30 @@ _ROUTES = {
 }
 
 
-def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db):
+def _link_params(spec, lam, gamma_avg_db):
     gamma = db_to_linear(gamma_avg_db)
-    params = LinkParams(
+    return LinkParams(
         gamma_bar_rf=gamma, gamma_bar_fso=gamma, lam=lam, a0=1.0,
         xi=spec.xi, gamma_th=db_to_linear(spec.gamma_th_db))
+
+
+def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db, mc):
+    """One sweep point; mc is its Monte-Carlo cell or exception, or None
+    when the method is not run."""
+    params = _link_params(spec, lam, gamma_avg_db)
     topology = Topology(n_users=n, m_relays=m, first_segment_mode=mode)
     cells = {}
     errors = []
-    # floating-point trouble lands in the error column, not on stderr;
-    # underflow is routine in the quadrature rules' tails
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for method in spec.methods:
-            try:
-                cells[method] = _ROUTES[method](spec, topology, params)
-            except Exception as exc:
-                errors.append(f"{method}: {exc}")
+    for method in spec.methods:
+        try:
+            cell = (mc if method == METHOD_MC
+                    else _ROUTES[method](spec, topology, params))
+        except Exception as exc:
+            cell = exc
+        if isinstance(cell, Exception):
+            errors.append(f"{method}: {cell}")
+        else:
+            cells[method] = cell
 
     return CurvePoint(
         preset=spec.preset, mode=mode, metric=spec.metric, n_users=n,
@@ -414,13 +427,31 @@ def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db):
 def run_experiment(spec):
     """Evaluate every sweep point; write the CSV when out_path is set.
 
-    Points run in sweep order in the calling thread; spec.sim.workers
-    threads only the Monte-Carlo batches inside a point.  Method
-    failures land in the point's error field and the run continues.
+    Curves, the points of one (mode, users, relays, lambda), run in
+    sweep order in the calling thread.  The Monte-Carlo route runs once
+    per curve and scores all its points from one set of draws;
+    spec.sim.workers threads only the Monte-Carlo batches inside a
+    curve.  Method failures land in the point's error field and the run
+    continues.
     """
-    points = [_evaluate_point(spec, *args) for args in itertools.product(
-        spec.modes, spec.n_users, spec.m_relays, spec.lam,
-        spec.gamma_avg_db)]
+    points = []
+    # floating-point trouble lands in the error column, not on stderr;
+    # underflow is routine in the quadrature rules' tails
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for mode, n, m, lam in itertools.product(
+                spec.modes, spec.n_users, spec.m_relays, spec.lam):
+            mc = [None] * len(spec.gamma_avg_db)
+            if METHOD_MC in spec.methods:
+                topology = Topology(n_users=n, m_relays=m,
+                                    first_segment_mode=mode)
+                levels = [_link_params(spec, lam, g)
+                          for g in spec.gamma_avg_db]
+                try:
+                    mc = _ROUTES[METHOD_MC](spec, topology, levels)
+                except Exception as exc:
+                    mc = [exc] * len(levels)
+            points.extend(_evaluate_point(spec, mode, n, m, lam, g, cell)
+                          for g, cell in zip(spec.gamma_avg_db, mc))
     if spec.out_path:
         write_csv(points, spec.out_path)
     return points

@@ -1,15 +1,26 @@
 """Monte-Carlo simulation of the relay chain: four estimators.
 
 simulate_outage, simulate_ber_snr_level and simulate_ber_cascade_xor
-draw one (m_relays, size) array of stage SNRs and apply the threshold
-test, the DBPSK conditional error kernel of the chain minimum, or one
-XORed bit flip per detection stage.  simulate_ber_signal_level pushes
-complex-baseband DBPSK symbols through the sampled channel gains and
-counts the bit errors of differential detection.  Each is a
-draw(rng, size) body plus a Wilson or normal interval builder.
+build one (m_relays, size) array of stage SNRs per batch and apply the
+threshold test, the DBPSK conditional error kernel of the chain
+minimum, or one XORed bit flip per detection stage.
+simulate_ber_signal_level pushes complex-baseband DBPSK symbols through
+the sampled channel gains and counts the bit errors of differential
+detection.  Each ends in a Wilson or normal interval builder.
 
-One core, _moments, holds the reproducibility contract: work is cut
-into fixed-size batches, batch i draws from its own counter-based
+Common random numbers, drawn once per curve: simulate_outage_curve and
+simulate_ber_snr_level_curve score every average-SNR level of a curve
+from the same draws.  Every stage SNR is its mean times a unit draw,
+so each batch draws the unit quantities once (the users' best unit RF
+SNR, the first-segment FSO gain, each hop's FSO gain and unit RF SNR)
+and builds each level's stages from them with the arithmetic, in the
+order, of a draw at that level alone.  A positive factor commutes
+exactly with the max over users, so each level's estimate is bit for
+bit the one-level estimate: simulate_outage and simulate_ber_snr_level
+are the curves' one-level case.
+
+One batch runner, _batches, holds the reproducibility contract: work is
+cut into fixed-size batches, batch i draws from its own counter-based
 Philox stream keyed (seed, i), each batch is reduced to numpy's sums of
 its values and their squares, and batch sums are added in batch order.
 None of that depends on the worker count, so a given (seed, config)
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import sample_fso_snr, sample_rf_snr
+from .channels import sample_fso_gain, sample_fso_snr, sample_rf_snr
 from .composition import GainMode, af_adaptive_snr, af_fixed_snr
 
 _BATCH = 1 << 16
@@ -105,33 +116,46 @@ def _stream(seed, index):
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _moments(cfg, total, batch, draw):
-    """Sums of draw(rng, size) and of its squares over `total` units.
+def _batches(cfg, total, batch, work):
+    """Yield work(rng, size) of every batch, in batch order.
 
     Units are cut into batches of `batch` (the last one partial), batch
     i draws from _stream(cfg.seed, i), and batches run serially or on
-    cfg.workers threads.  Every draw (0/1 flags, integer counts, float
-    kernels) is reduced alike, by numpy's sums of the values and of their
-    squares as Python scalars: exact ints for bool and integer draws, and
-    no BLAS call to fight the pool for the cores.  Batch sums are added
-    in batch order with plain +=, not sum() (compensated from Python
-    3.12), so the bytes match for any worker count.
+    cfg.workers threads under the caller's numpy error state.  An
+    exception of work is raised at its batch's turn.
     """
     sizes = [min(batch, total - k) for k in range(0, total, batch)]
     errstate = np.geterr()      # pool threads start from numpy's defaults
 
     def one_batch(i):
         with np.errstate(**errstate):
-            vals = draw(_stream(cfg.seed, i), sizes[i])
-            return vals.sum().item(), (vals * vals).sum().item()
+            return work(_stream(cfg.seed, i), sizes[i])
 
     if cfg.workers == 1 or len(sizes) == 1:
-        parts = map(one_batch, range(len(sizes)))
+        yield from map(one_batch, range(len(sizes)))
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(one_batch, range(len(sizes))))
+            yield from pool.map(one_batch, range(len(sizes)))
+
+
+def _sums(vals):
+    """numpy's sums of vals and of its squares, as Python scalars."""
+    return vals.sum().item(), (vals * vals).sum().item()
+
+
+def _moments(cfg, total, batch, draw):
+    """Sums of draw(rng, size) and of its squares over `total` units.
+
+    The units run in _batches.  Every draw (0/1 flags, integer counts,
+    float kernels) is reduced alike by _sums: exact ints for bool and
+    integer draws, and no BLAS call to fight the pool for the cores.
+    Batch sums are added in batch order with plain +=, not sum()
+    (compensated from Python 3.12), so the bytes match for any worker
+    count.
+    """
     s1 = s2 = 0     # 0 + x == x, so an int or a float sum keeps its type
-    for a, b in parts:
+    for a, b in _batches(cfg, total, batch,
+                         lambda rng, size: _sums(draw(rng, size))):
         s1 += a
         s2 += b
     return s1, s2
@@ -157,6 +181,54 @@ def _normal_estimate(s1, s2, units, per_unit=1):
 
 # ---------------------------------------------------------- chain draws
 
+def _unit_draws(topology, params, rng, size):
+    """The SNR-free draws of `size` chain realizations, in draw order.
+
+    Returns (users, first, hops): the best of the N users' unit-mean RF
+    SNRs, the first-segment FSO gain, and one (FSO gain, unit RF SNR)
+    pair per remaining hop.  The uniforms are those of a draw at any
+    mean SNR: the N user RF branches, the first-segment FSO link, then
+    one FSO and one RF draw per hop in hop order.  Only lam, a0 and xi
+    of params are read.
+    """
+    # sample_rf_snr(g, ...) is exactly g times sample_rf_snr(1.0, ...)
+    users = sample_rf_snr(1.0, rng, size=(topology.n_users, size))
+    first = sample_fso_gain(params, rng, size=size)
+    hops = [(sample_fso_gain(params, rng, size=size),
+             sample_rf_snr(1.0, rng, size=size))
+            for _ in range(1, topology.m_relays)]
+    return users.max(axis=0), first, hops
+
+
+def _stage_snrs(topology, params, unit, first_segment):
+    """The (m_relays, size) stage SNRs of params from _unit_draws output.
+
+    Each SNR is formed as sample_rf_snr and sample_fso_snr form it, and
+    the mean RF SNR multiplies the users' maximum: a positive factor
+    commutes exactly with the max, so the stages are bit for bit those
+    of a draw at params.
+    """
+    users, first, hops = unit
+    stages = np.empty((topology.m_relays, users.size))
+    g1 = params.gamma_bar_rf * users
+    g2 = params.gamma_bar_fso * first * first
+    if first_segment == "min":
+        stages[0] = np.minimum(g1, g2)
+    elif topology.first_segment_mode is GainMode.ADAPTIVE:
+        stages[0] = af_adaptive_snr(g1, g2)
+    else:
+        stages[0] = af_fixed_snr(g1, g2, params.c_gain)
+    for j, (gain, rf) in enumerate(hops, start=1):
+        stages[j] = np.maximum(params.gamma_bar_fso * gain * gain,
+                               params.gamma_bar_rf * rf)
+    return stages
+
+
+def _check_first_segment(first_segment):
+    if first_segment not in ("exact", "min"):
+        raise ValueError("first_segment must be 'exact' or 'min'")
+
+
 def sample_chain_stage_snrs(topology, params, rng, size,
                             first_segment="exact"):
     """Draw per-stage SNRs for `size` independent chain realizations.
@@ -168,23 +240,10 @@ def sample_chain_stage_snrs(topology, params, rng, size,
     the default) or the min of the two segment SNRs ("min", the
     approximation the closed adaptive-gain forms use).
     """
-    if first_segment not in ("exact", "min"):
-        raise ValueError("first_segment must be 'exact' or 'min'")
-    stages = np.empty((topology.m_relays, size))
-    g1 = sample_rf_snr(params.gamma_bar_rf, rng,
-                       size=(topology.n_users, size)).max(axis=0)
-    g2 = sample_fso_snr(params, rng, size=size)
-    if first_segment == "min":
-        stages[0] = np.minimum(g1, g2)
-    elif topology.first_segment_mode is GainMode.ADAPTIVE:
-        stages[0] = af_adaptive_snr(g1, g2)
-    else:
-        stages[0] = af_fixed_snr(g1, g2, params.c_gain)
-    for j in range(1, topology.m_relays):
-        fso = sample_fso_snr(params, rng, size=size)
-        rf = sample_rf_snr(params.gamma_bar_rf, rng, size=size)
-        stages[j] = np.maximum(fso, rf)
-    return stages
+    _check_first_segment(first_segment)
+    return _stage_snrs(topology, params,
+                       _unit_draws(topology, params, rng, size),
+                       first_segment)
 
 
 def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
@@ -193,7 +252,72 @@ def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
                                    first_segment).min(axis=0)
 
 
+# ---------------------------------------------------------------- curves
+
+def _curve(topology, levels, cfg, first_segment, score, estimate):
+    """estimate(s1, s2) of score(chain minimum, level) at every level.
+
+    s1 and s2 are the sums of the score and of its square over
+    cfg.trials_or_bits trials.  Every batch draws the unit quantities
+    once and builds, scores and reduces one level at a time, so no
+    (levels, size) array is ever formed.  A level that raises in a batch
+    gets, in place of its estimate, its first exception in batch order;
+    an exception of the shared draws counts for every level.
+    """
+    _check_first_segment(first_segment)
+    law = (levels[0].lam, levels[0].a0, levels[0].xi)
+    if any((p.lam, p.a0, p.xi) != law for p in levels):
+        raise ValueError("the levels of a curve share their draws, so they "
+                         "must have equal lam, a0 and xi")
+
+    def one_batch(rng, size):
+        try:
+            unit = _unit_draws(topology, levels[0], rng, size)
+        except Exception as exc:
+            return [exc] * len(levels)
+        sums = []
+        for params in levels:
+            try:
+                low = _stage_snrs(topology, params, unit,
+                                  first_segment).min(axis=0)
+                sums.append(_sums(score(low, params)))
+            except Exception as exc:
+                sums.append(exc)
+        return sums
+
+    # only a level's first exception is kept, so the others and the
+    # batch arrays their tracebacks hold are freed batch by batch
+    totals = [(0, 0)] * len(levels)
+    for part in _batches(cfg, cfg.trials_or_bits, _BATCH, one_batch):
+        totals = [old if isinstance(old, Exception)
+                  else new if isinstance(new, Exception)
+                  else (old[0] + new[0], old[1] + new[1])
+                  for old, new in zip(totals, part)]
+    return [t if isinstance(t, Exception) else estimate(*t) for t in totals]
+
+
+def _one_level(curve):
+    (estimate,) = curve
+    if isinstance(estimate, Exception):
+        raise estimate
+    return estimate
+
+
 # --------------------------------------------------------------- outage
+
+def simulate_outage_curve(topology, levels, cfg, first_segment="exact"):
+    """simulate_outage at every LinkParams of `levels`, from one draw set.
+
+    The levels may differ in gamma_bar_rf, gamma_bar_fso, gamma_th and
+    c_gain, and must share lam, a0 and xi.  Returns one MetricEstimate
+    per level, equal to simulate_outage at that level alone, or in its
+    place the exception that level raised.
+    """
+    n = cfg.trials_or_bits
+    return _curve(topology, levels, cfg, first_segment,
+                  lambda low, p: low < p.gamma_th,
+                  lambda hits, _: _wilson_estimate(hits, n))
+
 
 def simulate_outage(topology, params, cfg, first_segment="exact"):
     """Outage frequency of the chain with a Wilson 95% interval.
@@ -201,15 +325,23 @@ def simulate_outage(topology, params, cfg, first_segment="exact"):
     A trial is an outage when any stage SNR falls below gamma_th,
     equivalently when the chain minimum does.
     """
-    def draw(rng, size):
-        return sample_chain_min_snr(topology, params, rng, size,
-                                    first_segment) < params.gamma_th
-
-    hits, _ = _moments(cfg, cfg.trials_or_bits, _BATCH, draw)
-    return _wilson_estimate(hits, cfg.trials_or_bits)
+    return _one_level(simulate_outage_curve(topology, [params], cfg,
+                                            first_segment))
 
 
 # ------------------------------------------------------- SNR-level BER
+
+def simulate_ber_snr_level_curve(topology, levels, cfg,
+                                 first_segment="exact"):
+    """simulate_ber_snr_level at every LinkParams of `levels`.
+
+    Levels and return value as in simulate_outage_curve.
+    """
+    n = cfg.trials_or_bits
+    return _curve(topology, levels, cfg, first_segment,
+                  lambda low, p: 0.5 * np.exp(-low),
+                  lambda s1, s2: _normal_estimate(s1, s2, n))
+
 
 def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):
     """DBPSK bit error rate from per-stage SNR draws.
@@ -217,12 +349,8 @@ def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):
     Averages the conditional kernel exp(-g)/2 of the chain-minimum SNR,
     which is exactly the quantity the closed forms integrate.
     """
-    def draw(rng, size):
-        return 0.5 * np.exp(-sample_chain_min_snr(topology, params, rng,
-                                                  size, first_segment))
-
-    s1, s2 = _moments(cfg, cfg.trials_or_bits, _BATCH, draw)
-    return _normal_estimate(s1, s2, cfg.trials_or_bits)
+    return _one_level(simulate_ber_snr_level_curve(topology, [params], cfg,
+                                                   first_segment))
 
 
 def simulate_ber_cascade_xor(topology, params, cfg):

@@ -470,6 +470,33 @@ def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
         assert any("encountered in" in e for e in errors), errors
 
 
+def test_monte_carlo_curve_point_fails_alone(tmp_path):
+    # one set of draws serves the whole curve; the unknown-csi
+    # Monte-Carlo cell overflows at 3000 dB, and only its row says so
+    def run(db):
+        out = tmp_path / f"run{db}.csv"
+        cli.main(["--users", "1", "--relays", "1", f"--gamma-avg-db={db}",
+                  "--trials", "140000", "--workers", "2", "--out", str(out)])
+        return str(out)
+
+    def rows(path):
+        with open(path) as handle:
+            return handle.read().splitlines()[1:]
+
+    levels = ("-3000", "0", "3000")
+    curve = run("-3000:3000:3000")
+    single = {db: rows(run(db)) for db in levels}
+    # each single-point run has a known-csi and an unknown-csi row
+    assert rows(curve) == [single[db][k] for k in (0, 1) for db in levels]
+
+    points = read_csv(curve)
+    failed = [(p.mode, p.gamma_avg_db) for p in points
+              if "monte-carlo:" in (p.error or "")]
+    assert failed == [(GainMode.FIXED, 3000.0)]
+    assert "monte-carlo: overflow encountered in multiply" in points[-1].error
+    assert all(p.mc is not None for p in points[:-1])
+
+
 def test_extreme_db_ber_failures_name_their_operation(tmp_path):
     # Python float ** raises a bare OverflowError at -3000 dB, and the
     # oracle's FSO cut underflows to 0 at 3000 dB; each has to land in

@@ -5,31 +5,44 @@ deterministic; 3-sigma gates were chosen against values measured at
 much higher trial counts.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from fsorf.channels import LinkParams, db_to_linear, sample_rf_snr
+from fsorf.channels import (
+    LinkParams,
+    db_to_linear,
+    sample_fso_snr,
+    sample_rf_snr,
+)
 from fsorf.composition import (
     GainMode,
     Topology,
+    af_adaptive_snr,
+    af_fixed_snr,
     end_to_end_outage_semianalytic,
 )
 from fsorf.metrics import ber_closed_form, outage_closed_form
 from fsorf.montecarlo import (
+    _BATCH,
     MetricEstimate,
     SimConfig,
     _moments,
+    _normal_estimate,
     _stream,
+    _wilson_estimate,
     differential_encode,
     differential_detect,
     sample_chain_min_snr,
     simulate_ber_cascade_xor,
     simulate_ber_signal_level,
     simulate_ber_snr_level,
+    simulate_ber_snr_level_curve,
     simulate_outage,
+    simulate_outage_curve,
     wilson_interval,
 )
 
@@ -127,6 +140,103 @@ def test_estimates_pinned_to_random_stream():
                 == pytest.approx((mean, low, high), rel=1e-12), (name, w)
         runs.append(got)
     assert runs[0] == runs[1]
+
+
+def _level(rf_db, fso_db, th_db, c_gain):
+    return LinkParams(gamma_bar_rf=db_to_linear(rf_db),
+                      gamma_bar_fso=db_to_linear(fso_db), lam=1.0, a0=1.0,
+                      xi=XI, gamma_th=db_to_linear(th_db), c_gain=c_gain)
+
+
+# levels of one curve: unequal RF and FSO means, own threshold and gain
+CURVE_LEVELS = (_level(5.0, 12.0, 8.0, 1.0), _level(15.0, 9.0, 10.0, 3.7),
+                _level(25.0, 30.0, 20.0, 0.5))
+# name -> curve estimator, point estimator, chain, first segment, and the
+# point estimates at CURVE_LEVELS recorded from the per-point estimators
+# before they became the curve's one-level case: outage counts, and
+# (mean, ci_low, ci_high) of the BER, at 70,000 trials and seed 5
+CURVE_CASES = {
+    "outage-min": (
+        simulate_outage_curve, simulate_outage,
+        topo(2, 3, GainMode.ADAPTIVE), "min", (68596, 62521, 39621)),
+    "outage-exact-adaptive": (
+        simulate_outage_curve, simulate_outage,
+        topo(2, 3, GainMode.ADAPTIVE), "exact", (69474, 64621, 43050)),
+    "outage-exact-fixed": (
+        simulate_outage_curve, simulate_outage,
+        topo(3, 2, GainMode.FIXED), "exact", (64493, 40670, 10512)),
+    "snr-level": (
+        simulate_ber_snr_level_curve, simulate_ber_snr_level,
+        topo(2, 3, GainMode.FIXED), "exact", (
+            (0.18728196129916092, 0.1861087701489766, 0.18845515244934524),
+            (0.09933162942454266, 0.0981574391810438, 0.10050581966804151),
+            (0.0013607265262093023, 0.0012076902475626455,
+             0.001513762804855959))),
+}
+
+
+def _reference_min_snr(t, p, rng, size, first):
+    # the one-point draw written out with every SNR drawn at its own
+    # mean, the arithmetic the curve must reproduce bit for bit
+    g1 = sample_rf_snr(p.gamma_bar_rf, rng,
+                       size=(t.n_users, size)).max(axis=0)
+    g2 = sample_fso_snr(p, rng, size=size)
+    if first == "min":
+        low = np.minimum(g1, g2)
+    elif t.first_segment_mode is GainMode.ADAPTIVE:
+        low = af_adaptive_snr(g1, g2)
+    else:
+        low = af_fixed_snr(g1, g2, p.c_gain)
+    for _ in range(1, t.m_relays):
+        low = np.minimum(low, np.maximum(
+            sample_fso_snr(p, rng, size=size),
+            sample_rf_snr(p.gamma_bar_rf, rng, size=size)))
+    return low
+
+
+def _reference_estimate(name, t, p, cfg, first):
+    def low(rng, size):
+        return _reference_min_snr(t, p, rng, size, first)
+
+    n = cfg.trials_or_bits
+    if name.startswith("outage"):
+        hits, _ = _moments(cfg, n, _BATCH,
+                           lambda rng, size: low(rng, size) < p.gamma_th)
+        return _wilson_estimate(hits, n)
+    s1, s2 = _moments(cfg, n, _BATCH,
+                      lambda rng, size: 0.5 * np.exp(-low(rng, size)))
+    return _normal_estimate(s1, s2, n)
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CASES))
+def test_curve_scores_each_level_as_its_own_point(name):
+    # 70,000 trials leave a partial second batch
+    curve_fn, point_fn, t, first, recorded = CURVE_CASES[name]
+    for w in (1, 2):
+        cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
+        curve = curve_fn(t, CURVE_LEVELS, cfg, first_segment=first)
+        assert curve == [point_fn(t, p, cfg, first_segment=first)
+                         for p in CURVE_LEVELS], (name, w)
+        assert curve == [_reference_estimate(name, t, p, cfg, first)
+                         for p in CURVE_LEVELS], (name, w)
+        for est, want in zip(curve, recorded):
+            assert est.n == 70000
+            if name.startswith("outage"):
+                assert est.mean == want / est.n, (name, w)
+            else:
+                assert (est.mean, est.ci_low, est.ci_high) \
+                    == pytest.approx(want, rel=1e-12), (name, w)
+
+
+def test_curve_levels_must_share_the_fso_law():
+    cfg = SimConfig(trials_or_bits=10000, seed=5)
+    t = topo(2, 2, GainMode.ADAPTIVE)
+    for field, value in (("lam", 1.2), ("a0", 0.8), ("xi", 1.3)):
+        levels = [CURVE_LEVELS[0],
+                  dataclasses.replace(CURVE_LEVELS[1], **{field: value})]
+        for curve_fn in (simulate_outage_curve, simulate_ber_snr_level_curve):
+            with pytest.raises(ValueError, match="lam, a0 and xi"):
+                curve_fn(t, levels, cfg)
 
 
 def test_seed_changes_estimate():
