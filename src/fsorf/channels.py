@@ -28,7 +28,8 @@ import numpy as np
 
 from .special import gamma_upper
 
-_XI2_FORBIDDEN = (1.0, 2.0, 3.0)
+# the gain and SNR formulas degenerate where xi^2 is a positive integer:
+# a pole of the recurrence, or a logarithmic Meijer-G case
 _XI2_GUARD = 1e-6
 # past X = 40, e^{-X} is below half an ulp of 1 and the FSO SNR CDF rounds
 # to exactly 1, while X^zeta alone may overflow
@@ -67,11 +68,11 @@ class LinkParams:
         if self.a0 > 1.0:
             raise ValueError(f"a0 must lie in (0, 1], got {self.a0}")
         z2 = self.xi * self.xi
-        for bad in _XI2_FORBIDDEN:
-            if abs(z2 - bad) < _XI2_GUARD:
-                raise ValueError(
-                    f"xi^2 = {z2} is within {_XI2_GUARD} of {bad}; the gain "
-                    "and SNR formulas degenerate there")
+        bad = float(np.rint(z2))        # rint keeps an infinite z2
+        if bad >= 1.0 and abs(z2 - bad) < _XI2_GUARD:
+            raise ValueError(
+                f"xi^2 = {z2} is within {_XI2_GUARD} of {bad}; the gain "
+                "and SNR formulas degenerate there")
 
     @property
     def zeta(self):

@@ -6,21 +6,19 @@ function continued to negative first argument, generalized hypergeometric
 series, and the Meijer G-function evaluated at positive real argument with
 real parameter rows.
 
-The Meijer G evaluator offers two independent paths:
+``meijer_g`` sums the Slater residue expansion (DLMF 16.17.2), a finite
+sum of generalized hypergeometric series, one per pole ladder of the
+integrand's numerator gammas.  When two ladder offsets differ by an
+integer the expansion degenerates (a logarithmic case); the evaluator then
+perturbs the coinciding parameters by +/- eps and Richardson extrapolates,
+which keeps the public surface free of special casing.  It is the one
+Meijer-G path in the package; the tests check it against an independent
+Mellin-Barnes contour integral and against mpmath.
 
-* ``meijer_g`` sums the Slater residue expansion (DLMF 16.17.2), a finite
-  sum of generalized hypergeometric series, one per pole ladder of the
-  integrand's numerator gammas.  When two ladder offsets differ by an
-  integer the expansion degenerates (a logarithmic case); the evaluator
-  then perturbs the coinciding parameters by +/- eps and Richardson
-  extrapolates, which keeps the public surface free of special casing.
-* ``meijer_g_contour`` integrates the defining Mellin-Barnes contour
-  integral numerically along a vertical line.  Double poles off the
-  contour are harmless there, so the contour path needs no perturbation
-  and serves as an independent cross-check of the Slater path.
-
-Every integral in the package, the contour path's included, is one
-``trapezoid`` rule of fixed step with a step-halving error check.
+The gamma function and its logarithm come from the ``math`` module and
+the incomplete gamma function is evaluated here, so the module needs
+numpy only.  Every integral in the package is one ``trapezoid`` rule of
+fixed step with a step-halving error check.
 
 Only positive real arguments and real parameters are supported; that is
 all the metric formulas need.
@@ -30,7 +28,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy import special as sc
 
 
 class PoleCollisionError(ValueError):
@@ -46,6 +43,7 @@ class ConvergenceError(ArithmeticError):
 
 
 _INT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 # continued-fraction iterations of the large-x incomplete gamma branch
 _CF_MAX_ITER = 300
 # hypergeometric series: relative term size that counts as negligible,
@@ -54,9 +52,6 @@ _HYP_TOL = 1e-14
 _HYP_MAX_TERMS = 500
 # spread of a logarithmic-case parameter cluster (see meijer_g)
 _LOG_EPS = 1e-3
-# contour rule in t = Im s: on the formula classes the step-halving
-# estimate is 1.3e-13 relative at this step, 1.5e-10 at twice it
-_CONTOUR_STEP, _CONTOUR_RTOL = 1.0 / 64.0, 1e-12
 
 
 def _is_nonpos_int(x):
@@ -66,25 +61,38 @@ def _is_nonpos_int(x):
 def gamma_fn(x):
     """Gamma function with an explicit pole guard.
 
-    Thin wrapper over the library routine; raises ValueError at
-    non-positive integers instead of returning nan/inf so that callers
-    building parameter-dependent prefactors fail loudly.
+    Raises ValueError at non-positive integers instead of returning
+    nan/inf so that callers building parameter-dependent prefactors fail
+    loudly, and FloatingPointError where the value overflows (past
+    x = 171.6), as numpy does for an overflowing array operation.
     """
     if _is_nonpos_int(x):
         raise ValueError(f"gamma_fn pole at non-positive integer argument: {x}")
-    return float(sc.gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise FloatingPointError(
+            f"overflow encountered in gamma (x={x:g})") from None
+
+
+def _lgamma_sign(x):
+    """ln|Gamma(x)| and the sign of Gamma(x), real x off the poles."""
+    sign = -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+    return math.lgamma(x), sign
 
 
 def gamma_upper(a, x):
     """Upper incomplete gamma function Gamma(a, x), any non-integer real a.
 
-    For a > 0 this is the regularized library routine scaled back by
-    Gamma(a).  For a <= 0 (where the library routine is undefined) the
-    value is continued downward with
+    For a > 0 and x < a + 1/2 this is Gamma(a) less the lower function
+    gamma(a, x), summed as a power series (``_gamma_upper_series``); from
+    x = a + 1/2 on, the classical Legendre continued fraction (modified
+    Lentz recursion).  For a <= 0 the series value at the first shift
+    a + k in (1, 2] is continued downward with
 
         Gamma(a, x) = (Gamma(a+1, x) - x^a exp(-x)) / a,
 
-    applied repeatedly from the first shifted argument a + k > 0.
+    and the continued fraction takes over from x = 4.
 
     Parameters
     ----------
@@ -97,41 +105,78 @@ def gamma_upper(a, x):
 
     Notes
     -----
-    Each downward step subtracts nearly equal quantities when x >> |a+j|,
-    losing roughly a factor x/|a+j| of precision, so for x beyond a + 4
-    the same function is evaluated through the classical Legendre
-    continued fraction instead (modified Lentz recursion), which has no
-    cancellation.  The two branches agree to ~1e-13 in the overlap.
+    The series branch loses a factor Gamma(a) / Gamma(a, x) to the
+    subtraction, which grows like 1 / (a E1(x)) as a tends to 0; the
+    switch at a + 1/2 bounds it.  Each downward step subtracts nearly
+    equal quantities when x >> |a+j|, losing roughly a factor x/|a+j|,
+    and the last step divides by a itself, so the error grows as a
+    nears a non-positive integer.  Against 40-digit mpmath over
+    a in (-5, 6), x in [1e-6, 600], the relative error is at most 6e-14
+    for a >= 0.05, 4e-13 for 0 < a < 0.05 and 1.1e-11 for a < 0 (at
+    a = -1e-3).  The series prefactor x^a overflows past a ~ 143.
     """
     a = float(a)
     x_arr = np.asarray(x, dtype=float)
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     if np.any(x_arr < 0):
         raise ValueError("gamma_upper requires x >= 0")
-    if a > 0:
-        out = sc.gammaincc(a, x_arr) * sc.gamma(a)
-        return float(out) if scalar else out
-    if abs(a - round(a)) < _INT_TOL:
-        raise ValueError(f"gamma_upper recurrence undefined at non-positive integer a={a}")
-    if np.any(x_arr == 0):
-        raise ValueError("gamma_upper diverges at x = 0 for a <= 0")
-    x_flat = np.atleast_1d(x_arr).astype(float)
-    out = np.empty_like(x_flat)
-    big = x_flat >= max(4.0, a + 4.0)
+    if a <= 0:
+        if abs(a - round(a)) < _INT_TOL:
+            raise ValueError(
+                f"gamma_upper recurrence undefined at non-positive integer a={a}")
+        if np.any(x_arr == 0):
+            raise ValueError("gamma_upper diverges at x = 0 for a <= 0")
+    x_cf = a + 0.5 if a > 0 else 4.0
+    if x_arr.size == 1:
+        # one value: no masks, and the series runs on floats
+        x_val = float(x_arr.flat[0])
+        v = float(_gamma_upper_cf(a, x_val) if x_val >= x_cf
+                  else _gamma_upper_left(a, x_val))
+        return v if x_arr.ndim == 0 else np.full(x_arr.shape, v)
+    out = np.empty_like(x_arr)
+    big = x_arr >= x_cf
     if np.any(big):
-        out[big] = _gamma_upper_cf(a, x_flat[big])
+        out[big] = _gamma_upper_cf(a, x_arr[big])
     small = ~big
     if np.any(small):
-        k = int(math.ceil(-a)) + 1      # smallest shift with a + k > 0
-        xs = x_flat[small]
-        v = sc.gammaincc(a + k, xs) * sc.gamma(a + k)
-        log_x = np.log(xs)
-        for j in range(k - 1, -1, -1):
-            aj = a + j
-            v = (v - np.exp(aj * log_x - xs)) / aj
-        out[small] = v
-    out = out.reshape(x_arr.shape)
-    return float(out) if scalar else out
+        out[small] = _gamma_upper_left(a, x_arr[small])
+    return out
+
+
+def _gamma_upper_left(a, x):
+    """Gamma(a, x) left of the continued-fraction region, x > 0 if a <= 0."""
+    if a > 0:
+        return _gamma_upper_series(a, x)
+    k = int(math.ceil(-a)) + 1          # shift with a + k in (1, 2]
+    v = _gamma_upper_series(a + k, x)
+    log_x = np.log(x)
+    for j in range(k - 1, -1, -1):
+        aj = a + j
+        v = (v - np.exp(aj * log_x - x)) / aj
+    return v
+
+
+def _gamma_upper_series(a, x):
+    """Gamma(a) - gamma(a, x) for a > 0, x a float or an array.
+
+    gamma(a, x) = x^a e^-x / a * sum_n x^n / ((a+1) ... (a+n)), a series
+    of positive terms summed by Horner's rule.  The term count is the one
+    the largest x needs: past n = 2 max(x) - a every term at most halves
+    the last, so the tail after a term below eps/8 is below eps/8 of the
+    sum, which is at least 1.
+    """
+    x_max = float(np.max(x))
+    coef = []                           # 1 / ((a+1) ... (a+n))
+    c = term = 1.0
+    while term > _EPS / 8.0 or a + len(coef) < 2.0 * x_max:
+        n = len(coef) + 1.0
+        c /= a + n
+        term *= x_max / (a + n)
+        coef.append(c)
+    s = 0.0 * x                         # in place for an array
+    for c in reversed(coef):
+        s += c
+        s *= x
+    return gamma_fn(a) - np.power(x, a) * np.exp(-x) * (1.0 + s) / a
 
 
 def _gamma_upper_cf(a, x):
@@ -159,8 +204,8 @@ def _gamma_upper_cf(a, x):
         d = 1.0 / d
         delta = d * c
         h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) <= np.finfo(float).eps
-        if np.all(done):
+        done |= np.abs(delta - 1.0) <= _EPS
+        if done.all():
             return np.exp(-x + a * np.log(x)) * h
     raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}")
 
@@ -301,34 +346,22 @@ def _slater_sum(params, z):
     total = 0.0
     for k in range(m):
         bk = b[k]
+        numer = ([b[j] - bk for j in range(m) if j != k]
+                 + [1.0 + bk - a[j] for j in range(n)])
+        denom = ([1.0 + bk - b[j] for j in range(m, q)]
+                 + [a[j] - bk for j in range(n, p)])
+        if any(_is_nonpos_int(arg) for arg in denom):
+            continue                        # 1/Gamma at a pole: term vanishes
         log_pref = 0.0
         sign = 1.0
-        skip = False
-        for j in range(m):
-            if j != k:
-                log_pref += sc.gammaln(b[j] - bk)
-                sign *= sc.gammasgn(b[j] - bk)
-        for j in range(n):
-            log_pref += sc.gammaln(1.0 + bk - a[j])
-            sign *= sc.gammasgn(1.0 + bk - a[j])
-        for j in range(m, q):
-            arg = 1.0 + bk - b[j]
-            if _is_nonpos_int(arg):
-                skip = True                 # 1/Gamma at a pole: term vanishes
-                break
-            log_pref -= sc.gammaln(arg)
-            sign *= sc.gammasgn(arg)
-        if skip:
-            continue
-        for j in range(n, p):
-            arg = a[j] - bk
-            if _is_nonpos_int(arg):
-                skip = True
-                break
-            log_pref -= sc.gammaln(arg)
-            sign *= sc.gammasgn(arg)
-        if skip or sign == 0.0:
-            continue
+        for arg in numer:
+            lg, sg = _lgamma_sign(arg)
+            log_pref += lg
+            sign *= sg
+        for arg in denom:
+            lg, sg = _lgamma_sign(arg)
+            log_pref -= lg
+            sign *= sg
         hyper_a = [1.0 + bk - a[j] for j in range(p)]
         hyper_b = [1.0 + bk - b[j] for j in range(q) if j != k]
         val, ok = hyp_pfq(hyper_a, hyper_b, sign_arg * z)
@@ -410,57 +443,3 @@ def trapezoid(integral, lo, hi, step, rtol, what):
             f"{what}: step-halving error {np.ravel(err)[i]:.3g} exceeds "
             f"{np.ravel(tol)[i]:.3g} of {np.ravel(fine)[i]:.6g}")
     return fine
-
-
-def meijer_g_contour(params, z):
-    """Meijer G-function by numerical Mellin-Barnes contour integration.
-
-    Integrates along the vertical line Re s = c0 placed strictly between
-    the rightward pole ladders (from the first m lower parameters) and
-    the leftward ladders (from the first n upper parameters).  Entirely
-    independent of the Slater path: no series expansion, no logarithmic
-    special casing, since repeated poles away from the contour do not
-    affect the line integral.
-
-    Requires m + n > (p + q) / 2 so the integrand decays along the
-    contour.  The integrand is analytic in the strip between the nearest
-    poles, where the trapezoid rule converges exponentially; poles that
-    crowd the contour too closely for its step raise ConvergenceError.
-    """
-    if not isinstance(params, MeijerParams):
-        raise TypeError("params must be a MeijerParams")
-    z = float(z)
-    if not (z > 0.0 and math.isfinite(z)):
-        raise ValueError(f"meijer_g_contour requires z > 0, got {z}")
-    m, n = params.m, params.n
-    a, b = params.a, params.b
-    p, q = params.p, params.q
-    delta = m + n - (p + q) / 2.0
-    if delta <= 0:
-        raise ValueError("contour integrand does not decay: m + n <= (p+q)/2")
-    right = min(b[:m]) if m else math.inf
-    left = max(a[:n]) - 1.0 if n else -math.inf
-    if left >= right:
-        raise ValueError("no straight separating contour for these parameters")
-    if math.isinf(right):
-        c0 = left + 0.5
-    elif math.isinf(left):
-        c0 = right - 0.5
-    else:
-        c0 = 0.5 * (left + right)
-
-    ln_z = math.log(z)
-
-    def integral(t, weights):
-        s = c0 + 1j * t
-        f = np.exp(s * ln_z + sum(sc.loggamma(bj - s) for bj in b[:m])
-                   + sum(sc.loggamma(1.0 - aj + s) for aj in a[:n])
-                   - sum(sc.loggamma(1.0 - bj + s) for bj in b[m:])
-                   - sum(sc.loggamma(aj - s) for aj in a[n:])).real
-        fine, coarse = (float(wt @ f) for wt in weights)
-        return fine, coarse, 64.0 * np.finfo(float).eps * (weights[0] @ abs(f))
-
-    # decay ~ exp(-delta*pi*t/2): pick t_max so the tail is ~1e-18
-    t_max = max(60.0, 2.0 * 18.0 * math.log(10.0) / (delta * math.pi) + 40.0)
-    return trapezoid(integral, 0.0, t_max, _CONTOUR_STEP, _CONTOUR_RTOL,
-                     "Mellin-Barnes contour") / math.pi

@@ -13,6 +13,7 @@ once per curve.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -32,7 +33,9 @@ from fsorf.experiments import run_experiment, spec_from_sources
 from fsorf.metrics import _snr_cdf_meijer, ber_closed_form, ber_quadrature
 from fsorf.montecarlo import SimConfig, simulate_outage_curve
 from fsorf.series import ne_pe_snr_cdf_series, series_coeffs, series_power_coeffs
-from fsorf.special import MeijerParams, gamma_upper, meijer_g, meijer_g_contour
+from fsorf.special import MeijerParams, gamma_upper, meijer_g
+
+from meijer_contour import meijer_g_contour
 
 XI = 1.45
 Z2 = XI * XI
@@ -95,6 +98,14 @@ def test_1_meijer_and_gamma_paths_agree():
             contour_val = meijer_g_contour(p, float(z))
             worst = max(worst, _rel(series_val, contour_val))
         assert worst <= 1e-8, f"{label}: worst path disagreement {worst:.3e}"
+        # both paths against 40-digit mpmath at the grid's ends and middle,
+        # where mpmath.meijerg converges for all six classes
+        for z in grid[[0, grid.size // 2, -1]]:
+            with mpmath.workdps(40):
+                ref = float(mpmath.meijerg([p.a[:p.n], p.a[p.n:]],
+                                           [p.b[:p.m], p.b[p.m:]], float(z)))
+            assert _rel(meijer_g(p, float(z)), ref) <= 1e-8, (label, z)
+            assert _rel(meijer_g_contour(p, float(z)), ref) <= 1e-12, (label, z)
 
     # upper incomplete gamma against a direct scaled quadrature oracle,
     # Gamma(a, x) = e^{-x} Int_0^inf (x+u)^{a-1} e^{-u} du, split at u = 5x

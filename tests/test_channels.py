@@ -46,7 +46,8 @@ def test_params_reject_a0_above_one():
 
 
 @pytest.mark.parametrize("xi", [1.0, math.sqrt(2.0), math.sqrt(3.0),
-                                math.sqrt(2.0 + 5e-7)])
+                                math.sqrt(2.0 + 5e-7), 2.0, math.sqrt(5.0),
+                                3.0])
 def test_params_reject_degenerate_xi(xi):
     with pytest.raises(ValueError):
         default_params(xi=xi)

@@ -426,6 +426,21 @@ def test_cli_bad_config_key_is_config_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_cli_integer_zeta_is_config_error(capsys, monkeypatch):
+    # at xi = 2 (zeta = 4) the closed form came out 0.15% off with no
+    # error, and the quadrature hit a pole of the gamma recurrence
+    def never(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("fsorf.cli.run_experiment", never)
+    assert cli.main(["--users", "1", "--relays", "2", "--xi", "2",
+                     "--gamma-avg-db", "20",
+                     "--methods", "closed-form,quadrature"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "xi^2 = 4.0 is within 1e-06 of 4.0" in err
+
+
 def test_cli_missing_config_file(capsys):
     assert cli.main(["--config", "/nonexistent/sweep.cfg"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -543,15 +558,16 @@ def test_cli_closed_stdout_keeps_the_sweep_status(db, code):
     assert ("mode=known-csi" in err) == (code == 2), err
 
 
-def test_cli_import_loads_no_scipy_integrate():
-    # every integral in fsorf is special.trapezoid; scipy.integrate
-    # would drag scipy.optimize, scipy.sparse and scipy.linalg in too
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency: fsorf evaluates its special
+    # functions and integrals itself, and importing scipy.special alone
+    # would double the start-up time of every sweep
     src = os.path.dirname(os.path.dirname(fsorf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, fsorf.cli; print(sorted(m for m "
-         "in sys.modules if m.startswith('scipy.integrate')))"],
+         "in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]", proc.stdout

@@ -1,12 +1,13 @@
 """Unit tests for the special-function layer.
 
 Frozen reference values come from 40-digit mpmath evaluation, except where
-a value has a closed elementary form or is pinned by the module's own
-independent contour-integration path (noted inline).
+a value has a closed elementary form or is pinned by the independent
+contour-integration oracle of meijer_contour.py (noted inline).
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,12 +15,14 @@ from fsorf.special import (
     ConvergenceError,
     MeijerParams,
     PoleCollisionError,
+    _lgamma_sign,
     gamma_fn,
     gamma_upper,
     hyp_pfq,
     meijer_g,
-    meijer_g_contour,
 )
+
+from meijer_contour import meijer_g_contour
 
 XI = 1.45
 Z2 = XI * XI
@@ -50,10 +53,30 @@ def test_gamma_reflection_negative_argument():
     assert lhs == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-12)
 
 
-@pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
+@pytest.mark.parametrize("x", [0.0, -1.0, -7.0, 1e-320, -3.0 + 1e-11])
 def test_gamma_pole_rejected(x):
-    with pytest.raises(ValueError):
+    # the guard answers within 1e-9 of a pole, before math.gamma
+    # overflows (1e-320) or returns a huge finite value (-3 + 1e-11)
+    with pytest.raises(ValueError, match="pole"):
         gamma_fn(x)
+
+
+def test_gamma_overflow_is_a_floating_point_error():
+    # math.gamma raises OverflowError past x = 171.6; gamma_fn reports it
+    # the way numpy reports an overflowing array operation
+    assert gamma_fn(171.5) == pytest.approx(9.483367566824795e307, rel=1e-13)
+    with pytest.raises(FloatingPointError, match="overflow encountered in gamma"):
+        gamma_fn(172.5)
+
+
+def test_lgamma_sign_matches_gamma():
+    for x in np.linspace(-7.9, 5.0, 1000):
+        if abs(x - round(x)) < 1e-6:
+            continue
+        log_abs, sign = _lgamma_sign(float(x))
+        g = math.gamma(float(x))
+        assert sign == math.copysign(1.0, g)
+        assert math.exp(log_abs) == pytest.approx(abs(g), rel=1e-13)
 
 
 # ------------------------------------------------------------- gamma_upper
@@ -99,6 +122,39 @@ def test_gamma_upper_continued_fraction_converges_at_huge_x():
     xs = np.array([9005713731203060.0, 2.3797363016302988e16, 1e20])
     for a in (-1.1025, -5.25):
         assert np.all(gamma_upper(a, xs) == 0.0)
+
+
+# every non-integer a on (-5, 6) in steps of 0.2, small |a| and the orders
+# the presets reach; x across the series, recurrence and continued-fraction
+# branches
+_GRID_A = sorted({round(v, 10) for v in np.arange(-4.9, 6.0, 0.2)}
+                 | {1e-3, -1e-3, 0.05, 0.19, -0.19, 0.36, -1.1025})
+_GRID_X = np.geomspace(1e-6, 600.0, 80)
+
+
+def test_gamma_upper_against_mpmath_grid():
+    """Worst relative error against 40-digit mpmath, per band of a.
+
+    For small a > 0 the series loses about 1/(a E1(x)) to its
+    subtraction, and for a < 0 the last downward step divides by a (the
+    worst point is a = -1e-3, at 1.0e-11).  Arrays, one-element arrays
+    and floats take different paths, so all three are checked.
+    """
+    worst = {}
+    with mpmath.workdps(40):
+        for a in _GRID_A:
+            ref = np.array([float(mpmath.gammainc(a, float(x)))
+                            for x in _GRID_X])
+            got = [gamma_upper(a, _GRID_X),
+                   [gamma_upper(a, float(x)) for x in _GRID_X],
+                   [gamma_upper(a, _GRID_X[i:i + 1])[0] for i in range(80)]]
+            worst[a] = max(np.max(np.abs(np.asarray(g) / ref - 1.0))
+                           for g in got)
+    for lo, hi, bound in [(0.05, math.inf, 1e-13), (0.0, 0.05, 1e-12),
+                          (-math.inf, 0.0, 3e-11)]:
+        band = {a: e for a, e in worst.items() if lo <= a < hi}
+        a = max(band, key=band.get)
+        assert band[a] <= bound, f"a in [{lo}, {hi}): {band[a]:.3g} at a={a}"
 
 
 def test_gamma_upper_rejects_bad_input():
