@@ -21,13 +21,14 @@ and Monte-Carlo paths can share one composition rule.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ne_pe_snr_cdf, rayleigh_snr_cdf, rayleigh_snr_pdf
-from .special import MeijerParams, meijer_g, trapezoid
+from .special import _ROW_PLANS, MeijerParams, meijer_g, trapezoid
 
 
 class GainMode(enum.Enum):
@@ -120,11 +121,16 @@ def second_relay_cdf_adaptive(gamma, n, params):
 def _fixed_kernel_params(z2, arg, *lead):
     # prefactor and G^{5,2}_{4,7} row of the fixed-gain kernels at arg;
     # the error-rate kernel's G^{5,3}_{5,7} prepends one upper parameter
+    pref = (z2 * 2.0 ** (-1.0 - z2) / math.sqrt(math.pi)) * arg ** (z2 / 2.0)
+    return pref, _fixed_kernel_row(z2, lead)
+
+
+@functools.lru_cache(maxsize=_ROW_PLANS)
+def _fixed_kernel_row(z2, lead):
     a = lead + (1.0 - z2 / 2.0, (1.0 - z2) / 2.0, 0.5, 1.0)
     b = ((1.0 - z2) / 2.0, 1.0 - z2 / 2.0, 1.0 - z2 / 2.0, 0.0, 0.5,
          (1.0 - z2) / 2.0, -z2 / 2.0)
-    pref = (z2 * 2.0 ** (-1.0 - z2) / math.sqrt(math.pi)) * arg ** (z2 / 2.0)
-    return pref, MeijerParams(m=5, n=2 + len(lead), a=a, b=b)
+    return MeijerParams(m=5, n=2 + len(lead), a=a, b=b)
 
 
 def fixed_segment_kernel(gamma, s, params):

@@ -27,6 +27,7 @@ the running total (hard cap _N_MAX); the reported truncation estimate
 is the magnitude of those final blocks.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ import numpy as np
 from .composition import (LOG_STEP, GainMode, _fixed_kernel_params,
                           fixed_segment_kernel)
 from .series import series_coeffs, series_power_coeffs
-from .special import (ConvergenceError, MeijerParams, gamma_fn, meijer_g,
-                      trapezoid)
+from .special import (_ROW_PLANS, ConvergenceError, MeijerParams, gamma_fn,
+                      meijer_g, trapezoid)
 
 _BLOCK_TOL = 1e-12
 _BLOCK_RUN = 3
@@ -45,6 +46,10 @@ _N_MAX = 200
 # gate on the BER kernels' distance outside their provable range; the
 # floor of the closed-form vs quadrature BER tolerance
 _KERNEL_TOL = 1e-6
+# rounding floor of a chain sum, in units of 1 + sum |term|: a value
+# outside [0, 1] (outage) or [0, 1/2] (error rate) by more than this is
+# no rounding error and raises instead of being clamped
+_CLAMP_ULPS = 4.0 * np.finfo(float).eps
 # u = ln gamma span of the error-rate rule: its integrand e^{u - e^u} F
 # leaves out at most e^-60 below and e^-50 above; relative tolerance
 _BER_LN_LO, _BER_LN_HI, _BER_RTOL = -60.0, math.log(50.0), 1e-12
@@ -77,11 +82,16 @@ def _snr_cdf_meijer(gamma, params):
 def _ber_kernel_adaptive(h_exp, sigma, params):
     # int_0^inf e^{-sigma g} g^H F_FSO(g) dg in closed form
     z2 = params.zeta
-    a = (-h_exp, 1.0, 0.5, (1.0 + z2) / 2.0, 1.0 + z2 / 2.0)
-    b = (0.5, 1.0, z2 / 2.0, (z2 + 1.0) / 2.0, 0.5, 0.0)
-    g = meijer_g(MeijerParams(m=4, n=3, a=a, b=b),
+    g = meijer_g(_ber_adaptive_row(z2, h_exp),
                  params.c * params.c / (4.0 * sigma))
     return (z2 / (2.0 * math.sqrt(math.pi))) * sigma ** (-1.0 - h_exp) * g
+
+
+@functools.lru_cache(maxsize=_ROW_PLANS)
+def _ber_adaptive_row(z2, h_exp):
+    a = (-h_exp, 1.0, 0.5, (1.0 + z2) / 2.0, 1.0 + z2 / 2.0)
+    b = (0.5, 1.0, z2 / 2.0, (z2 + 1.0) / 2.0, 0.5, 0.0)
+    return MeijerParams(m=4, n=3, a=a, b=b)
 
 
 def _ber_kernel_fixed(h_exp, sigma, s, params):
@@ -124,14 +134,32 @@ def _chain_terms(topology):
 
 # ----------------------------------------------------------------- outage
 
+def _clamped(total, mass, top, what):
+    """total clamped to [0, top], or ConvergenceError past the rounding floor.
+
+    mass is 1 + sum |term| of the sum that gave total.
+    """
+    floor = _CLAMP_ULPS * mass
+    if not -floor <= total <= top + floor:
+        raise ConvergenceError(
+            f"{what} {total:.6g} lies outside [0, {top:g}] by more than "
+            f"its rounding floor {floor:.3g}")
+    return min(max(total, 0.0), top)
+
+
 def outage_closed_form(topology, params):
-    """Closed-form outage probability at params.gamma_th."""
+    """Closed-form outage probability at params.gamma_th.
+
+    A sum outside [0, 1] by more than its rounding floor raises
+    ConvergenceError; inside it, the value is clamped to [0, 1].
+    """
     gr = params.gamma_bar_rf
     gth = params.gamma_th
     adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
     ff = _snr_cdf_meijer(gth, params)
     tails = {}
     total = 1.0
+    mass = 1.0
     for k, t, weight, shift in _chain_terms(topology):
         decay = math.exp(-shift * gth / gr)
         if decay == 0.0:
@@ -140,8 +168,10 @@ def outage_closed_form(topology, params):
         if k not in tails:
             tails[k] = 1.0 - (ff if adaptive else fixed_segment_kernel(
                 gth, (k + 1.0) / gr, params))
-        total += weight * decay * tails[k] * ff ** t
-    return min(max(total, 0.0), 1.0)
+        term = weight * decay * tails[k] * ff ** t
+        total += term
+        mass += abs(term)
+    return _clamped(total, mass, 1.0, "closed-form outage")
 
 
 # ------------------------------------------------------------- quadrature
@@ -172,7 +202,9 @@ def ber_closed_form(topology, params):
     [0, 1], so it lies in [0, Gamma(1+H) sigma^{-1-H}].  The weighted
     distance of the evaluated kernels outside that range bounds the
     result's error from below; past _KERNEL_TOL the call raises
-    ConvergenceError instead of returning a silently wrong value.
+    ConvergenceError instead of returning a silently wrong value.  So
+    does a sum outside [0, 1/2] by more than its rounding floor; inside
+    it, the value is clamped to [0, 1/2].
     """
     coeffs = series_coeffs(params, _N_MAX)
     gr = params.gamma_bar_rf
@@ -196,6 +228,7 @@ def ber_closed_form(topology, params):
         return kernel_cache[key]
 
     total = 1.0
+    mass = 1.0
     excess = 0.0
     small_run = 0
     last_blocks = []
@@ -212,7 +245,9 @@ def ber_closed_form(topology, params):
                 coeff = math.comb(t, k1) * coeffs.f0 ** (t - k1) * e_n
                 h_exp = (n + k1 + coeffs.xi_sq * (t - k1)) / 2.0
                 value, outside = kernel(h_exp, k, shift)
-                block += weight * coeff * value
+                term = weight * coeff * value
+                block += term
+                mass += abs(term)
                 excess += abs(weight * coeff) * outside
         total += block
         n_used = n + 1
@@ -230,6 +265,6 @@ def ber_closed_form(topology, params):
         raise ConvergenceError(
             f"BER Laplace kernels lie {0.5 * excess:.3g} outside "
             f"[0, Gamma(1+H) sigma^(-1-H)] (gamma_bar={gr:g})")
-    value = min(max(0.5 * total, 0.0), 0.5)
+    value = _clamped(0.5 * total, 0.5 * mass, 0.5, "closed-form error rate")
     return BerResult(value=value, truncation=0.5 * sum(last_blocks),
                      n_terms=n_used, converged=converged)

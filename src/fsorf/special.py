@@ -15,6 +15,16 @@ which keeps the public surface free of special casing.  It is the one
 Meijer-G path in the package; the tests check it against an independent
 Mellin-Barnes contour integral and against mpmath.
 
+Everything about a parameter row that does not depend on the argument z
+is prepared once per row and kept in bounded ``functools.lru_cache``
+plans keyed on the row's floats: the reflected row, the log-case
+decision and its perturbed rows, and per Slater pole the sign and log
+of the gamma prefactor and the hypergeometric rows; ``hyp_pfq`` keeps
+its terminating-parameter and pole scan the same way.  A call then sums
+only the series in z, with the same arithmetic as a fresh set-up, so a
+cached value is bit-identical to an uncached one.  A set-up that raises
+is not cached and raises again, in its turn, on every call.
+
 The gamma function and its logarithm come from the ``math`` module and
 the incomplete gamma function is evaluated here, so the module needs
 numpy only.  Every integral in the package is one ``trapezoid`` rule of
@@ -25,6 +35,7 @@ all the metric formulas need.
 """
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -52,6 +63,11 @@ _HYP_TOL = 1e-14
 _HYP_MAX_TERMS = 500
 # spread of a logarithmic-case parameter cluster (see meijer_g)
 _LOG_EPS = 1e-3
+# bounds of the z-free plan caches: Meijer-G rows (reflections, log-case
+# rows, Slater plans) and hypergeometric parameter rows.  A fig1-fig3
+# sweep of either metric uses at most a few hundred of each.
+_ROW_PLANS = 512
+_HYP_PLANS = 2048
 
 
 def _is_nonpos_int(x):
@@ -223,24 +239,10 @@ def hyp_pfq(a_params, b_params, z):
     ValueError unless a terminating upper parameter cuts the series off
     first.
     """
-    a_params = [float(v) for v in a_params]
-    b_params = [float(v) for v in b_params]
+    a_params = tuple(map(float, a_params))
+    b_params = tuple(map(float, b_params))
     z = float(z)
-
-    for av in a_params:
-        if av == 0.0:
-            return 1.0, True
-
-    stop = None                          # index of last nonzero term + 1
-    neg_a = [int(round(-av)) for av in a_params if _is_nonpos_int(av)]
-    if neg_a:
-        stop = min(neg_a) + 1
-    for bv in b_params:
-        if _is_nonpos_int(bv):
-            pole_at = int(round(-bv)) + 1
-            if stop is None or stop > pole_at:
-                raise ValueError(
-                    f"hyp_pfq lower parameter {bv} is a non-positive integer pole")
+    stop = _hyp_stop(a_params, b_params)
 
     total = 1.0
     term = 1.0
@@ -263,8 +265,31 @@ def hyp_pfq(a_params, b_params, z):
         else:
             small_run = 0
     if stop is not None:
-        return total, True               # exact polynomial
+        return total, True               # exact polynomial (1.0 if stop is 0)
     return total, False
+
+
+@functools.lru_cache(maxsize=_HYP_PLANS)
+def _hyp_stop(a_params, b_params):
+    """z-free scan of hyp_pfq's rows: the number of terms past the first.
+
+    0 for a zero upper parameter, the index past the last nonzero term
+    for a terminating series, and None for an infinite one.  A lower
+    pole that the series reaches raises ValueError.
+    """
+    if 0.0 in a_params:
+        return 0
+    stop = None
+    neg_a = [int(round(-av)) for av in a_params if _is_nonpos_int(av)]
+    if neg_a:
+        stop = min(neg_a) + 1
+    for bv in b_params:
+        if _is_nonpos_int(bv):
+            pole_at = int(round(-bv)) + 1
+            if stop is None or stop > pole_at:
+                raise ValueError(
+                    f"hyp_pfq lower parameter {bv} is a non-positive integer pole")
+    return stop
 
 
 @dataclass(frozen=True)
@@ -285,8 +310,11 @@ class MeijerParams:
     b: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
+        # + 0.0 turns -0.0 into 0.0 and leaves every other float as it is,
+        # so rows that compare equal hold the same floats and can share
+        # one cached plan; no value depends on the sign of a zero parameter
+        object.__setattr__(self, "a", tuple(float(v) + 0.0 for v in self.a))
+        object.__setattr__(self, "b", tuple(float(v) + 0.0 for v in self.b))
         if not (0 <= self.n <= self.p and 0 <= self.m <= self.q):
             raise ValueError(f"invalid order: m={self.m}, n={self.n}, p={self.p}, q={self.q}")
         if self.p > 8 or self.q > 8:
@@ -337,41 +365,13 @@ def _log_case_clusters(params):
     return clusters
 
 
-def _slater_sum(params, z):
-    """Slater expansion of G^{m,n}_{p,q}(z), simple-pole case (DLMF 16.17.2)."""
-    m, n = params.m, params.n
-    a, b = params.a, params.b
-    p, q = params.p, params.q
-    sign_arg = (-1.0) ** (p - m - n)
-    total = 0.0
-    for k in range(m):
-        bk = b[k]
-        numer = ([b[j] - bk for j in range(m) if j != k]
-                 + [1.0 + bk - a[j] for j in range(n)])
-        denom = ([1.0 + bk - b[j] for j in range(m, q)]
-                 + [a[j] - bk for j in range(n, p)])
-        if any(_is_nonpos_int(arg) for arg in denom):
-            continue                        # 1/Gamma at a pole: term vanishes
-        log_pref = 0.0
-        sign = 1.0
-        for arg in numer:
-            lg, sg = _lgamma_sign(arg)
-            log_pref += lg
-            sign *= sg
-        for arg in denom:
-            lg, sg = _lgamma_sign(arg)
-            log_pref -= lg
-            sign *= sg
-        hyper_a = [1.0 + bk - a[j] for j in range(p)]
-        hyper_b = [1.0 + bk - b[j] for j in range(q) if j != k]
-        val, ok = hyp_pfq(hyper_a, hyper_b, sign_arg * z)
-        if not ok:
-            raise ConvergenceError(
-                f"Slater series failed to converge at pole b[{k}]={bk}, z={z}")
-        total += sign * math.exp(log_pref + bk * math.log(z)) * val
-    return total
+@functools.lru_cache(maxsize=_ROW_PLANS)
+def _is_log_case(params):
+    """Whether two of b_1..b_m differ by an integer."""
+    return any(len(cl) > 1 for cl in _log_case_clusters(params))
 
 
+@functools.lru_cache(maxsize=_ROW_PLANS)
 def _perturbed(params, eps):
     """Spread logarithmic-case parameter clusters symmetrically by eps."""
     b = list(params.b)
@@ -381,6 +381,83 @@ def _perturbed(params, eps):
             for i, (idx, bv) in enumerate(cl):
                 b[idx] = bv + (2.0 * i - (r - 1.0)) * eps
     return MeijerParams(m=params.m, n=params.n, a=params.a, b=tuple(b))
+
+
+_flipped = functools.lru_cache(maxsize=_ROW_PLANS)(MeijerParams.flipped)
+
+
+def _pole_rows(params, k):
+    """Gamma-prefactor arguments and hypergeometric rows of pole b[k].
+
+    Returns (numer, denom, hyper_a, hyper_b): the prefactor is
+    prod Gamma(numer) / prod Gamma(denom), and the pole's series is
+    hyp_pfq(hyper_a, hyper_b, +/-z).
+    """
+    m, n = params.m, params.n
+    a, b = params.a, params.b
+    p, q = params.p, params.q
+    bk = b[k]
+    numer = ([b[j] - bk for j in range(m) if j != k]
+             + [1.0 + bk - a[j] for j in range(n)])
+    denom = ([1.0 + bk - b[j] for j in range(m, q)]
+             + [a[j] - bk for j in range(n, p)])
+    hyper_a = tuple(1.0 + bk - a[j] for j in range(p))
+    hyper_b = tuple(1.0 + bk - b[j] for j in range(q) if j != k)
+    return numer, denom, hyper_a, hyper_b
+
+
+def _log_prefactor(numer, denom):
+    """ln|prod Gamma(numer) / prod Gamma(denom)| and its sign."""
+    log_pref = 0.0
+    sign = 1.0
+    for arg in numer:
+        lg, sg = _lgamma_sign(arg)
+        log_pref += lg
+        sign *= sg
+    for arg in denom:
+        lg, sg = _lgamma_sign(arg)
+        log_pref -= lg
+        sign *= sg
+    return log_pref, sign
+
+
+@functools.lru_cache(maxsize=_ROW_PLANS)
+def _slater_plan(params):
+    """z-free part of _slater_sum: (series argument sign, poles, failing).
+
+    poles holds (k, b[k], sign, log prefactor, hyper_a, hyper_b) for each
+    pole in order whose term does not vanish.  failing is None, or the
+    index of the first pole whose prefactor raises (math.lgamma at a pole
+    or out of range); the list stops there.
+    """
+    sign_arg = (-1.0) ** (params.p - params.m - params.n)
+    poles = []
+    for k in range(params.m):
+        numer, denom, hyper_a, hyper_b = _pole_rows(params, k)
+        if any(_is_nonpos_int(arg) for arg in denom):
+            continue                        # 1/Gamma at a pole: term vanishes
+        try:
+            log_pref, sign = _log_prefactor(numer, denom)
+        except (ValueError, ArithmeticError):
+            return sign_arg, tuple(poles), k
+        poles.append((k, params.b[k], sign, log_pref, hyper_a, hyper_b))
+    return sign_arg, tuple(poles), None
+
+
+def _slater_sum(params, z):
+    """Slater expansion of G^{m,n}_{p,q}(z), simple-pole case (DLMF 16.17.2)."""
+    sign_arg, poles, failing = _slater_plan(params)
+    total = 0.0
+    for k, bk, sign, log_pref, hyper_a, hyper_b in poles:
+        val, ok = hyp_pfq(hyper_a, hyper_b, sign_arg * z)
+        if not ok:
+            raise ConvergenceError(
+                f"Slater series failed to converge at pole b[{k}]={bk}, z={z}")
+        total += sign * math.exp(log_pref + bk * math.log(z)) * val
+    if failing is not None:
+        # the failing pole's set-up raises again, after the earlier series
+        _log_prefactor(*_pole_rows(params, failing)[:2])
+    return total
 
 
 def meijer_g(params, z):
@@ -400,6 +477,12 @@ def meijer_g(params, z):
 
     For p > q, or p = q with z > 1, the series is summed after the
     z -> 1/z reflection, where it converges.
+
+    The z-free set-up of a row (its reflection, the log-case decision and
+    perturbed rows, and each pole's prefactor and hypergeometric rows) is
+    built on the row's first call and kept in plan caches of at most
+    _ROW_PLANS rows each, keyed on the row's floats; later calls with an
+    equal row sum only the series in z.
     """
     if not isinstance(params, MeijerParams):
         raise TypeError("params must be a MeijerParams")
@@ -408,10 +491,10 @@ def meijer_g(params, z):
         raise ValueError(f"meijer_g requires a finite argument z > 0, got {z}")
     p, q = params.p, params.q
     if p > q or (p == q and z > 1.0):
-        return meijer_g(params.flipped(), 1.0 / z)
+        return meijer_g(_flipped(params), 1.0 / z)
     if p == q and z == 1.0:
         raise ConvergenceError("Slater series boundary |z| = 1 with p = q")
-    if any(len(cl) > 1 for cl in _log_case_clusters(params)):
+    if _is_log_case(params):
         s1 = _slater_sum(_perturbed(params, _LOG_EPS), z)
         s2 = _slater_sum(_perturbed(params, 2.0 * _LOG_EPS), z)
         return (4.0 * s1 - s2) / 3.0

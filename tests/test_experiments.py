@@ -591,6 +591,22 @@ def test_traced_sweep_sees_every_route_call():
         "composition.second_relay_cdf_fixed_numeric.calls"]["value"] == 27
 
 
+def test_traced_closed_form_sees_every_special_call():
+    # the Meijer-G plan caches keep hyp_pfq and the reflection's meijer_g
+    # calls on their module names, so the tracer counts every call
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "ber-analytic",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    assert metrics["special.meijer_g.calls"]["value"] == 1935
+    assert metrics["special.hyp_pfq.calls"]["value"] == 11605
+
+
 def test_ber_quadrature_column_needs_no_meijer_g(monkeypatch):
     # the BER quadrature route integrates the incomplete-gamma
     # composition, so it checks the Meijer-G closed form from outside

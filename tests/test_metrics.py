@@ -29,6 +29,7 @@ from fsorf.composition import (
 from fsorf.metrics import (
     BerResult,
     _chain_terms,
+    _snr_cdf_meijer,
     ber_closed_form,
     ber_quadrature,
     outage_closed_form,
@@ -154,6 +155,18 @@ def test_fixed_outage_at_low_snr_is_one(n, m, xi):
     t = topo(n, m, GainMode.FIXED)
     assert outage_closed_form(t, p) == 1.0
     assert end_to_end_outage_semianalytic(t, p) == 1.0
+
+
+@pytest.mark.parametrize("gamma_bar_fso,cdf", [(1e-3, -3.1e24),
+                                               (10 ** -2.5, 1.1e5)])
+def test_outage_outside_unit_interval_raises(gamma_bar_fso, cdf):
+    # the Slater sum of the FSO CDF cancels at low FSO SNR; the chain sum
+    # then lies far outside [0, 1], where clamping gave 0.0 and 1.0
+    p = LinkParams(gamma_bar_rf=1.0, gamma_bar_fso=gamma_bar_fso, lam=1.0,
+                   a0=1.0, xi=XI, gamma_th=10.0)
+    assert _snr_cdf_meijer(p.gamma_th, p) == pytest.approx(cdf, rel=0.05)
+    with pytest.raises(ConvergenceError, match=r"outside \[0, 1\]"):
+        outage_closed_form(topo(1, 1, GainMode.ADAPTIVE), p)
 
 
 # -------------------------------------------------------- quadrature
@@ -308,6 +321,16 @@ def test_ber_raises_where_kernels_leave_their_range():
         ber_closed_form(t, make_params(-30.0))
     assert ber_closed_form(t, make_params(-20.0)).value == pytest.approx(
         0.49988, abs=1e-5)
+
+
+def test_ber_above_one_half_raises():
+    # at -30 dB and lambda = 1/sqrt(2) the fixed-gain sum passes the kernel
+    # check but lands 1e-6 above 1/2, where clamping gave 0.5
+    g = db_to_linear(-30.0)
+    p = LinkParams(gamma_bar_rf=g, gamma_bar_fso=g, lam=2 ** -0.5, a0=1.0,
+                   xi=XI, gamma_th=10.0)
+    with pytest.raises(ConvergenceError, match=r"outside \[0, 0.5\]"):
+        ber_closed_form(topo(1, 2, GainMode.FIXED), p)
 
 
 # -------------------------------------------------------- expansions

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fsorf import special
 from fsorf.special import (
     ConvergenceError,
     MeijerParams,
@@ -312,3 +313,113 @@ def test_contour_matches_slater_simple_classes():
     for X in [0.1, 0.9, 2.5]:
         assert meijer_g_contour(p, X) == pytest.approx(
             meijer_g(p, X), rel=1e-9)
+
+
+# ------------------------------------------------------------ plan caches
+
+_PLAN_CACHES = (special._hyp_stop, special._slater_plan, special._perturbed,
+                special._is_log_case, special._flipped)
+
+
+@pytest.fixture
+def cold_plans():
+    """Empty every plan cache before and after the test."""
+    def clear():
+        for cache in _PLAN_CACHES:
+            cache.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def _gate1_rows():
+    # the six row classes of gate 1, with arguments inside each grid
+    phi1 = (1 - Z2 / 2, (1 - Z2) / 2, 0.5, 1.0)
+    phi2 = ((1 - Z2) / 2, 1 - Z2 / 2, 1 - Z2 / 2, 0.0, 0.5,
+            (1 - Z2) / 2, -Z2 / 2)
+    return [
+        (dict(m=2, n=0, a=(1.0,), b=(0.5, 0.0)), (0.01, 0.4, 8.0)),
+        (dict(m=2, n=1, a=(1.0, 1.0 + Z2), b=(1.0, Z2, 0.0)),
+         (1e-3, 0.3, 10.0)),
+        (dict(m=1, n=2, a=(0.0, 1 - Z2, 1.0), b=(0.0, -Z2)),
+         (1.5, 3.0, 60.0)),
+        (dict(m=4, n=3, a=(-1.7, 1.0, 0.5, (1 + Z2) / 2, 1 + Z2 / 2),
+              b=(0.5, 1.0, Z2 / 2, (Z2 + 1) / 2, 0.5, 0.0)),
+         (1e-5, 0.02, 0.5)),
+        (dict(m=5, n=2, a=phi1, b=phi2), (1e-3, 0.05, 1.0)),
+        (dict(m=5, n=3, a=(-1.7 - Z2 / 2,) + phi1, b=phi2), (1e-4, 0.3, 1.0)),
+    ]
+
+
+def test_meijer_plans_change_no_bit(cold_plans):
+    # a value from a fresh set-up, and again from the cached plan through
+    # an equal row object, are the same float
+    for fields, zs in _gate1_rows():
+        for z in zs:
+            cold_plans()
+            fresh = meijer_g(MeijerParams(**fields), z)
+            cached = meijer_g(MeijerParams(**fields), z)
+            assert fresh.hex() == cached.hex(), (fields, z)
+    assert special._slater_plan.cache_info().hits > 0
+
+
+def test_rows_one_ulp_apart_get_their_own_plans(cold_plans):
+    row = dict(m=2, n=1, a=(1.0, 1.0 + Z2), b=(1.0, Z2, 0.0))
+    near = dict(row, b=(1.0, math.nextafter(Z2, 2.0), 0.0))
+    meijer_g(MeijerParams(**row), 0.3)
+    plans = special._slater_plan.cache_info().currsize
+    scans = special._hyp_stop.cache_info().currsize
+    meijer_g(MeijerParams(**near), 0.3)
+    assert special._slater_plan.cache_info().currsize == plans + 1
+    assert special._hyp_stop.cache_info().currsize > scans
+    poles = special._slater_plan(MeijerParams(**near))[1]
+    assert [pole[1] for pole in poles] == [1.0, math.nextafter(Z2, 2.0)]
+    # a zero parameter is stored as 0.0 whatever its sign, so rows that
+    # compare equal hold the same floats
+    assert MeijerParams(m=1, n=1, a=(-0.0,), b=(0.5,)).a[0].hex() == "0x0.0p+0"
+
+
+def test_failed_set_up_raises_on_every_call(cold_plans):
+    # Gamma(1e307) in the prefactor overflows; the plan keeps no exception
+    row = MeijerParams(m=1, n=0, a=(), b=(0.0, -1e307))
+    for _ in range(3):
+        with pytest.raises(OverflowError):
+            meijer_g(row, 0.5)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="non-positive integer pole"):
+            hyp_pfq([0.5], [-2.0], 0.3)
+
+
+def test_failing_pole_raises_after_the_earlier_series(cold_plans, monkeypatch):
+    # G^{2,0}_{1,2}(z | 1; 1/2, 0): pole b[0] = 1/2 has denominator
+    # Gamma(1/2), pole b[1] = 0 has Gamma(1); make the second one fail
+    # and record the series calls, which go through the module name
+    lgamma_sign = special._lgamma_sign
+
+    def failing_at_one(x):
+        if x == 1.0:
+            raise ValueError("math domain error")
+        return lgamma_sign(x)
+
+    calls = []
+
+    def recording(a_params, b_params, z):
+        calls.append(tuple(b_params))
+        return hyp_pfq(a_params, b_params, z)
+
+    monkeypatch.setattr(special, "_lgamma_sign", failing_at_one)
+    monkeypatch.setattr(special, "hyp_pfq", recording)
+    row = MeijerParams(m=2, n=0, a=(1.0,), b=(0.5, 0.0))
+    for round_ in (1, 2):
+        with pytest.raises(ValueError, match="math domain error"):
+            meijer_g(row, 0.4)
+        assert calls == [(1.5,)] * round_
+
+
+def test_hyp_accepts_any_sequence():
+    ref = hyp_pfq((2.0, -0.1025), (0.8975, 3.0), -1.5)
+    assert hyp_pfq([2.0, -0.1025], [0.8975, 3.0], -1.5) == ref
+    assert hyp_pfq(np.array([2.0, -0.1025]), np.array([0.8975, 3.0]),
+                   np.float64(-1.5)) == ref
+    assert hyp_pfq([1, 2], [3], 0.5) == hyp_pfq([1.0, 2.0], [3.0], 0.5)
