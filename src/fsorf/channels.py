@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import gamma_upper
+from .special import _CLAMP_ULPS, ConvergenceError, gamma_upper
 
 # the gain and SNR formulas degenerate where xi^2 is a positive integer:
 # a pole of the recurrence, or a logarithmic Meijer-G case
@@ -158,7 +158,11 @@ def ne_pe_snr_pdf(gamma, params):
 
 
 def ne_pe_snr_cdf(gamma, params):
-    """CDF of the FSO SNR; exactly 0 at gamma = 0 and 1 from X = _X_ONE."""
+    """CDF of the FSO SNR; exactly 0 at gamma = 0 and 1 from X = _X_ONE.
+
+    A value outside [0, 1] by more than the rounding floor of its two
+    terms raises ConvergenceError; inside it, the value is clamped.
+    """
     z2 = params.zeta
     g = _as_float_array(gamma, "gamma")
     if np.any(g < 0):
@@ -169,8 +173,20 @@ def ne_pe_snr_cdf(gamma, params):
     mid = (g > 0) & (x < _X_ONE)
     if np.any(mid):
         x = x[mid]
-        out[mid] = x ** z2 * gamma_upper(1.0 - z2, x) - np.expm1(-x)
-    out = np.clip(out, 0.0, 1.0)
+        head = x ** z2 * gamma_upper(1.0 - z2, x)
+        tail = np.expm1(-x)
+        value = head - tail
+        if value.min() < 0.0 or value.max() > 1.0:
+            clamped = np.clip(value, 0.0, 1.0)
+            floor = _CLAMP_ULPS * (np.abs(head) + np.abs(tail))
+            bad = np.abs(value - clamped) > floor
+            if np.any(bad):
+                i = np.argmax(bad)
+                raise ConvergenceError(
+                    f"FSO SNR CDF {value[i]:.6g} at X={x[i]:.6g} lies outside"
+                    f" [0, 1] by more than its rounding floor {floor[i]:.3g}")
+            value = clamped
+        out[mid] = value
     if np.isscalar(gamma):
         return float(out[0])
     return out.reshape(np.shape(gamma))

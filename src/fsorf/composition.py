@@ -16,8 +16,11 @@ g1 g2 / (g1 + g2 + 1); the exact-law gap is measurable through
 montecarlo.simulate_outage with first_segment="exact" on a one-relay
 chain.
 
-Everything here is expressed over CDFs so that closed-form, quadrature,
-and Monte-Carlo paths can share one composition rule.
+Everything here is expressed over CDFs, but the three routes compose the
+chain each their own way: the closed form through the binomial terms of
+metrics._chain_terms, the quadrature through the product in
+end_to_end_outage_semianalytic, and Monte Carlo through the per-stage
+SNRs of montecarlo._stage_snrs.
 """
 
 import enum
@@ -120,7 +123,11 @@ def second_relay_cdf_adaptive(gamma, n, params):
 
 def _fixed_kernel_params(z2, arg, *lead):
     # prefactor and G^{5,2}_{4,7} row of the fixed-gain kernels at arg;
-    # the error-rate kernel's G^{5,3}_{5,7} prepends one upper parameter
+    # the error-rate kernel's G^{5,3}_{5,7} prepends one upper parameter.
+    # The prefactor carries arg^(zeta/2), and as its argument z -> 0 the
+    # G-function grows no faster than z^min(0, (1-zeta)/2), so a kernel
+    # vanishes like arg^(min(zeta, 1)/2): where z underflows to 0 at
+    # extreme SNR, the kernel's value is its limit 0
     pref = (z2 * 2.0 ** (-1.0 - z2) / math.sqrt(math.pi)) * arg ** (z2 / 2.0)
     return pref, _fixed_kernel_row(z2, lead)
 
@@ -141,6 +148,8 @@ def fixed_segment_kernel(gamma, s, params):
     exponential share, in closed Meijer-G form.
     """
     arg = params.c * params.c * gamma * params.c_gain * s
+    if arg / 4.0 == 0.0:
+        return 0.0      # the limit; see _fixed_kernel_params
     pref, row = _fixed_kernel_params(params.zeta, arg)
     return pref * meijer_g(row, arg / 4.0)
 
@@ -234,6 +243,6 @@ def end_to_end_outage_semianalytic(topology, params, gamma=None):
     else:
         f2 = second_relay_cdf_fixed_numeric(g, n, params)
     hop = hybrid_hop_cdf(g, params)
-    out = np.clip(1.0 - (1.0 - f2) * (1.0 - hop) ** (topology.m_relays - 1),
-                  0.0, 1.0)
+    # f2 and hop lie in [0, 1], and so, in floating point too, does this
+    out = 1.0 - (1.0 - f2) * (1.0 - hop) ** (topology.m_relays - 1)
     return float(out) if np.ndim(g) == 0 else out

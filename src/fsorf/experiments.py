@@ -48,12 +48,6 @@ from .montecarlo import (
 )
 from .special import ConvergenceError
 
-CSV_COLUMNS = (
-    "preset", "mode", "metric", "n_users", "m_relays", "xi", "lambda",
-    "gamma_th_db", "gamma_avg_db", "closed_form", "quadrature",
-    "mc_mean", "mc_ci_low", "mc_ci_high", "mc_n", "seed", "error",
-)
-
 METHOD_CLOSED = "closed-form"
 METHOD_QUADRATURE = "quadrature"
 METHOD_MC = "monte-carlo"
@@ -139,6 +133,24 @@ class CurvePoint:
     mc: MetricEstimate
     seed: int
     error: str
+
+
+# CSV column -> (field, parser of its text, may the cell be empty), in column
+# order; the mc_* columns hold CurvePoint.mc's fields, all empty or all filled
+_CSV_SCHEMA = {
+    "preset": ("preset", str, False), "mode": ("mode", GainMode, False),
+    "metric": ("metric", Metric, False),
+    "n_users": ("n_users", int, False), "m_relays": ("m_relays", int, False),
+    "xi": ("xi", float, False), "lambda": ("lam", float, False),
+    "gamma_th_db": ("gamma_th_db", float, False),
+    "gamma_avg_db": ("gamma_avg_db", float, False),
+    "closed_form": ("closed_form", float, True),
+    "quadrature": ("quadrature", float, True),
+    "mc_mean": ("mean", float, True), "mc_ci_low": ("ci_low", float, True),
+    "mc_ci_high": ("ci_high", float, True), "mc_n": ("n", int, True),
+    "seed": ("seed", int, False), "error": ("error", str, True),
+}
+CSV_COLUMNS = tuple(_CSV_SCHEMA)
 
 
 # -------------------------------------------------------------- presets
@@ -462,20 +474,18 @@ def run_experiment(spec):
 def _format(value):
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)    # a float's str is its shortest round-trip repr
 
 
 def csv_rows(points):
     rows = [list(CSV_COLUMNS)]
     for p in points:
-        mc = ((p.mc.mean, p.mc.ci_low, p.mc.ci_high, p.mc.n) if p.mc
-              else (None,) * 4)
-        rows.append([_format(value) for value in (
-            p.preset, p.mode.value, p.metric.value, p.n_users, p.m_relays,
-            p.xi, p.lam, p.gamma_th_db, p.gamma_avg_db, p.closed_form,
-            p.quadrature, *mc, p.seed, p.error)])
+        rows.append([
+            _format(None if owner is None else getattr(owner, field))
+            for column, (field, _, _) in _CSV_SCHEMA.items()
+            for owner in [p.mc if column.startswith("mc_") else p]])
     return rows
 
 
@@ -519,27 +529,16 @@ def read_csv(path):
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"line {line}: {len(row)} cells, expected "
                              f"{len(CSV_COLUMNS)}")
-        rec = dict(zip(CSV_COLUMNS, row))
-        mc = None
-        if rec["mc_mean"]:
-            mc = MetricEstimate(
-                mean=float(rec["mc_mean"]), ci_low=float(rec["mc_ci_low"]),
-                ci_high=float(rec["mc_ci_high"]), n=int(rec["mc_n"]))
-        points.append(CurvePoint(
-            preset=rec["preset"],
-            mode=GainMode(rec["mode"]),
-            metric=Metric(rec["metric"]),
-            n_users=int(rec["n_users"]),
-            m_relays=int(rec["m_relays"]),
-            xi=float(rec["xi"]),
-            lam=float(rec["lambda"]),
-            gamma_th_db=float(rec["gamma_th_db"]),
-            gamma_avg_db=float(rec["gamma_avg_db"]),
-            closed_form=float(rec["closed_form"])
-            if rec["closed_form"] else None,
-            quadrature=float(rec["quadrature"])
-            if rec["quadrature"] else None,
-            mc=mc,
-            seed=int(rec["seed"]),
-            error=rec["error"] or None))
+        fields, mc = {}, {}
+        for cell, (column, (field, parse, may_be_empty)) in zip(
+                row, _CSV_SCHEMA.items()):
+            if not (cell or may_be_empty):
+                raise ValueError(f"line {line}: empty {column} cell")
+            owner = mc if column.startswith("mc_") else fields
+            owner[field] = parse(cell) if cell else None
+        empty = list(mc.values()).count(None)
+        if empty not in (0, len(mc)):
+            raise ValueError(f"line {line}: mc_* cells are partly empty")
+        points.append(CurvePoint(**fields, mc=None if empty else
+                                 MetricEstimate(**mc)))
     return points

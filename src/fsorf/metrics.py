@@ -36,8 +36,8 @@ import numpy as np
 from .composition import (LOG_STEP, GainMode, _fixed_kernel_params,
                           fixed_segment_kernel)
 from .series import series_coeffs, series_power_coeffs
-from .special import (_ROW_PLANS, ConvergenceError, MeijerParams, gamma_fn,
-                      meijer_g, trapezoid)
+from .special import (_CLAMP_ULPS, _ROW_PLANS, ConvergenceError,
+                      MeijerParams, gamma_fn, meijer_g, trapezoid)
 
 _BLOCK_TOL = 1e-12
 _BLOCK_RUN = 3
@@ -46,10 +46,6 @@ _N_MAX = 200
 # gate on the BER kernels' distance outside their provable range; the
 # floor of the closed-form vs quadrature BER tolerance
 _KERNEL_TOL = 1e-6
-# rounding floor of a chain sum, in units of 1 + sum |term|: a value
-# outside [0, 1] (outage) or [0, 1/2] (error rate) by more than this is
-# no rounding error and raises instead of being clamped
-_CLAMP_ULPS = 4.0 * np.finfo(float).eps
 # u = ln gamma span of the error-rate rule: its integrand e^{u - e^u} F
 # leaves out at most e^-60 below and e^-50 above; relative tolerance
 _BER_LN_LO, _BER_LN_HI, _BER_RTOL = -60.0, math.log(50.0), 1e-12
@@ -99,6 +95,8 @@ def _ber_kernel_fixed(h_exp, sigma, s, params):
     # tail sK folded through its own Meijer-G Laplace transform
     z2 = params.zeta
     cs = params.c * params.c * params.c_gain * s
+    if cs / (4.0 * sigma) == 0.0:
+        return 0.0      # the limit; see composition._fixed_kernel_params
     pref, row = _fixed_kernel_params(z2, cs, -h_exp - z2 / 2.0)
     return (pref * sigma ** (-1.0 - h_exp - z2 / 2.0)
             * meijer_g(row, cs / (4.0 * sigma)))
@@ -137,7 +135,9 @@ def _chain_terms(topology):
 def _clamped(total, mass, top, what):
     """total clamped to [0, top], or ConvergenceError past the rounding floor.
 
-    mass is 1 + sum |term| of the sum that gave total.
+    mass is 1 + sum |term| of the sum that gave total: a value outside
+    [0, 1] (outage) or [0, 1/2] (error rate) by more than _CLAMP_ULPS x mass
+    is no rounding error.
     """
     floor = _CLAMP_ULPS * mass
     if not -floor <= total <= top + floor:

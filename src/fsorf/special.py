@@ -55,6 +55,10 @@ class ConvergenceError(ArithmeticError):
 
 _INT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+# rounding floor of a probability summed from terms, in units of the terms'
+# total magnitude: past it, a value outside its range raises instead of
+# being clamped (the closed forms and the FSO SNR CDF)
+_CLAMP_ULPS = 4.0 * _EPS
 # continued-fraction iterations of the large-x incomplete gamma branch
 _CF_MAX_ITER = 300
 # hypergeometric series: relative term size that counts as negligible,

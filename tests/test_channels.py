@@ -20,6 +20,7 @@ from fsorf.channels import (
     sample_fso_snr_displacement,
     sample_rf_snr,
 )
+from fsorf.special import ConvergenceError
 
 
 def default_params(**kw):
@@ -167,6 +168,25 @@ def test_snr_cdf_is_one_from_x_40_without_overflow():
         assert ne_pe_snr_cdf(10.0, p) == 1.0
     assert list(f[[0, 2, 3, 4, 5]]) == [0.0, 1.0, 1.0, 1.0, 1.0]
     assert f[1] == ne_pe_snr_cdf(float((0.5 / p.c) ** 2), p) < 1.0
+
+
+@pytest.mark.parametrize("head,want", [
+    (1e-9, None), (2.0 ** -52, 1.0),                  # above 1
+    (-1.0 - 1e-9, None), (-1.0 - 2.0 ** -52, 0.0)])   # below 0
+def test_snr_cdf_outside_unit_interval_raises(monkeypatch, head, want):
+    # at X = 39, expm1(-X) rounds to -1, so F = X^zeta Gamma(1-zeta, X) + 1
+    # = head + 1 with the patched Gamma; past its rounding floor of
+    # 4 eps (|head| + 1) it raises, within one ulp it is clamped
+    p = default_params()
+    monkeypatch.setattr("fsorf.channels.gamma_upper",
+                        lambda a, x: head / x ** (1.0 - a))
+    gamma = (39.0 / p.c) ** 2
+    if want is None:
+        with pytest.raises(ConvergenceError, match="outside \\[0, 1\\]"):
+            ne_pe_snr_cdf(gamma, p)
+    else:
+        assert ne_pe_snr_cdf(gamma, p) == want
+        assert list(ne_pe_snr_cdf(np.array([0.0, gamma]), p)) == [0.0, want]
 
 
 def test_snr_cdf_monotone_bounded():

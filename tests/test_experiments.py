@@ -298,6 +298,31 @@ def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path):
     assert len(read_csv(str(path))) == 1
 
 
+def test_read_csv_rejects_empty_cells_where_a_value_is_needed(tmp_path):
+    # only the estimate cells and the error cell may be empty, and the
+    # four mc_* cells only together
+    header = ",".join(CSV_COLUMNS) + "\n"
+    row = ("fig1,known-csi,outage,2,3,1.45,1.0,10.0,20.0,0.1,0.3,0.25,"
+           "0.125,0.375,2000,42,x").split(",")
+    path = tmp_path / "empty.csv"
+    for i, column in enumerate(CSV_COLUMNS):
+        path.write_text(header + ",".join(row[:i] + [""] + row[i + 1:])
+                        + "\n")
+        if column in ("closed_form", "quadrature", "error"):
+            (point,) = read_csv(str(path))
+            assert getattr(point, column) is None, column
+        elif column.startswith("mc_"):
+            with pytest.raises(ValueError,
+                               match="line 2: mc_\\* cells are partly empty"):
+                read_csv(str(path))
+        else:
+            with pytest.raises(ValueError,
+                               match=f"line 2: empty {column} cell"):
+                read_csv(str(path))
+    path.write_text(header + ",".join(row[:11] + [""] * 4 + row[15:]) + "\n")
+    assert read_csv(str(path))[0].mc is None
+
+
 def test_write_csv_leaves_the_mode_open_would(tmp_path):
     old = os.umask(0o022)
     try:
@@ -329,6 +354,21 @@ def test_point_failure_lands_in_error_column(tmp_path, monkeypatch):
     assert point.quadrature is not None  # other methods still ran
     assert "closed-form: synthetic blow-up" in point.error
     assert read_csv(str(out)) == [point]
+
+
+def test_failed_monte_carlo_curve_lands_in_each_of_its_points(monkeypatch):
+    def boom(topology, levels, cfg, first_segment):
+        raise ArithmeticError("synthetic curve failure")
+
+    monkeypatch.setattr("fsorf.experiments.simulate_outage_curve", boom)
+    spec = spec_from_sources(overrides=_tiny_overrides(
+        mode="known-csi", methods="closed-form,monte-carlo"))
+    points = run_experiment(spec)
+    assert [p.gamma_avg_db for p in points] == [10.0, 20.0]
+    for point in points:
+        assert point.mc is None
+        assert point.error == "monte-carlo: synthetic curve failure"
+        assert 0.0 < point.closed_form < 1.0   # the other cells are kept
 
 
 def test_unconverged_ber_series_lands_in_error_column(monkeypatch):
@@ -532,6 +572,24 @@ def test_extreme_db_ber_failures_name_their_operation(tmp_path):
         in errors["-3000", GainMode.FIXED]
     assert "quadrature: overflow encountered in exp" \
         in errors["3000", GainMode.FIXED]
+
+
+@pytest.mark.parametrize("metric", ["outage", "ber"])
+def test_fixed_gain_closed_form_reads_its_limit_at_3000_db(tmp_path, metric):
+    # the fixed-gain kernels' Meijer-G argument underflows to 0.0 from
+    # about 1800 dB; the kernel's limit there is 0, and so is every cell
+    for users, relays, db in (("1", "1", "3000"), ("4", "3", "300:300:3000")):
+        out = tmp_path / f"{metric}-{users}.csv"
+        assert cli.main([
+            "--users", users, "--relays", relays, f"--gamma-avg-db={db}",
+            "--metric", metric, "--methods", "closed-form",
+            "--out", str(out)]) == 0
+        points = read_csv(str(out))
+        assert {p.mode for p in points} == set(GainMode)
+        for point in points:
+            assert point.error is None, point
+            if point.gamma_avg_db >= 600.0:
+                assert point.closed_form == 0.0, point
 
 
 @pytest.mark.parametrize("db,code", [("10", 0), ("-3000", 2)])

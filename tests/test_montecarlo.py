@@ -239,6 +239,20 @@ def test_curve_levels_must_share_the_fso_law():
                 curve_fn(t, levels, cfg)
 
 
+def test_failed_shared_draws_fail_every_level():
+    # lam = 1e-308 overflows the turbulence draw -log1p(-u) / lam, which
+    # all levels share; every level gets the first batch's exception
+    levels = [dataclasses.replace(p, lam=1e-308) for p in CURVE_LEVELS]
+    for w in (1, 2):
+        cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            curve = simulate_outage_curve(topo(1, 1, GainMode.ADAPTIVE),
+                                          levels, cfg)
+        assert isinstance(curve[0], FloatingPointError), curve
+        assert "overflow encountered in divide" in str(curve[0])
+        assert all(level is curve[0] for level in curve)
+
+
 def test_seed_changes_estimate():
     t = topo(2, 2, GainMode.ADAPTIVE)
     p = make_params(20.0)

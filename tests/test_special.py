@@ -194,6 +194,15 @@ def test_hyp_divergent_series_flagged():
     assert not ok
 
 
+def test_hyp_term_cap_flags_a_slow_series():
+    # the geometric series 1F0(1;;z) converges at 0.999, but too slowly
+    # for the term cap: 500 terms past the first, then converged=False
+    val, ok = hyp_pfq([1.0], [], 0.999)
+    assert not ok
+    assert val == pytest.approx((1.0 - 0.999 ** 501) / 0.001, rel=1e-12)
+    assert val == pytest.approx(394.2274340836764, rel=1e-12)
+
+
 def test_hyp_terminating_before_lower_pole():
     # upper -2 terminates at n = 2, before b = -5 poles at n = 5;
     # terms: 1, (-2)(1)/(-5), (-2)(-1)(1)(2)/((-5)(-4) 2!)
