@@ -120,10 +120,12 @@ def rayleigh_snr_pdf(gamma, gamma_bar):
 
 
 def sample_rf_snr(gamma_bar, rng, size=None):
-    """Draw exponential SNR with mean gamma_bar via inverse CDF."""
-    u = rng.random(size=size)
-    # random() yields [0, 1); use 1-u in (0, 1] so log never sees 0
-    return -gamma_bar * np.log1p(-u)
+    """Draw exponential SNR with mean gamma_bar.
+
+    gamma_bar scales one standard exponential draw per sample, so the
+    draw at gamma_bar is exactly gamma_bar times the draw at 1.0.
+    """
+    return gamma_bar * rng.standard_exponential(size=size)
 
 
 # ----------------------------------------------------------------- FSO link
@@ -195,20 +197,26 @@ def ne_pe_snr_cdf(gamma, params):
 def sample_fso_gain(params, rng, size=None):
     """Draw the composite FSO gain I = h_a h_p.
 
-    h_a is inverse-CDF exponential; h_p is a0 * U^(1/xi^2), the inverse
-    CDF of the pointing-error gain law.  Each call draws two uniforms per
-    sample, turbulence first.  The law depends on lam, a0 and xi only.
+    Each call draws two standard exponentials E1, E2 per sample,
+    turbulence first.  h_a = E1 / lam is exponential with rate lam, and
+    h_p = a0 exp(-E2 / xi^2) has the pointing-error law P(h_p <= h) =
+    (h / a0)^(xi^2) on (0, a0], the law of a0 U^(1/xi^2) for a uniform U.
+    The law depends on lam, a0 and xi only.
     """
-    u1 = rng.random(size=size)
-    h_a = -np.log1p(-u1) / params.lam
-    h_p = params.a0 * rng.random(size=size) ** (1.0 / params.zeta)
+    h_a = rng.standard_exponential(size=size) / params.lam
+    h_p = params.a0 * np.exp(rng.standard_exponential(size=size)
+                             / -params.zeta)
     return h_a * h_p
 
 
 def sample_fso_snr(params, rng, size=None):
-    """Draw FSO SNR as gamma_bar_fso * I^2, I from sample_fso_gain."""
+    """Draw FSO SNR as gamma_bar_fso * (I * I), I from sample_fso_gain.
+
+    The unit SNR I * I is formed first, so the draw at gamma_bar_fso is
+    exactly gamma_bar_fso times the draw at 1.0.
+    """
     i = sample_fso_gain(params, rng, size)
-    return params.gamma_bar_fso * i * i
+    return params.gamma_bar_fso * (i * i)
 
 
 def sample_fso_snr_displacement(params, beam_width, rng, size=None):

@@ -19,8 +19,9 @@ chain.
 Everything here is expressed over CDFs, but the three routes compose the
 chain each their own way: the closed form through the binomial terms of
 metrics._chain_terms, the quadrature through the product in
-end_to_end_outage_semianalytic, and Monte Carlo through the per-stage
-SNRs of montecarlo._stage_snrs.
+end_to_end_outage_semianalytic, and Monte Carlo through the chain
+minimum of montecarlo._level_min, the column minimum of the per-stage
+SNRs that montecarlo.sample_chain_stage_snrs draws.
 """
 
 import enum
@@ -87,24 +88,32 @@ def hybrid_hop_cdf(gamma, params):
 # ------------------------------------------------------------ AF algebra
 
 def af_adaptive_snr(g1, g2):
-    """Exact end-to-end SNR of the adaptive-gain relay."""
+    """Exact end-to-end SNR of the adaptive-gain relay.
+
+    Formed as g1 * (g2 / (g1 + g2 + 1)): the ratio lies in [0, 1), so
+    it overflows only where g1 + g2 does.
+    """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     if np.any(g1 < 0) or np.any(g2 < 0):
         raise ValueError("SNRs must be non-negative")
-    out = g1 * g2 / (g1 + g2 + 1.0)
+    out = g1 * (g2 / (g1 + g2 + 1.0))
     return float(out) if out.ndim == 0 else out
 
 
 def af_fixed_snr(g1, g2, c):
-    """End-to-end SNR of the fixed-gain relay with constant c."""
+    """End-to-end SNR of the fixed-gain relay with constant c.
+
+    Formed as g1 * (g2 / (c + g2)): the ratio lies in [0, 1] and c > 0,
+    so no finite g1, g2 overflow or divide by zero.
+    """
     if c <= 0:
         raise ValueError("c must be positive")
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     if np.any(g1 < 0) or np.any(g2 < 0):
         raise ValueError("SNRs must be non-negative")
-    out = g1 * g2 / (c + g2)
+    out = g1 * (g2 / (c + g2))
     return float(out) if out.ndim == 0 else out
 
 

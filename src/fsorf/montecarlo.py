@@ -1,23 +1,29 @@
 """Monte-Carlo simulation of the relay chain: four estimators.
 
-simulate_outage, simulate_ber_snr_level and simulate_ber_cascade_xor
-build one (m_relays, size) array of stage SNRs per batch and apply the
-threshold test, the DBPSK conditional error kernel of the chain
-minimum, or one XORed bit flip per detection stage.
+simulate_outage and simulate_ber_snr_level apply the threshold test or
+the DBPSK conditional error kernel to the chain minimum of each trial;
+simulate_ber_cascade_xor draws the (m_relays, size) stage SNRs of each
+batch and XORs one bit flip per detection stage.
 simulate_ber_signal_level pushes complex-baseband DBPSK symbols through
 the sampled channel gains and counts the bit errors of differential
 detection.  Each ends in a Wilson or normal interval builder.
 
-Common random numbers, drawn once per curve: simulate_outage_curve and
-simulate_ber_snr_level_curve score every average-SNR level of a curve
-from the same draws.  Every stage SNR is its mean times a unit draw,
-so each batch draws the unit quantities once (the users' best unit RF
-SNR, the first-segment FSO gain, each hop's FSO gain and unit RF SNR)
-and builds each level's stages from them with the arithmetic, in the
-order, of a draw at that level alone.  A positive factor commutes
-exactly with the max over users, so each level's estimate is bit for
-bit the one-level estimate: simulate_outage and simulate_ber_snr_level
-are the curves' one-level case.
+Common random numbers, drawn once per curve (random stream v2):
+simulate_outage_curve and simulate_ber_snr_level_curve score every
+average-SNR level of a curve from the same draws.  Every stage SNR is
+its mean times a unit draw, so each batch draws the unit quantities
+once: the users' best unit RF SNR U, the first-segment unit FSO SNR F,
+and each hop's unit FSO and RF SNRs G_j and R_j.  For each distinct
+ratio rho = gamma_bar_rf / gamma_bar_fso among the levels it then forms
+the gamma-bar-free minimum H = min_j max(G_j, rho R_j) once, and for the
+"min" first segment V = min(rho U, F, H).  A level only scales it: its
+chain minimum is gamma_bar_fso V ("min"), or the smaller of the relay
+cascade of gamma_bar_rf U and gamma_bar_fso F and gamma_bar_fso H
+("exact").  A correctly rounded product with a positive factor is
+monotone, so it commutes exactly with min and max: each level's chain
+minimum is bit for bit the column minimum of sample_chain_stage_snrs at
+that level alone, and simulate_outage and simulate_ber_snr_level are
+the curves' one-level case.
 
 One batch runner, _batches, holds the reproducibility contract: work is
 cut into fixed-size batches, batch i draws from its own counter-based
@@ -29,17 +35,21 @@ gives byte-identical estimates serially or on a pool.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import sample_fso_gain, sample_fso_snr, sample_rf_snr
+from .channels import sample_fso_snr, sample_rf_snr
 from .composition import GainMode, af_adaptive_snr, af_fixed_snr
 
 _BATCH = 1 << 16
 _FRAME_BITS = 250           # bits per fading frame at signal level
 _FRAMES_PER_BATCH = 200
 _Z95 = 1.959963984540054    # two-sided 95% normal quantile
+# exp(-g) is a normal double up to g = 708.39, and rounds to 0 past 745.14;
+# a vector exp meets a subnormal result only past _EXP_FAST
+_EXP_FAST = 700.0
+_EXP_ZERO = 746.0
 
 
 @dataclass(frozen=True)
@@ -185,43 +195,66 @@ def _unit_draws(topology, params, rng, size):
     """The SNR-free draws of `size` chain realizations, in draw order.
 
     Returns (users, first, hops): the best of the N users' unit-mean RF
-    SNRs, the first-segment FSO gain, and one (FSO gain, unit RF SNR)
-    pair per remaining hop.  The uniforms are those of a draw at any
-    mean SNR: the N user RF branches, the first-segment FSO link, then
-    one FSO and one RF draw per hop in hop order.  Only lam, a0 and xi
-    of params are read.
+    SNRs U, the first-segment unit FSO SNR F = I^2, and one (G_j, R_j)
+    pair of unit FSO and unit RF SNRs per remaining hop.  The draws are
+    those of the samplers at unit mean: the N user RF branches, the
+    first-segment FSO link, then one FSO and one RF draw per hop in hop
+    order.  Only lam, a0 and xi of params are read.
     """
-    # sample_rf_snr(g, ...) is exactly g times sample_rf_snr(1.0, ...)
+    unit = replace(params, gamma_bar_rf=1.0, gamma_bar_fso=1.0)
     users = sample_rf_snr(1.0, rng, size=(topology.n_users, size))
-    first = sample_fso_gain(params, rng, size=size)
-    hops = [(sample_fso_gain(params, rng, size=size),
+    first = sample_fso_snr(unit, rng, size=size)
+    hops = [(sample_fso_snr(unit, rng, size=size),
              sample_rf_snr(1.0, rng, size=size))
             for _ in range(1, topology.m_relays)]
     return users.max(axis=0), first, hops
 
 
-def _stage_snrs(topology, params, unit, first_segment):
-    """The (m_relays, size) stage SNRs of params from _unit_draws output.
+def _rho(params):
+    return params.gamma_bar_rf / params.gamma_bar_fso
 
-    Each SNR is formed as sample_rf_snr and sample_fso_snr form it, and
-    the mean RF SNR multiplies the users' maximum: a positive factor
-    commutes exactly with the max, so the stages are bit for bit those
-    of a draw at params.
+
+def _shared_min(unit, rho, first_segment):
+    """The gamma-bar-free part of the chain minimum at RF/FSO ratio rho.
+
+    H = min_j max(G_j, rho R_j) over the hops, and for the "min" first
+    segment V = min(rho U, F, H).  Returns V for "min", H for "exact"
+    (None on a chain without hops).
     """
     users, first, hops = unit
-    stages = np.empty((topology.m_relays, users.size))
-    g1 = params.gamma_bar_rf * users
-    g2 = params.gamma_bar_fso * first * first
+    low = None
+    for gain, rf in hops:
+        stage = np.maximum(gain, rho * rf)
+        low = stage if low is None else np.minimum(low, stage, out=low)
     if first_segment == "min":
-        stages[0] = np.minimum(g1, g2)
-    elif topology.first_segment_mode is GainMode.ADAPTIVE:
-        stages[0] = af_adaptive_snr(g1, g2)
-    else:
-        stages[0] = af_fixed_snr(g1, g2, params.c_gain)
-    for j, (gain, rf) in enumerate(hops, start=1):
-        stages[j] = np.maximum(params.gamma_bar_fso * gain * gain,
-                               params.gamma_bar_rf * rf)
-    return stages
+        seg = np.minimum(rho * users, first)
+        low = seg if low is None else np.minimum(low, seg, out=low)
+    return low
+
+
+def _exact_first(topology, params, unit):
+    """The relay cascade SNR of the first segment at params."""
+    users, first, _ = unit
+    g1 = params.gamma_bar_rf * users
+    g2 = params.gamma_bar_fso * first
+    if topology.first_segment_mode is GainMode.ADAPTIVE:
+        return af_adaptive_snr(g1, g2)
+    return af_fixed_snr(g1, g2, params.c_gain)
+
+
+def _level_min(topology, params, unit, shared, first_segment):
+    """The chain minimum at params from _shared_min at params' ratio.
+
+    A correctly rounded product with a positive factor is monotone, so
+    gamma_bar_fso commutes exactly with min and max: the result is bit
+    for bit the column minimum of sample_chain_stage_snrs.
+    """
+    if first_segment == "min":
+        return params.gamma_bar_fso * shared
+    low = _exact_first(topology, params, unit)
+    if shared is not None:
+        np.minimum(low, params.gamma_bar_fso * shared, out=low)
+    return low
 
 
 def _check_first_segment(first_segment):
@@ -238,18 +271,37 @@ def sample_chain_stage_snrs(topology, params, rng, size,
     the first-segment FSO link, then one FSO and one RF draw per hop in
     hop order.  first_segment selects the exact relay cascade ("exact",
     the default) or the min of the two segment SNRs ("min", the
-    approximation the closed adaptive-gain forms use).
+    approximation the closed adaptive-gain forms use).  From the unit
+    draws of _unit_draws and rho = gamma_bar_rf / gamma_bar_fso, row 0 is
+    the relay cascade of gamma_bar_rf U and gamma_bar_fso F, or
+    gamma_bar_fso min(rho U, F), and row j is gamma_bar_fso max(G_j,
+    rho R_j).
     """
     _check_first_segment(first_segment)
-    return _stage_snrs(topology, params,
-                       _unit_draws(topology, params, rng, size),
-                       first_segment)
+    unit = _unit_draws(topology, params, rng, size)
+    users, first, hops = unit
+    rho = _rho(params)
+    stages = np.empty((topology.m_relays, size))
+    if first_segment == "min":
+        stages[0] = params.gamma_bar_fso * np.minimum(rho * users, first)
+    else:
+        stages[0] = _exact_first(topology, params, unit)
+    for j, (gain, rf) in enumerate(hops, start=1):
+        stages[j] = params.gamma_bar_fso * np.maximum(gain, rho * rf)
+    return stages
 
 
 def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
-    """Minimum stage SNR over `size` chain realizations."""
-    return sample_chain_stage_snrs(topology, params, rng, size,
-                                   first_segment).min(axis=0)
+    """Minimum stage SNR over `size` chain realizations.
+
+    Bit for bit the column minimum of sample_chain_stage_snrs from the
+    same stream, and the chain minimum the estimators score.
+    """
+    _check_first_segment(first_segment)
+    unit = _unit_draws(topology, params, rng, size)
+    return _level_min(topology, params, unit,
+                      _shared_min(unit, _rho(params), first_segment),
+                      first_segment)
 
 
 # ---------------------------------------------------------------- curves
@@ -259,10 +311,12 @@ def _curve(topology, levels, cfg, first_segment, score, estimate):
 
     s1 and s2 are the sums of the score and of its square over
     cfg.trials_or_bits trials.  Every batch draws the unit quantities
-    once and builds, scores and reduces one level at a time, so no
-    (levels, size) array is ever formed.  A level that raises in a batch
-    gets, in place of its estimate, its first exception in batch order;
-    an exception of the shared draws counts for every level.
+    once, forms the gamma-bar-free minimum once per distinct RF/FSO
+    ratio of the levels, and scales, scores and reduces one level at a
+    time, so no (levels, size) array is ever formed.  A level that
+    raises in a batch gets, in place of its estimate, its first
+    exception in batch order; an exception of the shared draws counts
+    for every level.
     """
     _check_first_segment(first_segment)
     law = (levels[0].lam, levels[0].a0, levels[0].xi)
@@ -275,11 +329,15 @@ def _curve(topology, levels, cfg, first_segment, score, estimate):
             unit = _unit_draws(topology, levels[0], rng, size)
         except Exception as exc:
             return [exc] * len(levels)
+        shared = {}         # rho -> _shared_min at rho, built on first use
         sums = []
         for params in levels:
             try:
-                low = _stage_snrs(topology, params, unit,
-                                  first_segment).min(axis=0)
+                rho = _rho(params)
+                if rho not in shared:
+                    shared[rho] = _shared_min(unit, rho, first_segment)
+                low = _level_min(topology, params, unit, shared[rho],
+                                 first_segment)
                 sums.append(_sums(score(low, params)))
             except Exception as exc:
                 sums.append(exc)
@@ -331,6 +389,27 @@ def simulate_outage(topology, params, cfg, first_segment="exact"):
 
 # ------------------------------------------------------- SNR-level BER
 
+def _dbpsk_error(snr):
+    """0.5 exp(-snr), the DBPSK error probability at each SNR, bit for bit.
+
+    numpy's vector exp slows down about 20-fold on a block that holds a
+    subnormal or zero result, which most blocks do at high mean SNR.  So
+    exp runs on min(snr, _EXP_FAST), where every result is normal; lanes
+    past _EXP_ZERO are then 0, as exp gives them, and the few lanes
+    between the two bounds are evaluated alone.
+    """
+    out = np.minimum(snr, _EXP_FAST)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= 0.5
+    far = snr > _EXP_FAST
+    if far.any():
+        out *= ~far
+        band = np.flatnonzero(far & (snr < _EXP_ZERO))
+        out[band] = 0.5 * np.exp(-snr[band])
+    return out
+
+
 def simulate_ber_snr_level_curve(topology, levels, cfg,
                                  first_segment="exact"):
     """simulate_ber_snr_level at every LinkParams of `levels`.
@@ -339,7 +418,7 @@ def simulate_ber_snr_level_curve(topology, levels, cfg,
     """
     n = cfg.trials_or_bits
     return _curve(topology, levels, cfg, first_segment,
-                  lambda low, p: 0.5 * np.exp(-low),
+                  lambda low, p: _dbpsk_error(low),
                   lambda s1, s2: _normal_estimate(s1, s2, n))
 
 
@@ -363,7 +442,7 @@ def simulate_ber_cascade_xor(topology, params, cfg):
     def draw(rng, size):
         flips = np.zeros(size, dtype=bool)
         for stage in sample_chain_stage_snrs(topology, params, rng, size):
-            flips ^= rng.random(size) < 0.5 * np.exp(-stage)
+            flips ^= rng.random(size) < _dbpsk_error(stage)
         return flips
 
     errors, _ = _moments(cfg, cfg.trials_or_bits, _BATCH, draw)

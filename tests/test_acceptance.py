@@ -5,9 +5,9 @@ one pass/fail line per gate.  Together they cross-validate the three
 evaluation routes (closed form, quadrature, Monte Carlo) against each
 other and against known-truth anchors, check the qualitative behaviour
 the analysis predicts, and lock in bit-level reproducibility of the
-preset sweeps.  Expected runtime: about 40 s on 2 vCPUs, most of it the
-10^7-trial Monte Carlo of gates 4 and 5 (about 17 s and 11 s), drawn
-once per curve.
+preset sweeps.  Expected runtime: about 30 s on 2 vCPUs, most of it the
+10^7-trial Monte Carlo of gates 4 and 5 (about 13-16 s and 8-10 s),
+drawn once per curve.
 """
 
 import dataclasses

@@ -16,6 +16,7 @@ from fsorf.channels import (
     ne_pe_snr_pdf,
     rayleigh_snr_cdf,
     rayleigh_snr_pdf,
+    sample_fso_gain,
     sample_fso_snr,
     sample_fso_snr_displacement,
     sample_rf_snr,
@@ -217,8 +218,64 @@ def test_fso_sampler_support_and_ks():
     assert res.pvalue > 0.01
 
 
+class _Exponentials:
+    """Stands in for a Generator whose standard exponentials are given."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_exponential(self, size=None):
+        return self.draws.pop(0)
+
+
+def _pointing_gains(p, e):
+    # with lam = 1 and a turbulence draw of ones, h_a = 1 exactly and the
+    # composite gain is the pointing gain drawn from e
+    assert p.lam == 1.0
+    return sample_fso_gain(p, _Exponentials(np.ones_like(e), e),
+                           size=e.size)
+
+
+def test_pointing_gain_is_the_power_of_a_uniform():
+    # a0 exp(-E / zeta) is a0 U^(1 / zeta) with U = exp(-E), up to the
+    # rounding of the two routes: a few ulps, plus the exponent's rounding
+    # error, which grows with |E / zeta|
+    p = default_params(a0=0.8)
+    e = np.concatenate([[0.0, 1e-300, 5e-324, 40.0],
+                        np.random.default_rng(7).standard_exponential(100_000)])
+    got = _pointing_gains(p, e)
+    want = p.a0 * np.exp(-e) ** (1.0 / p.zeta)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= (4.0 + e / p.zeta) * eps * want)
+
+
+def test_pointing_gain_law_ks():
+    # P(h_p <= h) = (h / a0)^zeta on (0, a0]
+    p = default_params(a0=0.8)
+    rng = np.random.Generator(np.random.Philox(key=np.array(
+        [2026, 1], dtype=np.uint64)))
+    h_p = _pointing_gains(p, rng.standard_exponential(200_000))
+    assert np.all((h_p > 0.0) & (h_p <= p.a0))
+    res = st.kstest(h_p, lambda h: (h / p.a0) ** p.zeta)
+    assert res.pvalue > 0.01
+
+
+def test_unit_mean_draws_scale_exactly():
+    # a draw at mean SNR g is bit for bit g times the draw at mean 1, the
+    # property the Monte-Carlo core's gamma-bar-free chain minimum rests on
+    p = default_params(gamma_bar_fso=37.5)
+    unit = default_params(gamma_bar_fso=1.0)
+    assert np.array_equal(sample_fso_snr(p, np.random.default_rng(3), 1000),
+                          37.5 * sample_fso_snr(unit,
+                                                np.random.default_rng(3),
+                                                1000))
+    assert np.array_equal(sample_rf_snr(12.5, np.random.default_rng(4), 1000),
+                          12.5 * sample_rf_snr(1.0, np.random.default_rng(4),
+                                               1000))
+
+
 def test_displacement_sampler_same_law():
-    """The geometric construction must reproduce the inverse-CDF law."""
+    """The geometric construction must reproduce the sampler's law."""
     p = default_params(a0=0.9)
     rng = np.random.default_rng(31)
     s = sample_fso_snr_displacement(p, beam_width=2.0, rng=rng, size=200_000)

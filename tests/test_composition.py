@@ -150,6 +150,16 @@ def test_af_fixed_values():
         af_fixed_snr(1.0, 1.0, 0.0)
 
 
+def test_af_snrs_do_not_overflow_past_the_product():
+    # g1 * g2 overflows past about 1e154; both relays form the ratio
+    # first, so they stay finite wherever their inputs are
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert af_fixed_snr(1e200, 1e200, 1.0) == pytest.approx(1e200)
+        assert af_fixed_snr(3e300, 1e-300, 1.0) == pytest.approx(3.0)
+        assert af_adaptive_snr(1e200, 1e200) == pytest.approx(5e199)
+        assert af_adaptive_snr(1e300, 2.0) == pytest.approx(2.0)
+
+
 def test_af_fixed_monotone():
     base = af_fixed_snr(2.0, 3.0, 1.0)
     assert af_fixed_snr(2.5, 3.0, 1.0) > base

@@ -511,7 +511,7 @@ def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONWARNINGS", None)
-    for db in ("-3000", "3000"):
+    for db in ("-3000", "3000", "3080"):
         out = tmp_path / f"extreme{db}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "fsorf.cli", "--users", "1",
@@ -526,8 +526,9 @@ def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
 
 
 def test_monte_carlo_curve_point_fails_alone(tmp_path):
-    # one set of draws serves the whole curve; the unknown-csi
-    # Monte-Carlo cell overflows at 3000 dB, and only its row says so
+    # one set of draws serves the whole curve; at 3080 dB the mean SNR
+    # times a unit draw overflows in both Monte-Carlo cells, and only
+    # their rows say so
     def run(db):
         out = tmp_path / f"run{db}.csv"
         cli.main(["--users", "1", "--relays", "1", f"--gamma-avg-db={db}",
@@ -538,8 +539,8 @@ def test_monte_carlo_curve_point_fails_alone(tmp_path):
         with open(path) as handle:
             return handle.read().splitlines()[1:]
 
-    levels = ("-3000", "0", "3000")
-    curve = run("-3000:3000:3000")
+    levels = ("-3080", "0", "3080")
+    curve = run("-3080:3080:3080")
     single = {db: rows(run(db)) for db in levels}
     # each single-point run has a known-csi and an unknown-csi row
     assert rows(curve) == [single[db][k] for k in (0, 1) for db in levels]
@@ -547,9 +548,13 @@ def test_monte_carlo_curve_point_fails_alone(tmp_path):
     points = read_csv(curve)
     failed = [(p.mode, p.gamma_avg_db) for p in points
               if "monte-carlo:" in (p.error or "")]
-    assert failed == [(GainMode.FIXED, 3000.0)]
-    assert "monte-carlo: overflow encountered in multiply" in points[-1].error
-    assert all(p.mc is not None for p in points[:-1])
+    assert failed == [(GainMode.ADAPTIVE, 3080.0), (GainMode.FIXED, 3080.0)]
+    for p in points:
+        if p.gamma_avg_db == 3080.0:
+            assert "monte-carlo: overflow encountered in multiply" in p.error
+            assert p.mc is None
+        else:
+            assert p.mc is not None
 
 
 def test_extreme_db_ber_failures_name_their_operation(tmp_path):

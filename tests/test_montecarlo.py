@@ -12,17 +12,10 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from fsorf.channels import (
-    LinkParams,
-    db_to_linear,
-    sample_fso_snr,
-    sample_rf_snr,
-)
+from fsorf.channels import LinkParams, db_to_linear, sample_rf_snr
 from fsorf.composition import (
     GainMode,
     Topology,
-    af_adaptive_snr,
-    af_fixed_snr,
     end_to_end_outage_semianalytic,
 )
 from fsorf.metrics import ber_closed_form, outage_closed_form
@@ -30,6 +23,8 @@ from fsorf.montecarlo import (
     _BATCH,
     MetricEstimate,
     SimConfig,
+    _curve,
+    _dbpsk_error,
     _moments,
     _normal_estimate,
     _stream,
@@ -37,6 +32,7 @@ from fsorf.montecarlo import (
     differential_encode,
     differential_detect,
     sample_chain_min_snr,
+    sample_chain_stage_snrs,
     simulate_ber_cascade_xor,
     simulate_ber_signal_level,
     simulate_ber_snr_level,
@@ -92,8 +88,9 @@ def test_ber_identical_across_worker_counts():
 
 
 def test_estimates_pinned_to_random_stream():
-    # the estimates of every estimator, recorded when the estimators were
-    # folded onto one batch core; trial counts leave a partial last batch.
+    # the estimates of every estimator, recorded at random stream v2 (unit
+    # draws by standard_exponential, one gamma-bar-free chain minimum per
+    # batch); trial counts leave a partial last batch.
     # A change here is a change of the random stream or of the reduction,
     # and has to be a recorded decision.  Event and bit-error counts are
     # exact; the snr-level mean and the interval bounds go through
@@ -101,19 +98,19 @@ def test_estimates_pinned_to_random_stream():
     # builds, so they match to a relative 1e-12.
     adaptive = topo(2, 2, GainMode.ADAPTIVE)
     fixed = topo(2, 3, GainMode.FIXED)
-    counts = {"outage-min": 47605, "outage-exact": 33074,
-              "cascade-xor": 14727, "signal-level": 7029}
+    counts = {"outage-min": 47606, "outage-exact": 33092,
+              "cascade-xor": 14586, "signal-level": 7627}
     pinned = {
-        "outage-min": (0.6800714285714285, 0.6766061918728236,
-                       0.6835169024409308, 70000),
-        "outage-exact": (0.4724857142857143, 0.46878895387538455,
-                         0.47618549438734514, 70000),
-        "snr-level": (0.11337516109852508, 0.11224199026639357,
-                      0.11450833193065658, 70000),
-        "cascade-xor": (0.2103857142857143, 0.2073822893004492,
-                        0.21342092442245883, 70000),
-        "signal-level": (0.11715, 0.09768641938487661,
-                         0.1366135806151234, 60000),
+        "outage-min": (0.6800857142857143, 0.6766205176562167,
+                       0.6835311465182529, 70000),
+        "outage-exact": (0.47274285714285713, 0.46904597813915677,
+                         0.4764427276164445, 70000),
+        "snr-level": (0.11316380636268093, 0.11203139843035385,
+                      0.11429621429500801, 70000),
+        "cascade-xor": (0.20837142857142857, 0.2053787716742602,
+                        0.21139609168781962, 70000),
+        "signal-level": (0.12711666666666666, 0.1072645841628713,
+                         0.14696874917046202, 60000),
     }
     runs = []
     for w in (1, 2):
@@ -152,51 +149,34 @@ def _level(rf_db, fso_db, th_db, c_gain):
 CURVE_LEVELS = (_level(5.0, 12.0, 8.0, 1.0), _level(15.0, 9.0, 10.0, 3.7),
                 _level(25.0, 30.0, 20.0, 0.5))
 # name -> curve estimator, point estimator, chain, first segment, and the
-# point estimates at CURVE_LEVELS recorded from the per-point estimators
-# before they became the curve's one-level case: outage counts, and
-# (mean, ci_low, ci_high) of the BER, at 70,000 trials and seed 5
+# point estimates at CURVE_LEVELS recorded at random stream v2: outage
+# counts, and (mean, ci_low, ci_high) of the BER, at 70,000 trials and
+# seed 5
 CURVE_CASES = {
     "outage-min": (
         simulate_outage_curve, simulate_outage,
-        topo(2, 3, GainMode.ADAPTIVE), "min", (68596, 62521, 39621)),
+        topo(2, 3, GainMode.ADAPTIVE), "min", (68596, 62419, 39562)),
     "outage-exact-adaptive": (
         simulate_outage_curve, simulate_outage,
-        topo(2, 3, GainMode.ADAPTIVE), "exact", (69474, 64621, 43050)),
+        topo(2, 3, GainMode.ADAPTIVE), "exact", (69458, 64550, 42963)),
     "outage-exact-fixed": (
         simulate_outage_curve, simulate_outage,
-        topo(3, 2, GainMode.FIXED), "exact", (64493, 40670, 10512)),
+        topo(3, 2, GainMode.FIXED), "exact", (64475, 40765, 10424)),
     "snr-level": (
         simulate_ber_snr_level_curve, simulate_ber_snr_level,
         topo(2, 3, GainMode.FIXED), "exact", (
-            (0.18728196129916092, 0.1861087701489766, 0.18845515244934524),
-            (0.09933162942454266, 0.0981574391810438, 0.10050581966804151),
-            (0.0013607265262093023, 0.0012076902475626455,
-             0.001513762804855959))),
+            (0.18692866510258413, 0.18575610814035, 0.18810122206481825),
+            (0.09899438227615395, 0.09782173484797131, 0.1001670297043366),
+            (0.0013676496442052905, 0.0012097228083271677,
+             0.0015255764800834134))),
 }
 
 
-def _reference_min_snr(t, p, rng, size, first):
-    # the one-point draw written out with every SNR drawn at its own
-    # mean, the arithmetic the curve must reproduce bit for bit
-    g1 = sample_rf_snr(p.gamma_bar_rf, rng,
-                       size=(t.n_users, size)).max(axis=0)
-    g2 = sample_fso_snr(p, rng, size=size)
-    if first == "min":
-        low = np.minimum(g1, g2)
-    elif t.first_segment_mode is GainMode.ADAPTIVE:
-        low = af_adaptive_snr(g1, g2)
-    else:
-        low = af_fixed_snr(g1, g2, p.c_gain)
-    for _ in range(1, t.m_relays):
-        low = np.minimum(low, np.maximum(
-            sample_fso_snr(p, rng, size=size),
-            sample_rf_snr(p.gamma_bar_rf, rng, size=size)))
-    return low
-
-
 def _reference_estimate(name, t, p, cfg, first):
+    # the point estimate rebuilt from the public chain sampler, with the
+    # DBPSK kernel written out
     def low(rng, size):
-        return _reference_min_snr(t, p, rng, size, first)
+        return sample_chain_min_snr(t, p, rng, size, first)
 
     n = cfg.trials_or_bits
     if name.startswith("outage"):
@@ -228,6 +208,50 @@ def test_curve_scores_each_level_as_its_own_point(name):
                     == pytest.approx(want, rel=1e-12), (name, w)
 
 
+@pytest.mark.parametrize("first", ["exact", "min"])
+@pytest.mark.parametrize("mode", list(GainMode))
+def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
+    # the chain minimum a curve scores at each level, built from the
+    # gamma-bar-free minimum of its RF/FSO ratio, is bit for bit the
+    # column minimum of the stage SNRs drawn at that level alone.  The
+    # levels hold three ratios, and the last level shares the first's
+    # (doubling both means keeps their ratio exact).
+    t = topo(2, 3, mode)
+    twin = dataclasses.replace(
+        CURVE_LEVELS[0], gamma_bar_rf=2.0 * CURVE_LEVELS[0].gamma_bar_rf,
+        gamma_bar_fso=2.0 * CURVE_LEVELS[0].gamma_bar_fso)
+    levels = CURVE_LEVELS + (twin,)
+    seen = []
+
+    def score(low, p):
+        seen.append((p, low.copy()))
+        return low
+
+    _curve(t, levels, SimConfig(trials_or_bits=70000, seed=5), first,
+           score, lambda s1, s2: None)
+    sizes = (_BATCH, 70000 - _BATCH)
+    assert len(seen) == len(sizes) * len(levels)
+    for k, (p, low) in enumerate(seen):
+        batch, level = divmod(k, len(levels))
+        assert p is levels[level]
+        size = sizes[batch]
+        stages = sample_chain_stage_snrs(t, p, _stream(5, batch), size, first)
+        assert np.array_equal(low, stages.min(axis=0)), (batch, level)
+        assert np.array_equal(low, sample_chain_min_snr(
+            t, p, _stream(5, batch), size, first)), (batch, level)
+
+
+def test_dbpsk_kernel_is_half_exp_bit_for_bit():
+    # the kernel skips exp where it underflows; around both bounds and
+    # across the SNR decades of a sweep it returns 0.5 * exp(-g) exactly
+    rng = _stream(11, 0)
+    edges = np.array([0.0, 699.9, 700.0, np.nextafter(700.0, 800.0), 708.4,
+                      745.13, 745.14, 746.0, 1e308])
+    for scale in (1e-3, 1.0, 1e2, 1e3, 1e4, 1e300):
+        g = np.concatenate([edges, scale * rng.standard_exponential(5000)])
+        assert np.array_equal(_dbpsk_error(g), 0.5 * np.exp(-g)), scale
+
+
 def test_curve_levels_must_share_the_fso_law():
     cfg = SimConfig(trials_or_bits=10000, seed=5)
     t = topo(2, 2, GainMode.ADAPTIVE)
@@ -240,7 +264,7 @@ def test_curve_levels_must_share_the_fso_law():
 
 
 def test_failed_shared_draws_fail_every_level():
-    # lam = 1e-308 overflows the turbulence draw -log1p(-u) / lam, which
+    # lam = 1e-308 overflows the turbulence draw E / lam, which
     # all levels share; every level gets the first batch's exception
     levels = [dataclasses.replace(p, lam=1e-308) for p in CURVE_LEVELS]
     for w in (1, 2):
