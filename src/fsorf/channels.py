@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _CLAMP_ULPS, ConvergenceError, gamma_upper
+from .special import _CLAMP_ULPS, _clamped, gamma_upper
 
 # the gain and SNR formulas degenerate where xi^2 is a positive integer:
 # a pole of the recurrence, or a logarithmic Meijer-G case
@@ -179,15 +179,9 @@ def ne_pe_snr_cdf(gamma, params):
         tail = np.expm1(-x)
         value = head - tail
         if value.min() < 0.0 or value.max() > 1.0:
-            clamped = np.clip(value, 0.0, 1.0)
-            floor = _CLAMP_ULPS * (np.abs(head) + np.abs(tail))
-            bad = np.abs(value - clamped) > floor
-            if np.any(bad):
-                i = np.argmax(bad)
-                raise ConvergenceError(
-                    f"FSO SNR CDF {value[i]:.6g} at X={x[i]:.6g} lies outside"
-                    f" [0, 1] by more than its rounding floor {floor[i]:.3g}")
-            value = clamped
+            value = _clamped(
+                value, _CLAMP_ULPS * (np.abs(head) + np.abs(tail)), 1.0,
+                f"FSO SNR CDF at X in [{x.min():.6g}, {x.max():.6g}]")
         out[mid] = value
     if np.isscalar(gamma):
         return float(out[0])

@@ -56,12 +56,12 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         config_text = ""
         if args.config:
-            with open(args.config) as handle:
+            with open(args.config, encoding="utf-8") as handle:
                 config_text = handle.read()
         spec = spec_from_sources(config_text, {
             key: value for key, value in vars(args).items()
             if key != "config" and value is not None})
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ne_pe_snr_cdf, rayleigh_snr_cdf, rayleigh_snr_pdf
-from .special import _ROW_PLANS, MeijerParams, meijer_g, trapezoid
+from .special import (_ROW_PLANS, MeijerParams, _clamped, meijer_g,
+                      trapezoid)
 
 
 class GainMode(enum.Enum):
@@ -196,6 +197,8 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
     evaluated once, and J_k at every node is one discrete convolution.
     special.trapezoid checks each node's change when every other t node
     is dropped (step 2h) and raises ConvergenceError past the tolerance.
+    So does a value outside [0, 1] by more than the rounding floor
+    16 eps (1 + sum |coef_k J_k|); inside it, the value is clamped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -216,8 +219,10 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
     s = np.arange(1.0, n + 1.0) / gr
     coef = np.array([[math.comb(n - 1, k) * (-1.0) ** k] for k in range(n)])
     coef = coef * ((n / gr) * np.exp(-np.outer(s, g)))
+    floor = None
 
     def integral(t, weights):
+        nonlocal floor
         # surv[i + steps - j] is S at gamma_i c_gain e^{-t_j} = y e^{ih - t_j}
         tau = lo + LOG_STEP * np.arange(t.size - 1, -g.size, -1)
         surv = 1.0 - ne_pe_snr_cdf(y / np.exp(tau), params)
@@ -225,14 +230,14 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
         fine, coarse = (coef * np.array([np.convolve(w * r, surv, "valid")
                                          for r in rf]) for w in weights)
         # 1 - sum(coef J) cancels; its rounding floor scales with the terms
-        return (1.0 - fine.sum(axis=0), 1.0 - coarse.sum(axis=0),
-                16.0 * np.finfo(float).eps * (1.0 + np.abs(fine).sum(axis=0)))
+        floor = 16.0 * np.finfo(float).eps * (1.0 + np.abs(fine).sum(axis=0))
+        return 1.0 - fine.sum(axis=0), 1.0 - coarse.sum(axis=0), floor
 
     # at low SNR the cuts cross: every x then has a factor below e^-50,
     # the integral is under the rounding floor, and two steps suffice
-    value = trapezoid(integral, lo, hi, LOG_STEP, _RTOL, "fixed-gain oracle "
-                      f"(gamma in [{g[0]:g}, {g[-1]:g}], n={n})")
-    value = np.clip(value, 0.0, 1.0)
+    what = f"fixed-gain oracle (gamma in [{g[0]:g}, {g[-1]:g}], n={n})"
+    value = _clamped(trapezoid(integral, lo, hi, LOG_STEP, _RTOL, what),
+                     floor, 1.0, what)
     return float(value[0]) if np.ndim(gamma) == 0 else value
 
 

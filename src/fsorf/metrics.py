@@ -37,7 +37,7 @@ from .composition import (LOG_STEP, GainMode, _fixed_kernel_params,
                           fixed_segment_kernel)
 from .series import series_coeffs, series_power_coeffs
 from .special import (_CLAMP_ULPS, _ROW_PLANS, ConvergenceError,
-                      MeijerParams, gamma_fn, meijer_g, trapezoid)
+                      MeijerParams, _clamped, gamma_fn, meijer_g, trapezoid)
 
 _BLOCK_TOL = 1e-12
 _BLOCK_RUN = 3
@@ -132,21 +132,6 @@ def _chain_terms(topology):
 
 # ----------------------------------------------------------------- outage
 
-def _clamped(total, mass, top, what):
-    """total clamped to [0, top], or ConvergenceError past the rounding floor.
-
-    mass is 1 + sum |term| of the sum that gave total: a value outside
-    [0, 1] (outage) or [0, 1/2] (error rate) by more than _CLAMP_ULPS x mass
-    is no rounding error.
-    """
-    floor = _CLAMP_ULPS * mass
-    if not -floor <= total <= top + floor:
-        raise ConvergenceError(
-            f"{what} {total:.6g} lies outside [0, {top:g}] by more than "
-            f"its rounding floor {floor:.3g}")
-    return min(max(total, 0.0), top)
-
-
 def outage_closed_form(topology, params):
     """Closed-form outage probability at params.gamma_th.
 
@@ -171,7 +156,7 @@ def outage_closed_form(topology, params):
         term = weight * decay * tails[k] * ff ** t
         total += term
         mass += abs(term)
-    return _clamped(total, mass, 1.0, "closed-form outage")
+    return _clamped(total, _CLAMP_ULPS * mass, 1.0, "closed-form outage")
 
 
 # ------------------------------------------------------------- quadrature
@@ -265,6 +250,7 @@ def ber_closed_form(topology, params):
         raise ConvergenceError(
             f"BER Laplace kernels lie {0.5 * excess:.3g} outside "
             f"[0, Gamma(1+H) sigma^(-1-H)] (gamma_bar={gr:g})")
-    value = _clamped(0.5 * total, 0.5 * mass, 0.5, "closed-form error rate")
+    value = _clamped(0.5 * total, _CLAMP_ULPS * (0.5 * mass), 0.5,
+                     "closed-form error rate")
     return BerResult(value=value, truncation=0.5 * sum(last_blocks),
                      n_terms=n_used, converged=converged)

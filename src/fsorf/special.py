@@ -16,14 +16,14 @@ Meijer-G path in the package; the tests check it against an independent
 Mellin-Barnes contour integral and against mpmath.
 
 Everything about a parameter row that does not depend on the argument z
-is prepared once per row and kept in bounded ``functools.lru_cache``
-plans keyed on the row's floats: the reflected row, the log-case
-decision and its perturbed rows, and per Slater pole the sign and log
-of the gamma prefactor and the hypergeometric rows; ``hyp_pfq`` keeps
-its terminating-parameter and pole scan the same way.  A call then sums
-only the series in z, with the same arithmetic as a fresh set-up, so a
-cached value is bit-identical to an uncached one.  A set-up that raises
-is not cached and raises again, in its turn, on every call.
+is prepared once per row and kept in one bounded ``functools.lru_cache``
+of 512 row plans keyed on the row's floats: the log-case decision and
+its perturbed rows, and per Slater pole the sign and log of the gamma
+prefactor and the hypergeometric rows.  ``hyp_pfq`` keeps its
+terminating-parameter and pole scan in a second cache of 2,048 rows.  A
+call then sums only the series in z, with the same arithmetic as a fresh
+set-up, so a cached value is bit-identical to an uncached one.  A set-up
+that raises is not cached: it raises before any series, on every call.
 
 The gamma function and its logarithm come from the ``math`` module and
 the incomplete gamma function is evaluated here, so the module needs
@@ -56,8 +56,7 @@ class ConvergenceError(ArithmeticError):
 _INT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 # rounding floor of a probability summed from terms, in units of the terms'
-# total magnitude: past it, a value outside its range raises instead of
-# being clamped (the closed forms and the FSO SNR CDF)
+# total magnitude (the closed forms and the FSO SNR CDF; see _clamped)
 _CLAMP_ULPS = 4.0 * _EPS
 # continued-fraction iterations of the large-x incomplete gamma branch
 _CF_MAX_ITER = 300
@@ -67,9 +66,9 @@ _HYP_TOL = 1e-14
 _HYP_MAX_TERMS = 500
 # spread of a logarithmic-case parameter cluster (see meijer_g)
 _LOG_EPS = 1e-3
-# bounds of the z-free plan caches: Meijer-G rows (reflections, log-case
-# rows, Slater plans) and hypergeometric parameter rows.  A fig1-fig3
-# sweep of either metric uses at most a few hundred of each.
+# bounds of the z-free plan caches: Meijer-G row plans and hypergeometric
+# parameter rows.  A fig1-fig3 sweep of either metric uses at most a few
+# hundred of each.
 _ROW_PLANS = 512
 _HYP_PLANS = 2048
 
@@ -355,9 +354,49 @@ class MeijerParams:
         )
 
 
-def _log_case_clusters(params):
-    """Group the first-m lower parameters into integer-difference clusters."""
-    clusters = []
+def _slater_plan(params):
+    """z-free part of a Slater sum: (series argument sign, poles).
+
+    poles holds (k, b[k], sign, log prefactor, hyper_a, hyper_b) for each
+    pole in order whose term does not vanish: its gamma prefactor
+    prod Gamma(numer) / prod Gamma(denom) is sign * exp(log prefactor),
+    and its series is hyp_pfq(hyper_a, hyper_b, +/-z).  A prefactor that
+    math.lgamma cannot form (at a pole or out of range) raises.
+    """
+    m, n = params.m, params.n
+    a, b = params.a, params.b
+    p, q = params.p, params.q
+    poles = []
+    for k in range(m):
+        bk = b[k]
+        denom = ([1.0 + bk - b[j] for j in range(m, q)]
+                 + [a[j] - bk for j in range(n, p)])
+        if any(_is_nonpos_int(arg) for arg in denom):
+            continue                        # 1/Gamma at a pole: term vanishes
+        numer = ([b[j] - bk for j in range(m) if j != k]
+                 + [1.0 + bk - a[j] for j in range(n)])
+        log_pref, sign = 0.0, 1.0
+        for args, power in ((numer, 1.0), (denom, -1.0)):
+            for arg in args:
+                lg, sg = _lgamma_sign(arg)
+                log_pref += power * lg
+                sign *= sg
+        poles.append((k, bk, sign, log_pref,
+                      tuple(1.0 + bk - a[j] for j in range(p)),
+                      tuple(1.0 + bk - b[j] for j in range(q) if j != k)))
+    return (-1.0) ** (p - m - n), tuple(poles)
+
+
+@functools.lru_cache(maxsize=_ROW_PLANS)
+def _row_plan(params):
+    """z-free set-up of a row: the Slater plans that meijer_g sums.
+
+    One plan for a simple row.  A logarithmic case has clusters of b_1..b_m
+    that differ by integers; its plans are those of the row with each
+    cluster spread symmetrically by eps = _LOG_EPS and by 2 eps.  A set-up
+    that raises is not cached and raises again on every call.
+    """
+    clusters = []                       # of (k, b[k])
     for k in range(params.m):
         bk = params.b[k]
         for cl in clusters:
@@ -366,102 +405,18 @@ def _log_case_clusters(params):
                 break
         else:
             clusters.append([(k, bk)])
-    return clusters
-
-
-@functools.lru_cache(maxsize=_ROW_PLANS)
-def _is_log_case(params):
-    """Whether two of b_1..b_m differ by an integer."""
-    return any(len(cl) > 1 for cl in _log_case_clusters(params))
-
-
-@functools.lru_cache(maxsize=_ROW_PLANS)
-def _perturbed(params, eps):
-    """Spread logarithmic-case parameter clusters symmetrically by eps."""
-    b = list(params.b)
-    for cl in _log_case_clusters(params):
-        if len(cl) > 1:
-            r = len(cl)
+    clusters = [cl for cl in clusters if len(cl) > 1]
+    if not clusters:
+        return (_slater_plan(params),)
+    plans = []
+    for eps in (_LOG_EPS, 2.0 * _LOG_EPS):
+        b = list(params.b)
+        for cl in clusters:
             for i, (idx, bv) in enumerate(cl):
-                b[idx] = bv + (2.0 * i - (r - 1.0)) * eps
-    return MeijerParams(m=params.m, n=params.n, a=params.a, b=tuple(b))
-
-
-_flipped = functools.lru_cache(maxsize=_ROW_PLANS)(MeijerParams.flipped)
-
-
-def _pole_rows(params, k):
-    """Gamma-prefactor arguments and hypergeometric rows of pole b[k].
-
-    Returns (numer, denom, hyper_a, hyper_b): the prefactor is
-    prod Gamma(numer) / prod Gamma(denom), and the pole's series is
-    hyp_pfq(hyper_a, hyper_b, +/-z).
-    """
-    m, n = params.m, params.n
-    a, b = params.a, params.b
-    p, q = params.p, params.q
-    bk = b[k]
-    numer = ([b[j] - bk for j in range(m) if j != k]
-             + [1.0 + bk - a[j] for j in range(n)])
-    denom = ([1.0 + bk - b[j] for j in range(m, q)]
-             + [a[j] - bk for j in range(n, p)])
-    hyper_a = tuple(1.0 + bk - a[j] for j in range(p))
-    hyper_b = tuple(1.0 + bk - b[j] for j in range(q) if j != k)
-    return numer, denom, hyper_a, hyper_b
-
-
-def _log_prefactor(numer, denom):
-    """ln|prod Gamma(numer) / prod Gamma(denom)| and its sign."""
-    log_pref = 0.0
-    sign = 1.0
-    for arg in numer:
-        lg, sg = _lgamma_sign(arg)
-        log_pref += lg
-        sign *= sg
-    for arg in denom:
-        lg, sg = _lgamma_sign(arg)
-        log_pref -= lg
-        sign *= sg
-    return log_pref, sign
-
-
-@functools.lru_cache(maxsize=_ROW_PLANS)
-def _slater_plan(params):
-    """z-free part of _slater_sum: (series argument sign, poles, failing).
-
-    poles holds (k, b[k], sign, log prefactor, hyper_a, hyper_b) for each
-    pole in order whose term does not vanish.  failing is None, or the
-    index of the first pole whose prefactor raises (math.lgamma at a pole
-    or out of range); the list stops there.
-    """
-    sign_arg = (-1.0) ** (params.p - params.m - params.n)
-    poles = []
-    for k in range(params.m):
-        numer, denom, hyper_a, hyper_b = _pole_rows(params, k)
-        if any(_is_nonpos_int(arg) for arg in denom):
-            continue                        # 1/Gamma at a pole: term vanishes
-        try:
-            log_pref, sign = _log_prefactor(numer, denom)
-        except (ValueError, ArithmeticError):
-            return sign_arg, tuple(poles), k
-        poles.append((k, params.b[k], sign, log_pref, hyper_a, hyper_b))
-    return sign_arg, tuple(poles), None
-
-
-def _slater_sum(params, z):
-    """Slater expansion of G^{m,n}_{p,q}(z), simple-pole case (DLMF 16.17.2)."""
-    sign_arg, poles, failing = _slater_plan(params)
-    total = 0.0
-    for k, bk, sign, log_pref, hyper_a, hyper_b in poles:
-        val, ok = hyp_pfq(hyper_a, hyper_b, sign_arg * z)
-        if not ok:
-            raise ConvergenceError(
-                f"Slater series failed to converge at pole b[{k}]={bk}, z={z}")
-        total += sign * math.exp(log_pref + bk * math.log(z)) * val
-    if failing is not None:
-        # the failing pole's set-up raises again, after the earlier series
-        _log_prefactor(*_pole_rows(params, failing)[:2])
-    return total
+                b[idx] = bv + (2.0 * i - (len(cl) - 1.0)) * eps
+        plans.append(_slater_plan(MeijerParams(
+            m=params.m, n=params.n, a=params.a, b=tuple(b))))
+    return tuple(plans)
 
 
 def meijer_g(params, z):
@@ -482,11 +437,11 @@ def meijer_g(params, z):
     For p > q, or p = q with z > 1, the series is summed after the
     z -> 1/z reflection, where it converges.
 
-    The z-free set-up of a row (its reflection, the log-case decision and
-    perturbed rows, and each pole's prefactor and hypergeometric rows) is
-    built on the row's first call and kept in plan caches of at most
-    _ROW_PLANS rows each, keyed on the row's floats; later calls with an
-    equal row sum only the series in z.
+    The z-free set-up of a row is built on its first call and kept in one
+    plan cache of 512 rows (_row_plan), keyed on the row's floats, so an
+    equal row sums only the series in z; hyp_pfq keeps 2,048 parameter
+    scans the same way.  A set-up that fails raises before any series,
+    on every call.
     """
     if not isinstance(params, MeijerParams):
         raise TypeError("params must be a MeijerParams")
@@ -495,14 +450,20 @@ def meijer_g(params, z):
         raise ValueError(f"meijer_g requires a finite argument z > 0, got {z}")
     p, q = params.p, params.q
     if p > q or (p == q and z > 1.0):
-        return meijer_g(_flipped(params), 1.0 / z)
+        return meijer_g(params.flipped(), 1.0 / z)
     if p == q and z == 1.0:
         raise ConvergenceError("Slater series boundary |z| = 1 with p = q")
-    if _is_log_case(params):
-        s1 = _slater_sum(_perturbed(params, _LOG_EPS), z)
-        s2 = _slater_sum(_perturbed(params, 2.0 * _LOG_EPS), z)
-        return (4.0 * s1 - s2) / 3.0
-    return _slater_sum(params, z)
+    sums = []
+    for sign_arg, poles in _row_plan(params):
+        total = 0.0                 # Slater expansion, DLMF 16.17.2
+        for k, bk, sign, log_pref, hyper_a, hyper_b in poles:
+            val, ok = hyp_pfq(hyper_a, hyper_b, sign_arg * z)
+            if not ok:
+                raise ConvergenceError(f"Slater series failed to converge "
+                                       f"at pole b[{k}]={bk}, z={z}")
+            total += sign * math.exp(log_pref + bk * math.log(z)) * val
+        sums.append(total)
+    return sums[0] if len(sums) == 1 else (4.0 * sums[0] - sums[1]) / 3.0
 
 
 def trapezoid(integral, lo, hi, step, rtol, what):
@@ -530,3 +491,21 @@ def trapezoid(integral, lo, hi, step, rtol, what):
             f"{what}: step-halving error {np.ravel(err)[i]:.3g} exceeds "
             f"{np.ravel(tol)[i]:.3g} of {np.ravel(fine)[i]:.6g}")
     return fine
+
+
+def _clamped(value, floor, top, what):
+    """value clamped to [0, top], or ConvergenceError past its rounding floor.
+
+    value and floor are floats or arrays of one shape.  A value outside
+    [0, top] by more than its floor, or a NaN, is no rounding error and
+    raises; a float value gives a float.
+    """
+    inside = (-floor <= value) & (value <= top + floor)
+    if not np.all(inside):
+        i = np.argmin(inside)
+        raise ConvergenceError(
+            f"{what} {np.ravel(value)[i]:.6g} lies outside [0, {top:g}] by "
+            f"more than its rounding floor {np.ravel(floor)[i]:.3g}")
+    if np.ndim(value):
+        return np.clip(value, 0.0, top)
+    return min(max(value, 0.0), top)

@@ -10,6 +10,7 @@ import pytest
 import scipy.integrate as si
 import scipy.stats as st
 
+from fsorf import special
 from fsorf.channels import (
     LinkParams,
     db_to_linear,
@@ -264,6 +265,37 @@ def test_fixed_segment_numeric_raises_on_missed_error_estimate(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="step-halving"):
             second_relay_cdf_fixed_numeric(10.0, 2, params())
+
+
+@pytest.mark.parametrize("moved,want", [
+    (lambda floor: 1.0 + 2.0 * floor, None),      # past the floor: raises
+    (lambda floor: -2.0 * floor, None),
+    (lambda floor: np.full_like(floor, np.nextafter(1.0, 2.0)), 1.0),
+    (lambda floor: np.full_like(floor, -5e-324), 0.0)])  # one ulp: clamped
+def test_fixed_segment_numeric_clamps_only_within_its_floor(monkeypatch,
+                                                            moved, want):
+    # the rule's value is moved outside [0, 1], by twice the oracle's
+    # rounding floor 16 eps (1 + sum |coef J|) or by one ulp
+    def moved_rule(integral, *args):
+        floors = []
+
+        def spy(nodes, weights):
+            fine, coarse, floor = integral(nodes, weights)
+            floors.append(floor)
+            return fine, coarse, floor
+
+        special.trapezoid(spy, *args)
+        return moved(floors[0])
+
+    monkeypatch.setattr("fsorf.composition.trapezoid", moved_rule)
+    if want is None:
+        with pytest.raises(ConvergenceError, match=(
+                r"fixed-gain oracle .* lies outside \[0, 1\] by more than "
+                r"its rounding floor")):
+            second_relay_cdf_fixed_numeric(10.0, 2, params())
+    else:
+        value = second_relay_cdf_fixed_numeric(10.0, 2, params())
+        assert type(value) is float and value == want
 
 
 @pytest.mark.parametrize("n,gdb", [(1, 0.0), (2, 20.0), (4, 40.0),

@@ -486,6 +486,15 @@ def test_cli_missing_config_file(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_config_file_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"users = 1\n\xd0\xcf\x11\xe0 = 2\n")
+    assert cli.main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'utf-8' codec can't decode"), err
+    assert "Traceback" not in err
+
+
 def test_cli_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
     def boom(topology, params):
         raise ArithmeticError("synthetic blow-up")

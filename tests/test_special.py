@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fsorf import special
+from fsorf.experiments import run_experiment, spec_from_sources
 from fsorf.special import (
     ConvergenceError,
     MeijerParams,
@@ -326,8 +327,7 @@ def test_contour_matches_slater_simple_classes():
 
 # ------------------------------------------------------------ plan caches
 
-_PLAN_CACHES = (special._hyp_stop, special._slater_plan, special._perturbed,
-                special._is_log_case, special._flipped)
+_PLAN_CACHES = (special._hyp_stop, special._row_plan)
 
 
 @pytest.fixture
@@ -370,19 +370,19 @@ def test_meijer_plans_change_no_bit(cold_plans):
             fresh = meijer_g(MeijerParams(**fields), z)
             cached = meijer_g(MeijerParams(**fields), z)
             assert fresh.hex() == cached.hex(), (fields, z)
-    assert special._slater_plan.cache_info().hits > 0
+    assert special._row_plan.cache_info().hits > 0
 
 
 def test_rows_one_ulp_apart_get_their_own_plans(cold_plans):
     row = dict(m=2, n=1, a=(1.0, 1.0 + Z2), b=(1.0, Z2, 0.0))
     near = dict(row, b=(1.0, math.nextafter(Z2, 2.0), 0.0))
     meijer_g(MeijerParams(**row), 0.3)
-    plans = special._slater_plan.cache_info().currsize
+    plans = special._row_plan.cache_info().currsize
     scans = special._hyp_stop.cache_info().currsize
     meijer_g(MeijerParams(**near), 0.3)
-    assert special._slater_plan.cache_info().currsize == plans + 1
+    assert special._row_plan.cache_info().currsize == plans + 1
     assert special._hyp_stop.cache_info().currsize > scans
-    poles = special._slater_plan(MeijerParams(**near))[1]
+    (_, poles), = special._row_plan(MeijerParams(**near))
     assert [pole[1] for pole in poles] == [1.0, math.nextafter(Z2, 2.0)]
     # a zero parameter is stored as 0.0 whatever its sign, so rows that
     # compare equal hold the same floats
@@ -400,7 +400,7 @@ def test_failed_set_up_raises_on_every_call(cold_plans):
             hyp_pfq([0.5], [-2.0], 0.3)
 
 
-def test_failing_pole_raises_after_the_earlier_series(cold_plans, monkeypatch):
+def test_failing_set_up_raises_before_any_series(cold_plans, monkeypatch):
     # G^{2,0}_{1,2}(z | 1; 1/2, 0): pole b[0] = 1/2 has denominator
     # Gamma(1/2), pole b[1] = 0 has Gamma(1); make the second one fail
     # and record the series calls, which go through the module name
@@ -420,10 +420,48 @@ def test_failing_pole_raises_after_the_earlier_series(cold_plans, monkeypatch):
     monkeypatch.setattr(special, "_lgamma_sign", failing_at_one)
     monkeypatch.setattr(special, "hyp_pfq", recording)
     row = MeijerParams(m=2, n=0, a=(1.0,), b=(0.5, 0.0))
-    for round_ in (1, 2):
+    for _ in range(2):
         with pytest.raises(ValueError, match="math domain error"):
             meijer_g(row, 0.4)
-        assert calls == [(1.5,)] * round_
+        assert calls == []
+    assert special._row_plan.cache_info().currsize == 0
+
+
+def test_log_case_row_plans_its_two_perturbed_rows_once(cold_plans,
+                                                        monkeypatch):
+    # the fixed-gain kernel row repeats b = 1 - zeta/2 among its first m:
+    # a logarithmic case, summed at the rows spread by eps and 2 eps
+    fields, _ = _gate1_rows()[4]
+    slater_plan = special._slater_plan
+    built = []
+
+    def recording(params):
+        built.append(params.b)
+        return slater_plan(params)
+
+    monkeypatch.setattr(special, "_slater_plan", recording)
+    first = meijer_g(MeijerParams(**fields), 0.05)
+    assert [b[1:3] for b in built] == [
+        (1 - Z2 / 2 - eps, 1 - Z2 / 2 + eps)
+        for eps in (special._LOG_EPS, 2.0 * special._LOG_EPS)]
+    sizes = [cache.cache_info().currsize for cache in _PLAN_CACHES]
+    assert sizes[1] == 1
+    assert meijer_g(MeijerParams(**fields), 0.05) == first
+    meijer_g(MeijerParams(**fields), 0.2)
+    assert len(built) == 2
+    assert [cache.cache_info().currsize for cache in _PLAN_CACHES] == sizes
+
+
+def test_preset_sweep_fits_the_plan_caches(cold_plans):
+    # every Meijer-G row and hypergeometric row of a closed-form fig3
+    # sweep stays cached: preset traffic evicts nothing
+    run_experiment(spec_from_sources(overrides={
+        "preset": "fig3", "methods": "closed-form"}))
+    rows = special._row_plan.cache_info()
+    scans = special._hyp_stop.cache_info()
+    assert (rows.currsize, scans.currsize) == (100, 550)
+    assert rows.currsize < special._ROW_PLANS
+    assert scans.currsize < special._HYP_PLANS
 
 
 def test_hyp_accepts_any_sequence():
