@@ -196,9 +196,10 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
     array gamma must be evenly spaced in ln gamma at LOG_STEP: S is then
     evaluated once, and J_k at every node is one discrete convolution.
     special.trapezoid checks each node's change when every other t node
-    is dropped (step 2h) and raises ConvergenceError past the tolerance.
-    So does a value outside [0, 1] by more than the rounding floor
-    16 eps (1 + sum |coef_k J_k|); inside it, the value is clamped.
+    is dropped (step 2h) and raises ConvergenceError past the tolerance
+    plus the rounding floors 16 eps (1 + sum |coef_k J_k|) of both sums.
+    So does a value outside [0, 1] by more than the fine sum's floor;
+    inside it, the value is clamped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -229,9 +230,13 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
         rf = np.exp(t - np.outer(s, np.exp(t)))
         fine, coarse = (coef * np.array([np.convolve(w * r, surv, "valid")
                                          for r in rf]) for w in weights)
-        # 1 - sum(coef J) cancels; its rounding floor scales with the terms
-        floor = 16.0 * np.finfo(float).eps * (1.0 + np.abs(fine).sum(axis=0))
-        return 1.0 - fine.sum(axis=0), 1.0 - coarse.sum(axis=0), floor
+        # 1 - sum(coef J) cancels; its rounding floor scales with the
+        # terms, and the step-halving change carries both sums' floors
+        floor, coarse_floor = (
+            16.0 * np.finfo(float).eps * (1.0 + np.abs(x).sum(axis=0))
+            for x in (fine, coarse))
+        return (1.0 - fine.sum(axis=0), 1.0 - coarse.sum(axis=0),
+                floor + coarse_floor)
 
     # at low SNR the cuts cross: every x then has a factor below e^-50,
     # the integral is under the rounding floor, and two steps suffice

@@ -26,11 +26,13 @@ that level alone, and simulate_outage and simulate_ber_snr_level are
 the curves' one-level case.
 
 One batch runner, _batches, holds the reproducibility contract: work is
-cut into fixed-size batches, batch i draws from its own counter-based
-Philox stream keyed (seed, i), each batch is reduced to numpy's sums of
-its values and their squares, and batch sums are added in batch order.
-None of that depends on the worker count, so a given (seed, config)
-gives byte-identical estimates serially or on a pool.
+cut into fixed-size batches run by one pool of `workers` threads, batch
+i draws from its own counter-based Philox stream keyed (seed, i), each
+batch reduces each slot (a curve level, or an estimator's one value) to
+numpy's sums of its values and their squares or to an exception, and a
+slot's batch sums are added in batch order.  None of that depends on
+the worker count, so a given (seed, config) gives byte-identical
+estimates on a pool of any size.
 """
 
 import math
@@ -127,12 +129,16 @@ def _stream(seed, index):
 
 
 def _batches(cfg, total, batch, work):
-    """Yield work(rng, size) of every batch, in batch order.
+    """Per-slot totals of work(rng, size) over the batches of `total` units.
 
     Units are cut into batches of `batch` (the last one partial), batch
-    i draws from _stream(cfg.seed, i), and batches run serially or on
-    cfg.workers threads under the caller's numpy error state.  An
-    exception of work is raised at its batch's turn.
+    i draws from _stream(cfg.seed, i), and every batch runs on one pool
+    of cfg.workers threads under the caller's numpy error state.  work
+    returns one slot per estimate: the _sums pair of its batch, or an
+    exception.  Each slot's total is the batch-order + of its pairs, or
+    its first exception in batch order; plain +, not sum() (compensated
+    from Python 3.12), so the bytes match for any worker count.  An
+    exception that work raises is raised at its batch's turn.
     """
     sizes = [min(batch, total - k) for k in range(0, total, batch)]
     errstate = np.geterr()      # pool threads start from numpy's defaults
@@ -141,34 +147,24 @@ def _batches(cfg, total, batch, work):
         with np.errstate(**errstate):
             return work(_stream(cfg.seed, i), sizes[i])
 
-    if cfg.workers == 1 or len(sizes) == 1:
-        yield from map(one_batch, range(len(sizes)))
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            yield from pool.map(one_batch, range(len(sizes)))
+    # only a slot's first exception is kept, so the others and the batch
+    # arrays their tracebacks hold are freed batch by batch
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        parts = pool.map(one_batch, range(len(sizes)))
+        totals = next(parts)
+        for part in parts:
+            totals = [old if isinstance(old, Exception)
+                      else new if isinstance(new, Exception)
+                      else (old[0] + new[0], old[1] + new[1])
+                      for old, new in zip(totals, part)]
+    return totals
 
 
 def _sums(vals):
-    """numpy's sums of vals and of its squares, as Python scalars."""
+    """numpy's sums of vals and of its squares, as Python scalars: exact
+    ints for 0/1 flags and integer counts, and no BLAS call to fight the
+    pool for the cores."""
     return vals.sum().item(), (vals * vals).sum().item()
-
-
-def _moments(cfg, total, batch, draw):
-    """Sums of draw(rng, size) and of its squares over `total` units.
-
-    The units run in _batches.  Every draw (0/1 flags, integer counts,
-    float kernels) is reduced alike by _sums: exact ints for bool and
-    integer draws, and no BLAS call to fight the pool for the cores.
-    Batch sums are added in batch order with plain +=, not sum()
-    (compensated from Python 3.12), so the bytes match for any worker
-    count.
-    """
-    s1 = s2 = 0     # 0 + x == x, so an int or a float sum keeps its type
-    for a, b in _batches(cfg, total, batch,
-                         lambda rng, size: _sums(draw(rng, size))):
-        s1 += a
-        s2 += b
-    return s1, s2
 
 
 def _wilson_estimate(hits, n):
@@ -294,14 +290,11 @@ def sample_chain_stage_snrs(topology, params, rng, size,
 def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
     """Minimum stage SNR over `size` chain realizations.
 
-    Bit for bit the column minimum of sample_chain_stage_snrs from the
-    same stream, and the chain minimum the estimators score.
+    The column minimum of sample_chain_stage_snrs from the same stream,
+    and bit for bit the chain minimum the estimators score.
     """
-    _check_first_segment(first_segment)
-    unit = _unit_draws(topology, params, rng, size)
-    return _level_min(topology, params, unit,
-                      _shared_min(unit, _rho(params), first_segment),
-                      first_segment)
+    return sample_chain_stage_snrs(topology, params, rng, size,
+                                   first_segment).min(axis=0)
 
 
 # ---------------------------------------------------------------- curves
@@ -343,15 +336,8 @@ def _curve(topology, levels, cfg, first_segment, score, estimate):
                 sums.append(exc)
         return sums
 
-    # only a level's first exception is kept, so the others and the
-    # batch arrays their tracebacks hold are freed batch by batch
-    totals = [(0, 0)] * len(levels)
-    for part in _batches(cfg, cfg.trials_or_bits, _BATCH, one_batch):
-        totals = [old if isinstance(old, Exception)
-                  else new if isinstance(new, Exception)
-                  else (old[0] + new[0], old[1] + new[1])
-                  for old, new in zip(totals, part)]
-    return [t if isinstance(t, Exception) else estimate(*t) for t in totals]
+    return [t if isinstance(t, Exception) else estimate(*t)
+            for t in _batches(cfg, cfg.trials_or_bits, _BATCH, one_batch)]
 
 
 def _one_level(curve):
@@ -445,7 +431,8 @@ def simulate_ber_cascade_xor(topology, params, cfg):
             flips ^= rng.random(size) < _dbpsk_error(stage)
         return flips
 
-    errors, _ = _moments(cfg, cfg.trials_or_bits, _BATCH, draw)
+    ((errors, _),) = _batches(cfg, cfg.trials_or_bits, _BATCH,
+                              lambda rng, size: [_sums(draw(rng, size))])
     return _wilson_estimate(errors, cfg.trials_or_bits)
 
 
@@ -522,5 +509,6 @@ def simulate_ber_signal_level(topology, params, cfg):
 
         return (decided != bits).sum(axis=1)    # bit errors per frame
 
-    s1, s2 = _moments(cfg, n_frames, _FRAMES_PER_BATCH, draw)
+    ((s1, s2),) = _batches(cfg, n_frames, _FRAMES_PER_BATCH,
+                           lambda rng, fb: [_sums(draw(rng, fb))])
     return _normal_estimate(s1, s2, n_frames, per_unit=frame)

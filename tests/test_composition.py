@@ -274,8 +274,9 @@ def test_fixed_segment_numeric_raises_on_missed_error_estimate(monkeypatch):
     (lambda floor: np.full_like(floor, -5e-324), 0.0)])  # one ulp: clamped
 def test_fixed_segment_numeric_clamps_only_within_its_floor(monkeypatch,
                                                             moved, want):
-    # the rule's value is moved outside [0, 1], by twice the oracle's
-    # rounding floor 16 eps (1 + sum |coef J|) or by one ulp
+    # the rule's value is moved outside [0, 1], by twice the floor the
+    # rule is given (the sum of both sums' rounding floors 16 eps
+    # (1 + sum |coef J|), at least the clamp's fine floor) or by one ulp
     def moved_rule(integral, *args):
         floors = []
 
@@ -296,6 +297,15 @@ def test_fixed_segment_numeric_clamps_only_within_its_floor(monkeypatch,
     else:
         value = second_relay_cdf_fixed_numeric(10.0, 2, params())
         assert type(value) is float and value == want
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_fixed_segment_numeric_step_halving_allows_both_sums_rounding(n):
+    # at 3000 dB the segment is almost never in outage, and the step-h and
+    # step-2h sums differ by their rounding alone: the check must allow
+    # the floors of both sums, not of the fine one only
+    value = second_relay_cdf_fixed_numeric(10.0, n, params(3000.0, xi=0.8))
+    assert 0.0 <= value <= 1e-12
 
 
 @pytest.mark.parametrize("n,gdb", [(1, 0.0), (2, 20.0), (4, 40.0),

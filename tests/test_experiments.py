@@ -283,15 +283,18 @@ def test_csv_text_is_pinned(tmp_path):
 
 def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path):
     # neither a bare KeyError for a short row nor a silently dropped
-    # cell for a long one: both are refused, naming their line
+    # cell for a long one: both are refused, naming their line, and a
+    # header without the error column is no curve-point CSV
     header = ",".join(CSV_COLUMNS) + "\n"
     row = ("fig1,known-csi,outage,2,3,1.45,1.0,10.0,20.0,0.1,0.3,0.25,"
            "0.125,0.375,2000,42,\n")
-    cases = [(row + "fig1,known-csi,outage,2\n", "line 3: 4 cells"),
-             (row[:-1] + ",extra\n", "line 2: 18 cells")]
-    for body, message in cases:
+    cases = [(header + row + "fig1,known-csi,outage,2\n", "line 3: 4 cells"),
+             (header + row[:-1] + ",extra\n", "line 2: 18 cells"),
+             (",".join(CSV_COLUMNS[:-1]) + "\n" + row[:-2] + "\n",
+              r"not a curve-point CSV \(header mismatch\)")]
+    for text, message in cases:
         path = tmp_path / "bad.csv"
-        path.write_text(header + body)
+        path.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_csv(str(path))
     path.write_text(header + row)
@@ -338,6 +341,22 @@ def test_write_csv_leaves_the_mode_open_would(tmp_path):
         assert read_csv(str(kept)) == []
     finally:
         os.umask(old)
+
+
+def test_write_csv_failing_midway_keeps_the_target(tmp_path, monkeypatch):
+    # the rows fail after the header is written: the .csv.part goes, and
+    # the file already at the path keeps its bytes
+    def failing_rows(points):
+        yield list(CSV_COLUMNS)
+        raise OSError("synthetic write failure")
+
+    monkeypatch.setattr("fsorf.experiments.csv_rows", failing_rows)
+    target = tmp_path / "kept.csv"
+    target.write_bytes(b"old,bytes\n")
+    with pytest.raises(OSError, match="synthetic write failure"):
+        write_csv([], str(target))
+    assert target.read_bytes() == b"old,bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
 def test_point_failure_lands_in_error_column(tmp_path, monkeypatch):

@@ -23,11 +23,12 @@ from fsorf.montecarlo import (
     _BATCH,
     MetricEstimate,
     SimConfig,
+    _batches,
     _curve,
     _dbpsk_error,
-    _moments,
     _normal_estimate,
     _stream,
+    _sums,
     _wilson_estimate,
     differential_encode,
     differential_detect,
@@ -180,11 +181,11 @@ def _reference_estimate(name, t, p, cfg, first):
 
     n = cfg.trials_or_bits
     if name.startswith("outage"):
-        hits, _ = _moments(cfg, n, _BATCH,
-                           lambda rng, size: low(rng, size) < p.gamma_th)
+        ((hits, _),) = _batches(cfg, n, _BATCH, lambda rng, size: [
+            _sums(low(rng, size) < p.gamma_th)])
         return _wilson_estimate(hits, n)
-    s1, s2 = _moments(cfg, n, _BATCH,
-                      lambda rng, size: 0.5 * np.exp(-low(rng, size)))
+    ((s1, s2),) = _batches(cfg, n, _BATCH, lambda rng, size: [
+        _sums(0.5 * np.exp(-low(rng, size)))])
     return _normal_estimate(s1, s2, n)
 
 
@@ -265,16 +266,21 @@ def test_curve_levels_must_share_the_fso_law():
 
 def test_failed_shared_draws_fail_every_level():
     # lam = 1e-308 overflows the turbulence draw E / lam, which
-    # all levels share; every level gets the first batch's exception
+    # all levels share; every level gets the first batch's exception,
+    # and a one-level estimator raises its level's
     levels = [dataclasses.replace(p, lam=1e-308) for p in CURVE_LEVELS]
+    t = topo(1, 1, GainMode.ADAPTIVE)
     for w in (1, 2):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            curve = simulate_outage_curve(topo(1, 1, GainMode.ADAPTIVE),
-                                          levels, cfg)
+            curve = simulate_outage_curve(t, levels, cfg)
         assert isinstance(curve[0], FloatingPointError), curve
         assert "overflow encountered in divide" in str(curve[0])
         assert all(level is curve[0] for level in curve)
+        for point_fn in (simulate_outage, simulate_ber_snr_level):
+            with np.errstate(over="raise"), pytest.raises(
+                    FloatingPointError, match="overflow encountered in divide"):
+                point_fn(t, levels[0], cfg)
 
 
 def test_seed_changes_estimate():
@@ -309,8 +315,12 @@ def test_moments_reduce_every_draw_one_way():
         for vals in batches:
             want1 += vals.sum().item()
             want2 += (vals * vals).sum().item()
-        got = [_moments(SimConfig(trials_or_bits=2500, seed=7, workers=w),
-                        2500, 1000, draw) for w in (1, 3)]
+        got = []
+        for w in (1, 3):
+            cfg = SimConfig(trials_or_bits=2500, seed=7, workers=w)
+            (total,) = _batches(cfg, 2500, 1000,
+                                lambda rng, size: [_sums(draw(rng, size))])
+            got.append(total)
         assert got[0] == got[1] == (want1, want2), name
         if name != "float":
             # exact integer sums, equal to the unbatched ones
