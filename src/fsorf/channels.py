@@ -119,13 +119,24 @@ def rayleigh_snr_pdf(gamma, gamma_bar):
     return float(out) if np.isscalar(gamma) else out
 
 
-def sample_rf_snr(gamma_bar, rng, size=None):
+def _standard_exponential(rng, size, out):
+    # rng.standard_exponential(size=size), drawn into out when it is
+    # given; numpy refuses an out whose shape is not size
+    if out is None:
+        return rng.standard_exponential(size=size)
+    return rng.standard_exponential(size=size, out=out)
+
+
+def sample_rf_snr(gamma_bar, rng, size=None, *, out=None):
     """Draw exponential SNR with mean gamma_bar.
 
     gamma_bar scales one standard exponential draw per sample, so the
-    draw at gamma_bar is exactly gamma_bar times the draw at 1.0.
+    draw at gamma_bar is exactly gamma_bar times the draw at 1.0.  out,
+    a C-contiguous float64 array of shape `size`, receives the draws in
+    place of a new array.
     """
-    return gamma_bar * rng.standard_exponential(size=size)
+    draws = _standard_exponential(rng, size, out)
+    return np.multiply(gamma_bar, draws, out=out)
 
 
 # ----------------------------------------------------------------- FSO link
@@ -188,7 +199,7 @@ def ne_pe_snr_cdf(gamma, params):
     return out.reshape(np.shape(gamma))
 
 
-def sample_fso_gain(params, rng, size=None):
+def sample_fso_gain(params, rng, size=None, *, out=None):
     """Draw the composite FSO gain I = h_a h_p.
 
     Each call draws two standard exponentials E1, E2 per sample,
@@ -196,21 +207,31 @@ def sample_fso_gain(params, rng, size=None):
     h_p = a0 exp(-E2 / xi^2) has the pointing-error law P(h_p <= h) =
     (h / a0)^(xi^2) on (0, a0], the law of a0 U^(1/xi^2) for a uniform U.
     The law depends on lam, a0 and xi only.
+
+    out, a C-contiguous float64 array of shape (2,) + size, takes the
+    place of new arrays: the gains land in out[0], which is returned,
+    and out[1] is overwritten.
     """
-    h_a = rng.standard_exponential(size=size) / params.lam
-    h_p = params.a0 * np.exp(rng.standard_exponential(size=size)
-                             / -params.zeta)
-    return h_a * h_p
+    a_out, p_out = (None, None) if out is None else out
+    h_a = np.divide(_standard_exponential(rng, size, a_out),
+                    params.lam, out=a_out)
+    h_p = np.divide(_standard_exponential(rng, size, p_out),
+                    -params.zeta, out=p_out)
+    h_p = np.multiply(params.a0, np.exp(h_p, out=p_out), out=p_out)
+    return np.multiply(h_a, h_p, out=a_out)
 
 
-def sample_fso_snr(params, rng, size=None):
+def sample_fso_snr(params, rng, size=None, *, out=None):
     """Draw FSO SNR as gamma_bar_fso * (I * I), I from sample_fso_gain.
 
     The unit SNR I * I is formed first, so the draw at gamma_bar_fso is
-    exactly gamma_bar_fso times the draw at 1.0.
+    exactly gamma_bar_fso times the draw at 1.0.  out is as in
+    sample_fso_gain, and out[0] receives the SNRs.
     """
-    i = sample_fso_gain(params, rng, size)
-    return params.gamma_bar_fso * (i * i)
+    i = sample_fso_gain(params, rng, size, out=out)
+    dest = None if out is None else i
+    return np.multiply(params.gamma_bar_fso, np.multiply(i, i, out=dest),
+                       out=dest)
 
 
 def sample_fso_snr_displacement(params, beam_width, rng, size=None):

@@ -20,8 +20,9 @@ Everything here is expressed over CDFs, but the three routes compose the
 chain each their own way: the closed form through the binomial terms of
 metrics._chain_terms, the quadrature through the product in
 end_to_end_outage_semianalytic, and Monte Carlo through the chain
-minimum of montecarlo._level_min, the column minimum of the per-stage
-SNRs that montecarlo.sample_chain_stage_snrs draws.
+minimum that montecarlo._curve folds hop by hop as it draws, bit for bit
+the column minimum of the per-stage SNRs that
+montecarlo.sample_chain_stage_snrs draws.
 """
 
 import enum
@@ -88,34 +89,51 @@ def hybrid_hop_cdf(gamma, params):
 
 # ------------------------------------------------------------ AF algebra
 
-def af_adaptive_snr(g1, g2):
+def _nonnegative_snrs(g1, g2, out):
+    # g1 and g2 as float arrays; the sign test writes its flags into out
+    # when it is given, so out must not overlap them
+    g1 = np.asarray(g1, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
+    if out is not None and (np.shares_memory(out, g1)
+                            or np.shares_memory(out, g2)):
+        raise ValueError("out must not overlap g1 or g2")
+    flags = None if out is None else out.view(bool)[:out.size]
+    if np.less(g1, 0, out=flags).any() or np.less(g2, 0, out=flags).any():
+        raise ValueError("SNRs must be non-negative")
+    return g1, g2
+
+
+def _af_result(snr, out):
+    return float(snr) if out is None and np.ndim(snr) == 0 else snr
+
+
+def af_adaptive_snr(g1, g2, *, out=None):
     """Exact end-to-end SNR of the adaptive-gain relay.
 
     Formed as g1 * (g2 / (g1 + g2 + 1)): the ratio lies in [0, 1), so
-    it overflows only where g1 + g2 does.
+    it overflows only where g1 + g2 does.  out, a 1-D float64 array of
+    g1's and g2's shape, receives the SNRs in place of new arrays; it
+    must not overlap them (ValueError).
     """
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if np.any(g1 < 0) or np.any(g2 < 0):
-        raise ValueError("SNRs must be non-negative")
-    out = g1 * (g2 / (g1 + g2 + 1.0))
-    return float(out) if out.ndim == 0 else out
+    g1, g2 = _nonnegative_snrs(g1, g2, out)
+    den = np.add(g1, g2, out=out)
+    den += 1.0
+    return _af_result(np.multiply(g1, np.divide(g2, den, out=out), out=out),
+                      out)
 
 
-def af_fixed_snr(g1, g2, c):
+def af_fixed_snr(g1, g2, c, *, out=None):
     """End-to-end SNR of the fixed-gain relay with constant c.
 
     Formed as g1 * (g2 / (c + g2)): the ratio lies in [0, 1] and c > 0,
-    so no finite g1, g2 overflow or divide by zero.
+    so no finite g1, g2 overflow or divide by zero.  out is as in
+    af_adaptive_snr.
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if np.any(g1 < 0) or np.any(g2 < 0):
-        raise ValueError("SNRs must be non-negative")
-    out = g1 * (g2 / (c + g2))
-    return float(out) if out.ndim == 0 else out
+    g1, g2 = _nonnegative_snrs(g1, g2, out)
+    ratio = np.divide(g2, np.add(c, g2, out=out), out=out)
+    return _af_result(np.multiply(g1, ratio, out=out), out)
 
 
 # ------------------------------------------------- first-segment CDFs

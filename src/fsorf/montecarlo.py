@@ -14,16 +14,21 @@ average-SNR level of a curve from the same draws.  Every stage SNR is
 its mean times a unit draw, so each batch draws the unit quantities
 once: the users' best unit RF SNR U, the first-segment unit FSO SNR F,
 and each hop's unit FSO and RF SNRs G_j and R_j.  For each distinct
-ratio rho = gamma_bar_rf / gamma_bar_fso among the levels it then forms
-the gamma-bar-free minimum H = min_j max(G_j, rho R_j) once, and for the
-"min" first segment V = min(rho U, F, H).  A level only scales it: its
-chain minimum is gamma_bar_fso V ("min"), or the smaller of the relay
-cascade of gamma_bar_rf U and gamma_bar_fso F and gamma_bar_fso H
-("exact").  A correctly rounded product with a positive factor is
-monotone, so it commutes exactly with min and max: each level's chain
-minimum is bit for bit the column minimum of sample_chain_stage_snrs at
-that level alone, and simulate_outage and simulate_ber_snr_level are
-the curves' one-level case.
+ratio rho = gamma_bar_rf / gamma_bar_fso among the levels it folds each
+hop's pair, as soon as it is drawn, into the gamma-bar-free minimum
+H = min_j max(G_j, rho R_j), and for the "min" first segment then into
+V = min(rho U, F, H).  A level only scales it: its chain minimum is
+gamma_bar_fso V ("min"), or the smaller of the relay cascade of
+gamma_bar_rf U and gamma_bar_fso F and gamma_bar_fso H ("exact").  A
+correctly rounded product with a positive factor is monotone, so it
+commutes exactly with min and max: each level's chain minimum is bit
+for bit the column minimum of sample_chain_stage_snrs at that level
+alone, and simulate_outage and simulate_ber_snr_level are the curves'
+one-level case.  A curve's batches allocate no array of batch size
+after a thread's first batch: every pool thread keeps one workspace of
+1 + max(N, 4 + #rho) rows of _BATCH floats, which the draws, the folds,
+each level's chain minimum, its scores and their squares overwrite in
+turn (_curve has the layout), and which dies with the curve's pool.
 
 One batch runner, _batches, holds the reproducibility contract: work is
 cut into fixed-size batches run by one pool of `workers` threads, batch
@@ -36,6 +41,7 @@ estimates on a pool of any size.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -160,11 +166,11 @@ def _batches(cfg, total, batch, work):
     return totals
 
 
-def _sums(vals):
+def _sums(vals, out=None):
     """numpy's sums of vals and of its squares, as Python scalars: exact
     ints for 0/1 flags and integer counts, and no BLAS call to fight the
-    pool for the cores."""
-    return vals.sum().item(), (vals * vals).sum().item()
+    pool for the cores.  The squares go into out when it is given."""
+    return vals.sum().item(), np.multiply(vals, vals, out=out).sum().item()
 
 
 def _wilson_estimate(hits, n):
@@ -210,47 +216,18 @@ def _rho(params):
     return params.gamma_bar_rf / params.gamma_bar_fso
 
 
-def _shared_min(unit, rho, first_segment):
-    """The gamma-bar-free part of the chain minimum at RF/FSO ratio rho.
+def _exact_first(topology, params, users, first, out=(None, None, None)):
+    """The relay cascade SNR of the first segment at params.
 
-    H = min_j max(G_j, rho R_j) over the hops, and for the "min" first
-    segment V = min(rho U, F, H).  Returns V for "min", H for "exact"
-    (None on a chain without hops).
+    users and first are the unit SNRs U and F.  out, three float rows,
+    takes the place of new arrays: gamma_bar_rf U, gamma_bar_fso F and
+    the cascade land in its rows.
     """
-    users, first, hops = unit
-    low = None
-    for gain, rf in hops:
-        stage = np.maximum(gain, rho * rf)
-        low = stage if low is None else np.minimum(low, stage, out=low)
-    if first_segment == "min":
-        seg = np.minimum(rho * users, first)
-        low = seg if low is None else np.minimum(low, seg, out=low)
-    return low
-
-
-def _exact_first(topology, params, unit):
-    """The relay cascade SNR of the first segment at params."""
-    users, first, _ = unit
-    g1 = params.gamma_bar_rf * users
-    g2 = params.gamma_bar_fso * first
+    g1 = np.multiply(params.gamma_bar_rf, users, out=out[0])
+    g2 = np.multiply(params.gamma_bar_fso, first, out=out[1])
     if topology.first_segment_mode is GainMode.ADAPTIVE:
-        return af_adaptive_snr(g1, g2)
-    return af_fixed_snr(g1, g2, params.c_gain)
-
-
-def _level_min(topology, params, unit, shared, first_segment):
-    """The chain minimum at params from _shared_min at params' ratio.
-
-    A correctly rounded product with a positive factor is monotone, so
-    gamma_bar_fso commutes exactly with min and max: the result is bit
-    for bit the column minimum of sample_chain_stage_snrs.
-    """
-    if first_segment == "min":
-        return params.gamma_bar_fso * shared
-    low = _exact_first(topology, params, unit)
-    if shared is not None:
-        np.minimum(low, params.gamma_bar_fso * shared, out=low)
-    return low
+        return af_adaptive_snr(g1, g2, out=out[2])
+    return af_fixed_snr(g1, g2, params.c_gain, out=out[2])
 
 
 def _check_first_segment(first_segment):
@@ -281,7 +258,7 @@ def sample_chain_stage_snrs(topology, params, rng, size,
     if first_segment == "min":
         stages[0] = params.gamma_bar_fso * np.minimum(rho * users, first)
     else:
-        stages[0] = _exact_first(topology, params, unit)
+        stages[0] = _exact_first(topology, params, users, first)
     for j, (gain, rf) in enumerate(hops, start=1):
         stages[j] = params.gamma_bar_fso * np.maximum(gain, rho * rf)
     return stages
@@ -300,38 +277,127 @@ def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
 # ---------------------------------------------------------------- curves
 
 def _curve(topology, levels, cfg, first_segment, score, estimate):
-    """estimate(s1, s2) of score(chain minimum, level) at every level.
+    """estimate(s1, s2) of the scores of the chain minimum at every level.
 
-    s1 and s2 are the sums of the score and of its square over
-    cfg.trials_or_bits trials.  Every batch draws the unit quantities
-    once, forms the gamma-bar-free minimum once per distinct RF/FSO
-    ratio of the levels, and scales, scores and reduces one level at a
-    time, so no (levels, size) array is ever formed.  A level that
-    raises in a batch gets, in place of its estimate, its first
-    exception in batch order; an exception of the shared draws counts
-    for every level.
+    score(low, params, out, scratch) returns the scores of the chain
+    minimum `low` at level params, written into the float row out or a
+    view of it in another dtype, and may overwrite the float row
+    scratch.  s1 and s2 are the sums of the score and of its square over
+    cfg.trials_or_bits trials.  A level that raises in a batch gets, in
+    place of its estimate, its first exception in batch order; an
+    exception of the draws counts for every level, and one of the fold
+    at a ratio rho for that ratio's levels.
+
+    Each pool thread keeps one workspace in a threading.local: it takes
+    one of those the curve makes at its first batch, and all die with
+    the pool.  A batch writes every array into its workspace's rows, k
+    being the number of distinct rho (0 for the "exact" first segment of
+    a chain without hops):
+
+        row 0            U
+        rows 1 to N      the users' (N, size) draw, until U is formed
+        row 1            F
+        row 2            scratch
+        rows 3 to 2+k    H at each rho
+        rows 3+k, 4+k    the hop draws G_j and R_j, then the level rows
+
+    Each hop's (G_j, R_j) is folded into every H = min_j max(G_j,
+    rho R_j) as it is drawn, so no hop list is kept; "min" then folds in
+    min(rho U, F).  Level by level, the chain minimum is formed in the
+    level rows, scored and reduced.  The draws and every float operation
+    are those of sample_chain_stage_snrs, in its order.
     """
     _check_first_segment(first_segment)
     law = (levels[0].lam, levels[0].a0, levels[0].xi)
     if any((p.lam, p.a0, p.xi) != law for p in levels):
         raise ValueError("the levels of a curve share their draws, so they "
                          "must have equal lam, a0 and xi")
+    n_users, hops = topology.n_users, topology.m_relays - 1
+    rhos = list(dict.fromkeys(_rho(p) for p in levels))
+    slots = [rhos.index(_rho(p)) for p in levels]
+    hop_row = 3 + (len(rhos) if hops or first_segment == "min" else 0)
+    n_rows = max(1 + n_users, hop_row + 2)
+    width = min(_BATCH, cfg.trials_or_bits)
+    # one workspace per pool thread, made here on the calling thread: a
+    # block a pool thread allocates lands in that thread's malloc arena,
+    # which keeps it when freed, and the pools of later curves may get
+    # fresh arenas.  The pool starts a thread only for a batch no idle
+    # thread takes, so it has at most one per batch; np.empty touches no
+    # page, so an unused workspace costs none
+    threads = min(cfg.workers, -(-cfg.trials_or_bits // _BATCH))
+    spares = [np.empty(n_rows * width) for _ in range(threads)]
+    local = threading.local()
+    unit = replace(levels[0], gamma_bar_rf=1.0, gamma_bar_fso=1.0)
 
     def one_batch(rng, size):
         try:
-            unit = _unit_draws(topology, levels[0], rng, size)
+            workspace = local.workspace
+        except AttributeError:
+            try:
+                workspace = spares.pop()
+            except IndexError:      # a thread the count missed
+                workspace = np.empty(n_rows * width)
+            local.workspace = workspace
+        rows = workspace[:n_rows * size].reshape(n_rows, size)
+        best, first, scratch = rows[0], rows[1], rows[2]
+        gain, rf = rows[hop_row], rows[hop_row + 1]
+        failed = {}         # rho -> the exception its fold raised
+
+        def fold(step, *args):
+            for low, rho in zip(rows[3:hop_row], rhos):
+                if rho not in failed:
+                    try:
+                        step(low, rho, *args)
+                    except Exception as exc:
+                        failed[rho] = exc
+
+        def hop(low, rho, j):
+            stage = np.multiply(rho, rf, out=scratch if j else low)
+            np.maximum(gain, stage, out=stage)
+            if j:
+                np.minimum(low, stage, out=low)
+
+        def segment(low, rho):
+            seg = np.multiply(rho, best, out=scratch if hops else low)
+            np.minimum(seg, first, out=seg)
+            if hops:
+                np.minimum(low, seg, out=low)
+
+        try:
+            users = sample_rf_snr(1.0, rng, (n_users, size),
+                                  out=rows[1:1 + n_users])
+            np.max(users, axis=0, out=best)
+            sample_fso_snr(unit, rng, size, out=rows[1:3])
+            for j in range(hops):
+                sample_fso_snr(unit, rng, size,
+                               out=rows[hop_row:hop_row + 2])
+                sample_rf_snr(1.0, rng, size, out=rf)
+                fold(hop, j)
         except Exception as exc:
             return [exc] * len(levels)
-        shared = {}         # rho -> _shared_min at rho, built on first use
+        if first_segment == "min":
+            fold(segment)
+
         sums = []
-        for params in levels:
+        for params, slot in zip(levels, slots):
+            if rhos[slot] in failed:
+                sums.append(failed[rhos[slot]])
+                continue
             try:
-                rho = _rho(params)
-                if rho not in shared:
-                    shared[rho] = _shared_min(unit, rho, first_segment)
-                low = _level_min(topology, params, unit, shared[rho],
-                                 first_segment)
-                sums.append(_sums(score(low, params)))
+                if first_segment == "min":
+                    low = np.multiply(params.gamma_bar_fso, rows[3 + slot],
+                                      out=gain)
+                    out, spare = rf, scratch
+                else:
+                    low = _exact_first(topology, params, best, first,
+                                       out=(gain, rf, scratch))
+                    if hops:
+                        np.minimum(low, np.multiply(
+                            params.gamma_bar_fso, rows[3 + slot], out=rf),
+                            out=low)
+                    out, spare = gain, rf
+                vals = score(low, params, out, spare)
+                sums.append(_sums(vals, spare.view(vals.dtype)[:size]))
             except Exception as exc:
                 sums.append(exc)
         return sums
@@ -359,7 +425,8 @@ def simulate_outage_curve(topology, levels, cfg, first_segment="exact"):
     """
     n = cfg.trials_or_bits
     return _curve(topology, levels, cfg, first_segment,
-                  lambda low, p: low < p.gamma_th,
+                  lambda low, p, out, _: np.less(
+                      low, p.gamma_th, out=out.view(bool)[:low.size]),
                   lambda hits, _: _wilson_estimate(hits, n))
 
 
@@ -375,23 +442,31 @@ def simulate_outage(topology, params, cfg, first_segment="exact"):
 
 # ------------------------------------------------------- SNR-level BER
 
-def _dbpsk_error(snr):
-    """0.5 exp(-snr), the DBPSK error probability at each SNR, bit for bit.
+def _dbpsk_error(snr, out=None, scratch=None):
+    """0.5 exp(-snr), the DBPSK error probability at each SNR of a 1-D
+    array, bit for bit.
 
     numpy's vector exp slows down about 20-fold on a block that holds a
     subnormal or zero result, which most blocks do at high mean SNR.  So
     exp runs on min(snr, _EXP_FAST), where every result is normal; lanes
     past _EXP_ZERO are then 0, as exp gives them, and the few lanes
-    between the two bounds are evaluated alone.
+    between the two bounds are evaluated alone.  The result goes into
+    out and the lane flags into scratch, a float row of snr's size, when
+    they are given; in a curve both are rows of the batch workspace.
     """
-    out = np.minimum(snr, _EXP_FAST)
+    n = snr.size
+    out = np.minimum(snr, _EXP_FAST, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out *= 0.5
-    far = snr > _EXP_FAST
+    flags = (np.empty(2 * n, dtype=bool) if scratch is None
+             else scratch.view(bool))
+    far = np.greater(snr, _EXP_FAST, out=flags[:n])
     if far.any():
-        out *= ~far
-        band = np.flatnonzero(far & (snr < _EXP_ZERO))
+        band = np.less(snr, _EXP_ZERO, out=flags[n:2 * n])
+        band &= far
+        out *= np.logical_not(far, out=far)
+        band = np.flatnonzero(band)
         out[band] = 0.5 * np.exp(-snr[band])
     return out
 
@@ -404,7 +479,8 @@ def simulate_ber_snr_level_curve(topology, levels, cfg,
     """
     n = cfg.trials_or_bits
     return _curve(topology, levels, cfg, first_segment,
-                  lambda low, p: _dbpsk_error(low),
+                  lambda low, p, out, scratch: _dbpsk_error(low, out,
+                                                            scratch),
                   lambda s1, s2: _normal_estimate(s1, s2, n))
 
 

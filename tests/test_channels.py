@@ -274,6 +274,26 @@ def test_unit_mean_draws_scale_exactly():
                                                1000))
 
 
+def test_samplers_draw_into_out():
+    # out receives the draws a new array would, from the same stream
+    # position; an out of another shape than size is refused
+    p = default_params(gamma_bar_fso=37.5)
+    fso = np.empty((2, 1000))
+    got = sample_fso_snr(p, np.random.default_rng(3), 1000, out=fso)
+    assert np.shares_memory(got, fso[0])
+    assert np.array_equal(fso[0],
+                          sample_fso_snr(p, np.random.default_rng(3), 1000))
+    rf = np.empty((3, 1000))
+    assert sample_rf_snr(12.5, np.random.default_rng(4), (3, 1000),
+                         out=rf) is rf
+    assert np.array_equal(rf, sample_rf_snr(12.5, np.random.default_rng(4),
+                                            (3, 1000)))
+    with pytest.raises(ValueError, match="size"):
+        sample_rf_snr(1.0, np.random.default_rng(4), 999, out=rf[0])
+    with pytest.raises(ValueError, match="size"):
+        sample_fso_snr(p, np.random.default_rng(3), 999, out=fso)
+
+
 def test_displacement_sampler_same_law():
     """The geometric construction must reproduce the sampler's law."""
     p = default_params(a0=0.9)

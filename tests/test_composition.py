@@ -161,6 +161,24 @@ def test_af_snrs_do_not_overflow_past_the_product():
         assert af_adaptive_snr(1e300, 2.0) == pytest.approx(2.0)
 
 
+def test_af_snrs_into_out():
+    # out receives the same floats as a new array; an out that overlaps
+    # an input would be overwritten before it is read, so it is refused
+    # and the inputs are left as they were
+    rng = np.random.default_rng(5)
+    g1, g2 = rng.exponential(10.0, size=(2, 1000))
+    kept = g1.copy()
+    for relay in (af_adaptive_snr, lambda a, b, **kw: af_fixed_snr(
+            a, b, 2.5, **kw)):
+        out = np.empty(1000)
+        assert relay(g1, g2, out=out) is out
+        assert np.array_equal(out, relay(g1, g2))
+        for alias in (g1, g2, g1[500:]):
+            with pytest.raises(ValueError, match="overlap"):
+                relay(g1, g2, out=alias)
+        assert np.array_equal(g1, kept)
+
+
 def test_af_fixed_monotone():
     base = af_fixed_snr(2.0, 3.0, 1.0)
     assert af_fixed_snr(2.5, 3.0, 1.0) > base

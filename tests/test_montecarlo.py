@@ -7,11 +7,22 @@ much higher trial counts.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
+try:
+    import resource
+except ImportError:         # not on every platform
+    resource = None
+
+from fsorf import montecarlo
 from fsorf.channels import LinkParams, db_to_linear, sample_rf_snr
 from fsorf.composition import (
     GainMode,
@@ -224,7 +235,7 @@ def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
     levels = CURVE_LEVELS + (twin,)
     seen = []
 
-    def score(low, p):
+    def score(low, p, out, scratch):
         seen.append((p, low.copy()))
         return low
 
@@ -281,6 +292,155 @@ def test_failed_shared_draws_fail_every_level():
             with np.errstate(over="raise"), pytest.raises(
                     FloatingPointError, match="overflow encountered in divide"):
                 point_fn(t, levels[0], cfg)
+
+
+def test_failed_fold_fails_its_ratio_alone():
+    # at rho = 1e308, rho R_j overflows on the first hop of every batch;
+    # the levels of the other ratios keep the estimates of their own runs
+    huge = dataclasses.replace(CURVE_LEVELS[1], gamma_bar_rf=1e300,
+                               gamma_bar_fso=1e-8)
+    levels = (CURVE_LEVELS[0], huge, CURVE_LEVELS[2])
+    t = topo(2, 3, GainMode.ADAPTIVE)
+    for first in ("exact", "min"):
+        for w in (1, 2):
+            cfg = SimConfig(trials_or_bits=140000, seed=5, workers=w)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                curve = simulate_outage_curve(t, levels, cfg, first)
+                alone = [simulate_outage_curve(t, [p], cfg, first)[0]
+                         for p in levels]
+            assert isinstance(curve[1], FloatingPointError), curve
+            assert str(curve[1]) == str(alone[1]) \
+                == "overflow encountered in multiply"
+            assert (curve[0], curve[2]) == (alone[0], alone[2]), (first, w)
+
+
+def test_curve_workspace_keeps_nothing_between_curves():
+    # a curve's estimates are the same alone, after a curve of another
+    # chain shape on a pool of the same size, and after a curve whose
+    # batches raised mid-draw
+    t = topo(2, 3, GainMode.FIXED)
+    cfg = SimConfig(trials_or_bits=140000, seed=5, workers=2)
+    alone = simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg)
+    assert all(isinstance(est, MetricEstimate) for est in alone)
+    simulate_outage_curve(topo(4, 1, GainMode.ADAPTIVE), CURVE_LEVELS, cfg,
+                          first_segment="min")
+    assert simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg) == alone
+    failing = [dataclasses.replace(p, lam=1e-308) for p in CURVE_LEVELS]
+    with np.errstate(over="raise"):
+        broken = simulate_ber_snr_level_curve(t, failing, cfg)
+    assert all("overflow encountered in divide" in str(exc)
+               for exc in broken), broken
+    assert simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg) == alone
+
+
+def test_curve_workspace_dies_with_its_pool(monkeypatch):
+    # every chain minimum a curve scores is a row of its thread's
+    # workspace: one per pool thread, and none left once the curve returns
+    kernel = montecarlo._dbpsk_error
+    refs = {}
+
+    def spy(snr, out=None, scratch=None):
+        refs[id(snr.base)] = weakref.ref(snr.base)
+        return kernel(snr, out, scratch)
+
+    monkeypatch.setattr(montecarlo, "_dbpsk_error", spy)
+    simulate_ber_snr_level_curve(
+        topo(2, 2, GainMode.FIXED), CURVE_LEVELS,
+        SimConfig(trials_or_bits=4 * _BATCH, seed=5, workers=2))
+    assert 1 <= len(refs) <= 2
+    assert all(ref() is None for ref in refs.values())
+
+
+def test_workspaces_stay_per_thread_under_thread_switching():
+    # eight threads on fewer cores, switched every microsecond, score
+    # each batch in its own thread's workspace
+    t = topo(3, 3, GainMode.ADAPTIVE)
+    n = 8 * _BATCH
+    want = simulate_ber_snr_level_curve(
+        t, CURVE_LEVELS, SimConfig(trials_or_bits=n, seed=5, workers=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = simulate_ber_snr_level_curve(
+            t, CURVE_LEVELS, SimConfig(trials_or_bits=n, seed=5, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_pool_starts_no_more_threads_than_batches(monkeypatch):
+    # a curve makes its workspaces up front, one per thread it expects
+    threads = set()
+
+    def spy(seed, index):
+        threads.add(threading.get_ident())
+        return _stream(seed, index)
+
+    monkeypatch.setattr(montecarlo, "_stream", spy)
+    # 70,000 trials are two batches
+    simulate_outage(topo(2, 2, GainMode.ADAPTIVE), make_params(15.0),
+                    SimConfig(trials_or_bits=70000, seed=5, workers=64))
+    assert 1 <= len(threads) <= 2
+
+
+def test_curve_survives_more_threads_than_workspaces(monkeypatch):
+    # a pool wider than the curve expects: both batches of a workers=1
+    # curve run at once on two threads, and the second makes its own
+    # workspace
+    wide = montecarlo.ThreadPoolExecutor
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                        lambda max_workers: wide(max_workers=2))
+    both = threading.Barrier(2, timeout=30)
+
+    def spy(seed, index):
+        both.wait()
+        return _stream(seed, index)
+
+    t = topo(2, 3, GainMode.FIXED)
+    cfg = SimConfig(trials_or_bits=70000, seed=5, workers=1)
+    want = simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg)
+    monkeypatch.setattr(montecarlo, "_stream", spy)
+    assert simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg) == want
+
+
+# one 32-batch BER curve at 9 levels and workers=1, after a warm-up run;
+# prints the minor page faults of the curve
+_FAULT_PROBE = """
+import resource
+from fsorf.channels import LinkParams
+from fsorf.composition import GainMode, Topology
+from fsorf.montecarlo import _BATCH, SimConfig, simulate_ber_snr_level_curve
+
+t = Topology(n_users=2, m_relays=2, first_segment_mode=GainMode.FIXED)
+levels = [LinkParams(gamma_bar_rf=10.0 ** (db / 10), gamma_bar_fso=10.0 ** (
+    db / 10), lam=1.0, a0=1.0, xi=1.45, gamma_th=10.0)
+    for db in range(0, 41, 5)]
+simulate_ber_snr_level_curve(t, levels, SimConfig(trials_or_bits=1000))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+simulate_ber_snr_level_curve(
+    t, levels, SimConfig(trials_or_bits=32 * _BATCH, seed=3, workers=1))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(resource is None,
+                    reason="resource.getrusage, which counts page faults, "
+                           "is Unix only")
+def test_curve_batches_fault_in_only_their_workspace():
+    # batch arrays allocated and freed batch by batch are faulted in again
+    # every batch: some 30,000 faults over this curve.  The one workspace
+    # is faulted in once; it has 6 rows here: U, F, scratch, H at the one
+    # ratio, G and R.  A fresh interpreter, as the allocator's state after
+    # other tests may hide the refaults
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    bound = 6 * _BATCH * 8 // resource.getpagesize() + 256
+    assert faults <= bound, (faults, bound)
 
 
 def test_seed_changes_estimate():
