@@ -12,13 +12,13 @@ comma separated and the SNR axis is `start:step:stop`.  spec_from_sources
 resolves presets and defaults and anchors every complaint to its source
 line.
 
-Reproducibility: the Monte-Carlo column of a curve, the points of one
-(mode, users, relays, lambda) that differ only in gamma_avg, is drawn
-once per curve: every point is scored from the same random draws
-(common random numbers), each point's cell equal to what a one-point
-run with the same seed gives.  Curves come out smooth in the abscissa
-and a fixed (spec, seed) pair yields a byte-identical CSV at any worker
-count.
+Reproducibility: the Monte-Carlo column of a (users, lambda) group,
+the points of every gain mode, relay count and gamma_avg of one user
+count and turbulence rate, is drawn once per group: every point is
+scored from the same random draws (common random numbers), each
+point's cell equal to what a one-point run with the same seed gives.
+Curves come out smooth in the abscissa and a fixed (spec, seed) pair
+yields a byte-identical CSV at any worker count.
 """
 
 import csv
@@ -43,8 +43,8 @@ from .metrics import ber_closed_form, ber_quadrature, outage_closed_form
 from .montecarlo import (
     MetricEstimate,
     SimConfig,
-    simulate_ber_snr_level_curve,
-    simulate_outage_curve,
+    simulate_ber_snr_level_curves,
+    simulate_outage_curves,
 )
 from .special import ConvergenceError
 
@@ -381,21 +381,31 @@ def _quadrature(spec, topology, params):
         end_to_end_outage_semianalytic, topology, params))
 
 
-def _monte_carlo(spec, topology, levels):
+def _monte_carlo(spec, n, lam):
+    """The Monte-Carlo curves of one (users, lambda) group, keyed by
+    (mode, relays): one call scores them all from one draw set, and an
+    exception it raises fills every cell."""
+    shapes = list(dict.fromkeys(itertools.product(spec.modes, spec.m_relays)))
     # the closed adaptive-gain forms are built on the min combiner, so
     # their Monte-Carlo column must sample the same quantity
-    first_segment = ("min" if topology.first_segment_mode is GainMode.ADAPTIVE
-                     else "exact")
-    simulate = (simulate_outage_curve if spec.metric is Metric.OUTAGE
-                else simulate_ber_snr_level_curve)
-    return simulate(topology, levels, spec.sim, first_segment=first_segment)
+    chains = [(Topology(n_users=n, m_relays=m, first_segment_mode=mode),
+               "min" if mode is GainMode.ADAPTIVE else "exact")
+              for mode, m in shapes]
+    levels = [_link_params(spec, lam, g) for g in spec.gamma_avg_db]
+    simulate = (simulate_outage_curves if spec.metric is Metric.OUTAGE
+                else simulate_ber_snr_level_curves)
+    try:
+        curves = simulate(chains, levels, spec.sim)
+    except Exception as exc:
+        curves = [[exc] * len(levels)] * len(shapes)
+    return dict(zip(shapes, curves))
 
 
 # method -> route, in the canonical column order; each route looks up the
 # metric functions at call time, so monkeypatching and tracing reach them.
 # The closed-form and quadrature routes take one point's LinkParams; the
-# Monte-Carlo route takes a curve's and returns a cell or an exception
-# per point
+# Monte-Carlo route takes a (users, lambda) group and returns its curves,
+# each a cell or an exception per point
 _ROUTES = {
     METHOD_CLOSED: _closed_form,
     METHOD_QUADRATURE: _quadrature,
@@ -441,12 +451,14 @@ def run_experiment(spec):
 
     Curves, the points of one (mode, users, relays, lambda), run in
     sweep order in the calling thread.  The Monte-Carlo route runs once
-    per curve and scores all its points from one set of draws;
-    spec.sim.workers threads only the Monte-Carlo batches inside a
-    curve.  Method failures land in the point's error field and the run
+    per (users, lambda) group, before the group's first point, and
+    scores every point of every gain mode and relay count of the group
+    from one set of draws; spec.sim.workers threads only its batches.
+    Method failures land in the point's error field and the run
     continues.
     """
     points = []
+    groups = {}         # (users, lambda) -> its Monte-Carlo curves
     # floating-point trouble lands in the error column, not on stderr;
     # underflow is routine in the quadrature rules' tails
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -454,14 +466,9 @@ def run_experiment(spec):
                 spec.modes, spec.n_users, spec.m_relays, spec.lam):
             mc = [None] * len(spec.gamma_avg_db)
             if METHOD_MC in spec.methods:
-                topology = Topology(n_users=n, m_relays=m,
-                                    first_segment_mode=mode)
-                levels = [_link_params(spec, lam, g)
-                          for g in spec.gamma_avg_db]
-                try:
-                    mc = _ROUTES[METHOD_MC](spec, topology, levels)
-                except Exception as exc:
-                    mc = [exc] * len(levels)
+                if (n, lam) not in groups:
+                    groups[n, lam] = _ROUTES[METHOD_MC](spec, n, lam)
+                mc = groups[n, lam][mode, m]
             points.extend(_evaluate_point(spec, mode, n, m, lam, g, cell)
                           for g, cell in zip(spec.gamma_avg_db, mc))
     if spec.out_path:

@@ -8,27 +8,28 @@ simulate_ber_signal_level pushes complex-baseband DBPSK symbols through
 the sampled channel gains and counts the bit errors of differential
 detection.  Each ends in a Wilson or normal interval builder.
 
-Common random numbers, drawn once per curve (random stream v2):
-simulate_outage_curve and simulate_ber_snr_level_curve score every
-average-SNR level of a curve from the same draws.  Every stage SNR is
+Common random numbers, drawn once per chain group (random stream v2):
+simulate_outage_curves and simulate_ber_snr_level_curves score every
+average-SNR level of every chain of one user count from the same draws,
+and the *_curve functions are their one-chain case.  Every stage SNR is
 its mean times a unit draw, so each batch draws the unit quantities
 once: the users' best unit RF SNR U, the first-segment unit FSO SNR F,
-and each hop's unit FSO and RF SNRs G_j and R_j.  For each distinct
-ratio rho = gamma_bar_rf / gamma_bar_fso among the levels it folds each
-hop's pair, as soon as it is drawn, into the gamma-bar-free minimum
-H = min_j max(G_j, rho R_j), and for the "min" first segment then into
-V = min(rho U, F, H).  A level only scales it: its chain minimum is
-gamma_bar_fso V ("min"), or the smaller of the relay cascade of
-gamma_bar_rf U and gamma_bar_fso F and gamma_bar_fso H ("exact").  A
-correctly rounded product with a positive factor is monotone, so it
-commutes exactly with min and max: each level's chain minimum is bit
-for bit the column minimum of sample_chain_stage_snrs at that level
-alone, and simulate_outage and simulate_ber_snr_level are the curves'
-one-level case.  A curve's batches allocate no array of batch size
-after a thread's first batch: every pool thread keeps one workspace of
-1 + max(N, 4 + #rho) rows of _BATCH floats, which the draws, the folds,
-each level's chain minimum, its scores and their squares overwrite in
-turn (_curve has the layout), and which dies with the curve's pool.
+and each hop's unit FSO and RF SNRs G_j and R_j, up to the deepest
+chain's last hop; a shallower chain's draws are a prefix of these.  For
+each distinct ratio rho = gamma_bar_rf / gamma_bar_fso among the levels
+it folds each hop's pair, as soon as it is drawn, into the
+gamma-bar-free minimum H = min_j max(G_j, rho R_j), and it scores each
+chain once its last hop is folded in.  A level only scales: its chain
+minimum is gamma_bar_fso min(H, rho U, F) ("min"), or the smaller of
+the relay cascade of gamma_bar_rf U and gamma_bar_fso F and
+gamma_bar_fso H ("exact").  A correctly rounded product with a positive
+factor is monotone, so it commutes exactly with min and max: each
+level's chain minimum is bit for bit the column minimum of
+sample_chain_stage_snrs at that level alone, and simulate_outage and
+simulate_ber_snr_level are the one-level case.  Every pool thread of a
+call keeps one workspace of 1 + max(N, 4 + #rho) rows for the call's
+life (_curve has the layout), so no batch after a thread's first
+allocates an array of batch size.
 
 One batch runner, _batches, holds the reproducibility contract: work is
 cut into fixed-size batches run by one pool of `workers` threads, batch
@@ -276,23 +277,25 @@ def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
 
 # ---------------------------------------------------------------- curves
 
-def _curve(topology, levels, cfg, first_segment, score, estimate):
-    """estimate(s1, s2) of the scores of the chain minimum at every level.
+def _curve(chains, levels, cfg, score, estimate):
+    """estimate(s1, s2) of the scores of each chain minimum at every level.
 
-    score(low, params, out, scratch) returns the scores of the chain
-    minimum `low` at level params, written into the float row out or a
-    view of it in another dtype, and may overwrite the float row
-    scratch.  s1 and s2 are the sums of the score and of its square over
-    cfg.trials_or_bits trials.  A level that raises in a batch gets, in
-    place of its estimate, its first exception in batch order; an
-    exception of the draws counts for every level, and one of the fold
-    at a ratio rho for that ratio's levels.
+    chains holds (topology, first_segment) pairs of one user count; the
+    result holds, per chain, one estimate per level.  score(low, params,
+    out, scratch) returns the scores of the chain minimum `low` at level
+    params, written into the float row out or a view of it in another
+    dtype, and may overwrite the float row scratch.  s1 and s2 are the
+    sums of the score and of its square over cfg.trials_or_bits trials.
+    A (chain, level) slot that raises in a batch gets, in place of its
+    estimate, its first exception in batch order.  A chain is scored as
+    soon as its last hop is in, so an exception of a draw counts for the
+    chains that reach that draw, and one of a hop's fold at a ratio rho
+    for that ratio's levels of the chains that reach that hop.
 
     Each pool thread keeps one workspace in a threading.local: it takes
-    one of those the curve makes at its first batch, and all die with
+    one of those the call makes at its first batch, and all die with
     the pool.  A batch writes every array into its workspace's rows, k
-    being the number of distinct rho (0 for the "exact" first segment of
-    a chain without hops):
+    being the number of distinct rho (0 when no chain has a hop):
 
         row 0            U
         rows 1 to N      the users' (N, size) draw, until U is formed
@@ -302,25 +305,30 @@ def _curve(topology, levels, cfg, first_segment, score, estimate):
         rows 3+k, 4+k    the hop draws G_j and R_j, then the level rows
 
     Each hop's (G_j, R_j) is folded into every H = min_j max(G_j,
-    rho R_j) as it is drawn, so no hop list is kept; "min" then folds in
-    min(rho U, F).  Level by level, the chain minimum is formed in the
-    level rows, scored and reduced.  The draws and every float operation
+    rho R_j) as it is drawn, so no hop list is kept.  Level by level,
+    the chain minimum is formed in the level rows ("min" forms min(rho U,
+    F) there), scored and reduced.  The draws and every float operation
     are those of sample_chain_stage_snrs, in its order.
     """
-    _check_first_segment(first_segment)
+    for _, first_segment in chains:
+        _check_first_segment(first_segment)
     law = (levels[0].lam, levels[0].a0, levels[0].xi)
     if any((p.lam, p.a0, p.xi) != law for p in levels):
         raise ValueError("the levels of a curve share their draws, so they "
                          "must have equal lam, a0 and xi")
-    n_users, hops = topology.n_users, topology.m_relays - 1
+    if len({t.n_users for t, _ in chains}) != 1:
+        raise ValueError("the chains of a call share their draws, so they "
+                         "must be one or more of equal n_users")
+    n_users = chains[0][0].n_users
+    depth = max(t.m_relays for t, _ in chains) - 1
     rhos = list(dict.fromkeys(_rho(p) for p in levels))
     slots = [rhos.index(_rho(p)) for p in levels]
-    hop_row = 3 + (len(rhos) if hops or first_segment == "min" else 0)
+    hop_row = 3 + (len(rhos) if depth else 0)
     n_rows = max(1 + n_users, hop_row + 2)
     width = min(_BATCH, cfg.trials_or_bits)
     # one workspace per pool thread, made here on the calling thread: a
     # block a pool thread allocates lands in that thread's malloc arena,
-    # which keeps it when freed, and the pools of later curves may get
+    # which keeps it when freed, and the pools of later calls may get
     # fresh arenas.  The pool starts a thread only for a batch no idle
     # thread takes, so it has at most one per batch; np.empty touches no
     # page, so an unused workspace costs none
@@ -342,51 +350,37 @@ def _curve(topology, levels, cfg, first_segment, score, estimate):
         best, first, scratch = rows[0], rows[1], rows[2]
         gain, rf = rows[hop_row], rows[hop_row + 1]
         failed = {}         # rho -> the exception its fold raised
+        sums = [None] * (len(chains) * len(levels))     # chain-major
 
-        def fold(step, *args):
+        def hop(j):
             for low, rho in zip(rows[3:hop_row], rhos):
-                if rho not in failed:
-                    try:
-                        step(low, rho, *args)
-                    except Exception as exc:
-                        failed[rho] = exc
+                if rho in failed:
+                    continue
+                try:
+                    stage = np.multiply(rho, rf, out=scratch if j else low)
+                    np.maximum(gain, stage, out=stage)
+                    if j:
+                        np.minimum(low, stage, out=low)
+                except Exception as exc:
+                    failed[rho] = exc
 
-        def hop(low, rho, j):
-            stage = np.multiply(rho, rf, out=scratch if j else low)
-            np.maximum(gain, stage, out=stage)
-            if j:
-                np.minimum(low, stage, out=low)
+        def score_chains(hops):
+            # every level of each chain of `hops` hops, once they are in
+            for c, (topology, first_segment) in enumerate(chains):
+                if topology.m_relays - 1 == hops:
+                    for k, (params, slot) in enumerate(zip(levels, slots),
+                                                       c * len(levels)):
+                        sums[k] = failed.get(rhos[slot]) or score_level(
+                            topology, first_segment, hops, params, slot)
 
-        def segment(low, rho):
-            seg = np.multiply(rho, best, out=scratch if hops else low)
-            np.minimum(seg, first, out=seg)
-            if hops:
-                np.minimum(low, seg, out=low)
-
-        try:
-            users = sample_rf_snr(1.0, rng, (n_users, size),
-                                  out=rows[1:1 + n_users])
-            np.max(users, axis=0, out=best)
-            sample_fso_snr(unit, rng, size, out=rows[1:3])
-            for j in range(hops):
-                sample_fso_snr(unit, rng, size,
-                               out=rows[hop_row:hop_row + 2])
-                sample_rf_snr(1.0, rng, size, out=rf)
-                fold(hop, j)
-        except Exception as exc:
-            return [exc] * len(levels)
-        if first_segment == "min":
-            fold(segment)
-
-        sums = []
-        for params, slot in zip(levels, slots):
-            if rhos[slot] in failed:
-                sums.append(failed[rhos[slot]])
-                continue
+        def score_level(topology, first_segment, hops, params, slot):
             try:
                 if first_segment == "min":
-                    low = np.multiply(params.gamma_bar_fso, rows[3 + slot],
-                                      out=gain)
+                    low = np.multiply(rhos[slot], best, out=gain)
+                    np.minimum(low, first, out=low)
+                    if hops:
+                        np.minimum(rows[3 + slot], low, out=low)
+                    np.multiply(params.gamma_bar_fso, low, out=low)
                     out, spare = rf, scratch
                 else:
                     low = _exact_first(topology, params, best, first,
@@ -397,13 +391,30 @@ def _curve(topology, levels, cfg, first_segment, score, estimate):
                             out=low)
                     out, spare = gain, rf
                 vals = score(low, params, out, spare)
-                sums.append(_sums(vals, spare.view(vals.dtype)[:size]))
+                return _sums(vals, spare.view(vals.dtype)[:size])
             except Exception as exc:
-                sums.append(exc)
+                return exc
+
+        try:
+            users = sample_rf_snr(1.0, rng, (n_users, size),
+                                  out=rows[1:1 + n_users])
+            np.max(users, axis=0, out=best)
+            sample_fso_snr(unit, rng, size, out=rows[1:3])
+            score_chains(0)
+            for j in range(depth):
+                sample_fso_snr(unit, rng, size,
+                               out=rows[hop_row:hop_row + 2])
+                sample_rf_snr(1.0, rng, size, out=rf)
+                hop(j)
+                score_chains(j + 1)
+        except Exception as exc:    # a draw: every chain not yet scored
+            return [exc if cell is None else cell for cell in sums]
         return sums
 
-    return [t if isinstance(t, Exception) else estimate(*t)
-            for t in _batches(cfg, cfg.trials_or_bits, _BATCH, one_batch)]
+    cells = [t if isinstance(t, Exception) else estimate(*t)
+             for t in _batches(cfg, cfg.trials_or_bits, _BATCH, one_batch)]
+    return [cells[k:k + len(levels)]
+            for k in range(0, len(cells), len(levels))]
 
 
 def _one_level(curve):
@@ -415,6 +426,21 @@ def _one_level(curve):
 
 # --------------------------------------------------------------- outage
 
+def simulate_outage_curves(chains, levels, cfg):
+    """simulate_outage_curve of every (topology, first_segment) pair of
+    `chains`, all from one draw set.
+
+    The chains must share n_users (ValueError otherwise); they may
+    differ in m_relays, gain mode and first segment.  Returns one curve
+    per chain, each equal to that chain's own simulate_outage_curve.
+    """
+    n = cfg.trials_or_bits
+    return _curve(chains, levels, cfg,
+                  lambda low, p, out, _: np.less(
+                      low, p.gamma_th, out=out.view(bool)[:low.size]),
+                  lambda hits, _: _wilson_estimate(hits, n))
+
+
 def simulate_outage_curve(topology, levels, cfg, first_segment="exact"):
     """simulate_outage at every LinkParams of `levels`, from one draw set.
 
@@ -423,11 +449,8 @@ def simulate_outage_curve(topology, levels, cfg, first_segment="exact"):
     per level, equal to simulate_outage at that level alone, or in its
     place the exception that level raised.
     """
-    n = cfg.trials_or_bits
-    return _curve(topology, levels, cfg, first_segment,
-                  lambda low, p, out, _: np.less(
-                      low, p.gamma_th, out=out.view(bool)[:low.size]),
-                  lambda hits, _: _wilson_estimate(hits, n))
+    return simulate_outage_curves([(topology, first_segment)], levels,
+                                  cfg)[0]
 
 
 def simulate_outage(topology, params, cfg, first_segment="exact"):
@@ -471,17 +494,25 @@ def _dbpsk_error(snr, out=None, scratch=None):
     return out
 
 
+def simulate_ber_snr_level_curves(chains, levels, cfg):
+    """simulate_ber_snr_level_curve of every pair of `chains`, all from
+    one draw set; chains and return value as in simulate_outage_curves.
+    """
+    n = cfg.trials_or_bits
+    return _curve(chains, levels, cfg,
+                  lambda low, p, out, scratch: _dbpsk_error(low, out,
+                                                            scratch),
+                  lambda s1, s2: _normal_estimate(s1, s2, n))
+
+
 def simulate_ber_snr_level_curve(topology, levels, cfg,
                                  first_segment="exact"):
     """simulate_ber_snr_level at every LinkParams of `levels`.
 
     Levels and return value as in simulate_outage_curve.
     """
-    n = cfg.trials_or_bits
-    return _curve(topology, levels, cfg, first_segment,
-                  lambda low, p, out, scratch: _dbpsk_error(low, out,
-                                                            scratch),
-                  lambda s1, s2: _normal_estimate(s1, s2, n))
+    return simulate_ber_snr_level_curves([(topology, first_segment)],
+                                         levels, cfg)[0]
 
 
 def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):

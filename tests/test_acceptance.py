@@ -31,7 +31,7 @@ from fsorf.channels import (
 from fsorf.composition import GainMode, Topology
 from fsorf.experiments import run_experiment, spec_from_sources
 from fsorf.metrics import _snr_cdf_meijer, ber_closed_form, ber_quadrature
-from fsorf.montecarlo import SimConfig, simulate_outage_curve
+from fsorf.montecarlo import SimConfig, simulate_outage_curves
 from fsorf.series import ne_pe_snr_cdf_series, series_coeffs, series_power_coeffs
 from fsorf.special import MeijerParams, gamma_upper, meijer_g
 
@@ -202,12 +202,13 @@ def test_4_outage_three_way_cross_validation():
 
     # with adaptive relay gain the closed forms use min(g1, g2) in place
     # of the exact g1 g2 / (g1 + g2 + 1); that bias, measured on common
-    # random numbers, must be positive and shrink as the SNR grows
+    # random numbers (one call scores both chains from the same draws),
+    # must be positive and shrink as the SNR grows
     sim = SimConfig(trials_or_bits=10_000_000, seed=42, workers=4)
     top = Topology(n_users=2, m_relays=2, first_segment_mode=GainMode.ADAPTIVE)
     levels = [_params(g_db) for g_db in (20.0, 25.0, 30.0, 35.0, 40.0)]
-    exact = simulate_outage_curve(top, levels, sim, first_segment="exact")
-    approx = simulate_outage_curve(top, levels, sim, first_segment="min")
+    exact, approx = simulate_outage_curves(
+        [(top, "exact"), (top, "min")], levels, sim)
     bias = [e.mean - a.mean for e, a in zip(exact, approx)]
     assert all(b > 0.0 for b in bias), f"bias signs: {bias}"
     assert all(bias[i] > bias[i + 1] for i in range(len(bias) - 1)), \

@@ -376,10 +376,10 @@ def test_point_failure_lands_in_error_column(tmp_path, monkeypatch):
 
 
 def test_failed_monte_carlo_curve_lands_in_each_of_its_points(monkeypatch):
-    def boom(topology, levels, cfg, first_segment):
+    def boom(chains, levels, cfg):
         raise ArithmeticError("synthetic curve failure")
 
-    monkeypatch.setattr("fsorf.experiments.simulate_outage_curve", boom)
+    monkeypatch.setattr("fsorf.experiments.simulate_outage_curves", boom)
     spec = spec_from_sources(overrides=_tiny_overrides(
         mode="known-csi", methods="closed-form,monte-carlo"))
     points = run_experiment(spec)
@@ -388,6 +388,52 @@ def test_failed_monte_carlo_curve_lands_in_each_of_its_points(monkeypatch):
         assert point.mc is None
         assert point.error == "monte-carlo: synthetic curve failure"
         assert 0.0 < point.closed_form < 1.0   # the other cells are kept
+
+
+def test_monte_carlo_runs_once_per_users_lambda_group(monkeypatch):
+    # one call per (users, lambda) group covers both gain modes and every
+    # relay count; a group whose call raises puts the message in every
+    # point of its curves, and the other group keeps its cells
+    real = experiments.simulate_outage_curves
+    calls = []
+
+    def spy(chains, levels, cfg):
+        calls.append([(t.n_users, t.m_relays, t.first_segment_mode, first)
+                      for t, first in chains])
+        if chains[0][0].n_users == 1:
+            raise ArithmeticError("synthetic group failure")
+        return real(chains, levels, cfg)
+
+    overrides = _tiny_overrides(users="1,2", relays="1", methods="monte-carlo")
+    want = run_experiment(spec_from_sources(overrides=overrides))
+    monkeypatch.setattr("fsorf.experiments.simulate_outage_curves", spy)
+    points = run_experiment(spec_from_sources(overrides=overrides))
+    assert calls == [[(n, 1, GainMode.ADAPTIVE, "min"),
+                      (n, 1, GainMode.FIXED, "exact")] for n in (1, 2)]
+    assert len(points) == 8
+    for point, before in zip(points, want):
+        if point.n_users == 1:
+            assert point.mc is None
+            assert point.error == "monte-carlo: synthetic group failure"
+        else:
+            assert point == before
+            assert point.mc is not None and point.error is None
+
+
+def test_repeated_sweep_values_repeat_their_rows(tmp_path):
+    # --users 2,2 writes each curve twice, with equal cells, and each copy
+    # is the curve a --users 2 sweep writes
+    def rows(users):
+        out = tmp_path / f"users{users}.csv"
+        run_experiment(spec_from_sources(overrides=_tiny_overrides(
+            users=users, methods="closed-form,monte-carlo", out=str(out))))
+        with open(out) as handle:
+            return handle.read().splitlines()[1:]
+
+    single, repeated = rows("2"), rows("2,2")
+    # sweep order is mode, then users: a two-row curve per mode
+    known, unknown = single[:2], single[2:]
+    assert repeated == known + known + unknown + unknown
 
 
 def test_unconverged_ber_series_lands_in_error_column(monkeypatch):

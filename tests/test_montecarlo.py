@@ -49,8 +49,10 @@ from fsorf.montecarlo import (
     simulate_ber_signal_level,
     simulate_ber_snr_level,
     simulate_ber_snr_level_curve,
+    simulate_ber_snr_level_curves,
     simulate_outage,
     simulate_outage_curve,
+    simulate_outage_curves,
     wilson_interval,
 )
 
@@ -239,7 +241,7 @@ def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
         seen.append((p, low.copy()))
         return low
 
-    _curve(t, levels, SimConfig(trials_or_bits=70000, seed=5), first,
+    _curve([(t, first)], levels, SimConfig(trials_or_bits=70000, seed=5),
            score, lambda s1, s2: None)
     sizes = (_BATCH, 70000 - _BATCH)
     assert len(seen) == len(sizes) * len(levels)
@@ -312,6 +314,106 @@ def test_failed_fold_fails_its_ratio_alone():
             assert str(curve[1]) == str(alone[1]) \
                 == "overflow encountered in multiply"
             assert (curve[0], curve[2]) == (alone[0], alone[2]), (first, w)
+
+
+# the chains of one group: both gain modes and first segments at M = 1..3,
+# deepest first; and levels of two RF/FSO ratios, the third level doubling
+# both means of the first
+GROUP_CHAINS = [(topo(2, m, mode), first) for m in (3, 1, 2)
+                for mode in GainMode for first in ("exact", "min")]
+TWO_RATIO_LEVELS = CURVE_LEVELS[:2] + (dataclasses.replace(
+    CURVE_LEVELS[0], gamma_bar_rf=2.0 * CURVE_LEVELS[0].gamma_bar_rf,
+    gamma_bar_fso=2.0 * CURVE_LEVELS[0].gamma_bar_fso),)
+
+
+@pytest.mark.parametrize("group_fn, curve_fn", [
+    (simulate_outage_curves, simulate_outage_curve),
+    (simulate_ber_snr_level_curves, simulate_ber_snr_level_curve)])
+def test_group_scores_each_chain_as_its_own_curve(group_fn, curve_fn):
+    for w in (1, 2):
+        cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
+        group = group_fn(GROUP_CHAINS, TWO_RATIO_LEVELS, cfg)
+        assert len(group) == len(GROUP_CHAINS)
+        for (t, first), curve in zip(GROUP_CHAINS, group):
+            assert all(isinstance(est, MetricEstimate) for est in curve)
+            assert curve == curve_fn(t, TWO_RATIO_LEVELS, cfg, first), (
+                t, first, w)
+
+
+def test_group_draws_its_deepest_chain_once(monkeypatch):
+    # a batch draws U (N arrays), F (2) and 3 arrays per hop of the
+    # deepest chain: N + 2 + 3 (M_max - 1) unit arrays, not one set per
+    # chain, and the estimates do not depend on who counts them
+    cfg = SimConfig(trials_or_bits=70000, seed=5, workers=2)
+    want = simulate_outage_curves(GROUP_CHAINS, TWO_RATIO_LEVELS, cfg)
+    drawn = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_exponential(self, size=None, out=None):
+            drawn.append(np.size(out) if size is None else np.prod(size))
+            return self.rng.standard_exponential(size=size, out=out)
+
+    monkeypatch.setattr(montecarlo, "_stream",
+                        lambda seed, index: Counting(_stream(seed, index)))
+    assert simulate_outage_curves(GROUP_CHAINS, TWO_RATIO_LEVELS, cfg) \
+        == want
+    # two batches of one users' call, two F calls and 3 calls per hop
+    assert len(drawn) == 2 * (1 + 2 + 3 * 2)
+    assert sum(drawn) == 70000 * (2 + 2 + 3 * 2)
+
+
+def test_group_failures_stay_with_the_chains_that_reach_them(monkeypatch):
+    # the RF draw of the last hop raises in every batch: every level of the
+    # M = 3 chains gets its exception, and the shallower chains keep their
+    # own curves; the middle level's scaling overflows, and it fails alone
+    # in every chain that scores it
+    huge = dataclasses.replace(CURVE_LEVELS[1], gamma_bar_rf=1e308,
+                               gamma_bar_fso=1e308)
+    levels = (CURVE_LEVELS[0], huge, CURVE_LEVELS[2])
+    real = montecarlo.sample_rf_snr
+    local = threading.local()
+
+    def spy(gamma_bar, rng, size=None, *, out=None):
+        if isinstance(size, tuple):     # the users' draw opens each batch
+            local.hops = 0
+        else:
+            local.hops += 1
+            if local.hops == 2:
+                raise ArithmeticError("synthetic last-hop draw failure")
+        return real(gamma_bar, rng, size, out=out)
+
+    for w in (1, 2):
+        cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            alone = [simulate_outage_curve(t, levels, cfg, first)
+                     for t, first in GROUP_CHAINS]
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, "sample_rf_snr", spy)
+                group = simulate_outage_curves(GROUP_CHAINS, levels, cfg)
+        for (t, first), curve, own in zip(GROUP_CHAINS, group, alone):
+            tag = (t.m_relays, t.first_segment_mode, first, w)
+            if t.m_relays == 3:
+                assert all(isinstance(cell, ArithmeticError) and str(cell)
+                           == "synthetic last-hop draw failure"
+                           for cell in curve), tag
+                continue
+            assert (curve[0], curve[2]) == (own[0], own[2]), tag
+            assert all(isinstance(est, MetricEstimate)
+                       for est in (curve[0], curve[2])), tag
+            assert isinstance(curve[1], FloatingPointError), tag
+            assert str(curve[1]) == str(own[1]) \
+                == "overflow encountered in multiply", tag
+
+
+def test_group_chains_must_share_the_user_count():
+    cfg = SimConfig(trials_or_bits=10000, seed=5)
+    for chains in ([], [(topo(2, 1, GainMode.FIXED), "exact"),
+                        (topo(3, 1, GainMode.FIXED), "exact")]):
+        with pytest.raises(ValueError, match="equal n_users"):
+            simulate_outage_curves(chains, CURVE_LEVELS, cfg)
 
 
 def test_curve_workspace_keeps_nothing_between_curves():

@@ -77,7 +77,7 @@ def test_mc_core_properties(n, m, mode, first, gamma_db, rho_db, trials,
     # of another RF/FSO ratio
     levels = (p, dataclasses.replace(p, gamma_bar_rf=g))
     seen = []
-    _curve(t, levels, SimConfig(trials_or_bits=1000, seed=seed), first,
+    _curve([(t, first)], levels, SimConfig(trials_or_bits=1000, seed=seed),
            lambda low, level, out, scratch: seen.append(low.copy()) or low,
            lambda s1, s2: None)
     for level, low in zip(levels, seen, strict=True):
