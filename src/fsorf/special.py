@@ -250,8 +250,9 @@ def hyp_pfq(a_params, b_params, z):
     total = 1.0
     term = 1.0
     small_run = 0
+    n = 0.0
     n_cap = stop if stop is not None else _HYP_MAX_TERMS
-    for n in range(n_cap):
+    while n < n_cap:
         ratio = z / (n + 1.0)
         for av in a_params:
             ratio *= av + n
@@ -259,9 +260,13 @@ def hyp_pfq(a_params, b_params, z):
             ratio /= bv + n
         term *= ratio
         total += term
-        if not math.isfinite(total):
+        n += 1.0
+        if total - total != 0.0:         # inf or nan
             return total, False
-        if abs(term) <= _HYP_TOL * max(abs(total), 1e-300):
+        size = total if total >= 0.0 else -total
+        if size < 1e-300:
+            size = 1e-300
+        if (term if term >= 0.0 else -term) <= _HYP_TOL * size:
             small_run += 1
             if small_run >= 3:
                 return total, True
@@ -453,6 +458,7 @@ def meijer_g(params, z):
         return meijer_g(params.flipped(), 1.0 / z)
     if p == q and z == 1.0:
         raise ConvergenceError("Slater series boundary |z| = 1 with p = q")
+    log_z = math.log(z)
     sums = []
     for sign_arg, poles in _row_plan(params):
         total = 0.0                 # Slater expansion, DLMF 16.17.2
@@ -461,7 +467,7 @@ def meijer_g(params, z):
             if not ok:
                 raise ConvergenceError(f"Slater series failed to converge "
                                        f"at pole b[{k}]={bk}, z={z}")
-            total += sign * math.exp(log_pref + bk * math.log(z)) * val
+            total += sign * math.exp(log_pref + bk * log_z) * val
         sums.append(total)
     return sums[0] if len(sums) == 1 else (4.0 * sums[0] - sums[1]) / 3.0
 

@@ -25,6 +25,7 @@ from fsorf.special import (
 )
 
 from meijer_contour import meijer_g_contour
+import reference_loops
 
 XI = 1.45
 Z2 = XI * XI
@@ -215,6 +216,73 @@ def test_hyp_terminating_before_lower_pole():
 def test_hyp_lower_pole_rejected():
     with pytest.raises(ValueError):
         hyp_pfq([0.5], [-2.0], 0.3)
+
+
+def _hyp_bits(f, a_params, b_params, z):
+    try:
+        val, ok = f(a_params, b_params, z)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return val.hex(), ok
+
+
+def test_hyp_replays_preset_traffic_bit_for_bit(monkeypatch):
+    # every series of a closed-form fig3 BER sweep, against the plain
+    # reference loop: the same value bits and the same flag
+    calls = []
+
+    def recording(a_params, b_params, z):
+        calls.append((a_params, b_params, z))
+        return hyp_pfq(a_params, b_params, z)
+
+    monkeypatch.setattr(special, "hyp_pfq", recording)
+    run_experiment(spec_from_sources(overrides={
+        "preset": "fig3", "methods": "closed-form",
+        "gamma_avg_db": "0:10:40"}))
+    assert len(calls) == 11605
+    for call in calls:
+        assert _hyp_bits(hyp_pfq, *call) == \
+            _hyp_bits(reference_loops.hyp_pfq, *call), call
+
+
+def test_hyp_seeded_rows_bit_for_bit():
+    cases = [
+        ([-2.0, 1.0], [-5.0], 1.0),         # terminating before a pole
+        ([-6.0, 0.3], [1.7], -3.0),         # terminating, exact polynomial
+        ([0.5], [-2.0], 0.3),               # lower pole: ValueError
+        ([1.0, 1.0], [], 1e300),            # total overflows: inf, False
+        ([1.0], [], 0.999),                 # 500-term cap: converged=False
+        ([0.0, 2.5], [1.3], 4.0),           # zero upper parameter: 1.0
+        ([1.0], [], 1e-320),                # subnormal terms
+    ]
+    rng = np.random.default_rng(1919)
+    for _ in range(2000):
+        a_params = list(rng.uniform(-6.0, 6.0, rng.integers(0, 7)))
+        b_params = list(rng.uniform(-6.0, 6.0, rng.integers(0, 7)))
+        if a_params and rng.random() < 0.15:
+            a_params[0] = -float(rng.integers(0, 9))
+        if b_params and rng.random() < 0.1:
+            b_params[0] = -float(rng.integers(0, 9))
+        cases.append((a_params, b_params, float(rng.uniform(-50.0, 50.0))))
+    seen = set()
+    for case in cases:
+        got = _hyp_bits(hyp_pfq, *case)
+        assert got == _hyp_bits(reference_loops.hyp_pfq, *case), case
+        seen.add(got[1] if isinstance(got[1], bool) else got[0])
+    assert {True, False, "ValueError"} <= seen
+    assert _hyp_bits(hyp_pfq, [1.0, 1.0], [], 1e300) == \
+        (float("inf").hex(), False)
+
+
+def test_hyp_equal_nonpositive_integer_pair_matches_reference():
+    # known defect, kept as found: with a = b = -3 the series stops at
+    # the lower pole's own term, and the loop forms 0 / 0 there (a bare
+    # ZeroDivisionError) instead of a ValueError or the terminated
+    # polynomial.  Only agreement with the reference is asserted; the
+    # reference shares _hyp_stop, where the stop is chosen.
+    case = ([-3.0, 0.5], [-3.0], 0.5)
+    assert _hyp_bits(hyp_pfq, *case) == \
+        _hyp_bits(reference_loops.hyp_pfq, *case)
 
 
 # ---------------------------------------------------------------- meijer_g
