@@ -23,6 +23,13 @@ end_to_end_outage_semianalytic, and Monte Carlo through the chain
 minimum that montecarlo._curve folds hop by hop as it draws, bit for bit
 the column minimum of the per-stage SNRs that
 montecarlo.sample_chain_stage_snrs draws.
+
+end_to_end_outage_semianalytic evaluates the FSO CDF once for the first
+segment and the hops.  Its memo keyword, a dict that calls may share,
+keeps that CDF and the first-segment CDF (the fixed-gain oracle, or
+the adaptive product) per LinkParams and gamma array, reused only on
+the same array bit for bit and never for a failure, so a sweep
+evaluates them once per (users, lambda, gamma_avg) group.
 """
 
 import enum
@@ -144,9 +151,15 @@ def second_relay_cdf_adaptive(gamma, n, params):
     1 - (1 - F_sel(g))(1 - F_FSO(g)): the selected-user RF SNR and the
     FSO SNR both have to clear g.
     """
+    return _min_model_cdf(gamma, n, params,
+                          functools.partial(ne_pe_snr_cdf, gamma, params))
+
+
+def _min_model_cdf(gamma, n, params, fso):
+    # fso() gives F_FSO at gamma; it is asked for after the RF side, so a
+    # failure of either surfaces in the same order whoever supplies it
     f1 = multiuser_select_cdf(gamma, n, params.gamma_bar_rf)
-    f2 = ne_pe_snr_cdf(gamma, params)
-    return 1.0 - (1.0 - f1) * (1.0 - f2)
+    return 1.0 - (1.0 - f1) * (1.0 - fso())
 
 
 def _fixed_kernel_params(z2, arg, *lead):
@@ -266,20 +279,53 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
 
 # ------------------------------------------------------------ composition
 
-def end_to_end_outage_semianalytic(topology, params, gamma=None):
+def _memo_scope(memo, params):
+    # memo's entries for params, a dict ({} for no memo); numpy's error
+    # state is in the key too, as it decides whether a step raises
+    if memo is None:
+        return {}
+    return memo.setdefault((params, tuple(np.geterr().items())), {})
+
+
+def _memoized(scope, key, compute, *args):
+    # a failing compute stores nothing, so it runs and raises again
+    if key not in scope:
+        scope[key] = compute(*args)
+    return scope[key]
+
+
+def _nodes_key(gamma):
+    # gamma bit for bit: a value is reused only on the very same nodes
+    a = np.asarray(gamma)
+    return type(gamma), a.dtype.str, a.shape, a.tobytes()
+
+
+def end_to_end_outage_semianalytic(topology, params, gamma=None, *,
+                                   memo=None):
     """Outage at gamma (params.gamma_th by default) by CDF composition.
 
     The method-independent reference: the first-segment CDF (the
     quadrature oracle in fixed-gain mode, the exact product form in
-    adaptive mode) composed with M-1 hybrid-hop factors.
+    adaptive mode) composed with M-1 hybrid-hop factors, which share one
+    FSO CDF.  memo is a dict that calls may share (None gives a fresh
+    one); see the module docstring.
     """
     g = params.gamma_th if gamma is None else gamma
     n = topology.n_users
+    scope = _memo_scope(memo, params)
+    nodes = _nodes_key(g)
+
+    def fso():
+        return _memoized(scope, ("fso", nodes), ne_pe_snr_cdf, g, params)
+
     if topology.first_segment_mode is GainMode.ADAPTIVE:
-        f2 = second_relay_cdf_adaptive(g, n, params)
+        f2 = _memoized(scope, ("adaptive", n, nodes), _min_model_cdf,
+                       g, n, params, fso)
     else:
-        f2 = second_relay_cdf_fixed_numeric(g, n, params)
-    hop = hybrid_hop_cdf(g, params)
+        f2 = _memoized(scope, ("fixed", n, nodes),
+                       second_relay_cdf_fixed_numeric, g, n, params)
+    # hybrid_hop_cdf on the shared FSO CDF
+    hop = fso() * rayleigh_snr_cdf(g, params.gamma_bar_rf)
     # f2 and hop lie in [0, 1], and so, in floating point too, does this
     out = 1.0 - (1.0 - f2) * (1.0 - hop) ** (topology.m_relays - 1)
     return float(out) if np.ndim(g) == 0 else out

@@ -363,10 +363,10 @@ def spec_from_sources(config_text="", overrides=None):
 
 # ------------------------------------------------------------ execution
 
-def _closed_form(spec, topology, params):
+def _closed_form(spec, topology, params, memo):
     if spec.metric is Metric.OUTAGE:
         return float(outage_closed_form(topology, params))
-    ber = ber_closed_form(topology, params)
+    ber = ber_closed_form(topology, params, memo=memo)
     if not ber.converged:
         raise ConvergenceError(
             f"ConvergenceError: BER series unconverged after {ber.n_terms} "
@@ -374,11 +374,11 @@ def _closed_form(spec, topology, params):
     return float(ber.value)
 
 
-def _quadrature(spec, topology, params):
+def _quadrature(spec, topology, params, memo):
     if spec.metric is Metric.OUTAGE:
-        return end_to_end_outage_semianalytic(topology, params)
+        return end_to_end_outage_semianalytic(topology, params, memo=memo)
     return ber_quadrature(functools.partial(
-        end_to_end_outage_semianalytic, topology, params))
+        end_to_end_outage_semianalytic, topology, params, memo=memo))
 
 
 def _monte_carlo(spec, n, lam):
@@ -403,9 +403,10 @@ def _monte_carlo(spec, n, lam):
 
 # method -> route, in the canonical column order; each route looks up the
 # metric functions at call time, so monkeypatching and tracing reach them.
-# The closed-form and quadrature routes take one point's LinkParams; the
-# Monte-Carlo route takes a (users, lambda) group and returns its curves,
-# each a cell or an exception per point
+# The closed-form and quadrature routes take one point's LinkParams and
+# the memo of its (users, lambda, gamma_avg) group; the Monte-Carlo route
+# takes a (users, lambda) group and returns its curves, each a cell or an
+# exception per point
 _ROUTES = {
     METHOD_CLOSED: _closed_form,
     METHOD_QUADRATURE: _quadrature,
@@ -420,9 +421,9 @@ def _link_params(spec, lam, gamma_avg_db):
         xi=spec.xi, gamma_th=db_to_linear(spec.gamma_th_db))
 
 
-def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db, mc):
+def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db, mc, memo):
     """One sweep point; mc is its Monte-Carlo cell or exception, or None
-    when the method is not run."""
+    when the method is not run, and memo its group's analytic memo."""
     params = _link_params(spec, lam, gamma_avg_db)
     topology = Topology(n_users=n, m_relays=m, first_segment_mode=mode)
     cells = {}
@@ -430,7 +431,7 @@ def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db, mc):
     for method in spec.methods:
         try:
             cell = (mc if method == METHOD_MC
-                    else _ROUTES[method](spec, topology, params))
+                    else _ROUTES[method](spec, topology, params, memo))
         except Exception as exc:
             cell = exc
         if isinstance(cell, Exception):
@@ -449,28 +450,34 @@ def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db, mc):
 def run_experiment(spec):
     """Evaluate every sweep point; write the CSV when out_path is set.
 
-    Curves, the points of one (mode, users, relays, lambda), run in
-    sweep order in the calling thread.  The Monte-Carlo route runs once
-    per (users, lambda) group, before the group's first point, and
-    scores every point of every gain mode and relay count of the group
-    from one set of draws; spec.sim.workers threads only its batches.
-    Method failures land in the point's error field and the run
-    continues.
+    Points run in the calling thread one (users, lambda, gamma_avg)
+    group at a time: every gain mode and relay count at one level share
+    one memo of the closed-form and quadrature routes' parts, which is
+    dropped with the group, and each cell is the value or error a point
+    alone gives.  The Monte-Carlo route runs once per (users, lambda)
+    group and scores every point of every gain mode and relay count of
+    the group from one set of draws; spec.sim.workers threads only its
+    batches.  Points come out in sweep order, curve by curve, a curve
+    being the points of one (mode, users, relays, lambda).  Method
+    failures land in the point's error field and the run continues.
     """
-    points = []
-    groups = {}         # (users, lambda) -> its Monte-Carlo curves
+    done = {}
+    shapes = list(dict.fromkeys(itertools.product(spec.modes, spec.m_relays)))
     # floating-point trouble lands in the error column, not on stderr;
     # underflow is routine in the quadrature rules' tails
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for mode, n, m, lam in itertools.product(
-                spec.modes, spec.n_users, spec.m_relays, spec.lam):
-            mc = [None] * len(spec.gamma_avg_db)
-            if METHOD_MC in spec.methods:
-                if (n, lam) not in groups:
-                    groups[n, lam] = _ROUTES[METHOD_MC](spec, n, lam)
-                mc = groups[n, lam][mode, m]
-            points.extend(_evaluate_point(spec, mode, n, m, lam, g, cell)
-                          for g, cell in zip(spec.gamma_avg_db, mc))
+        for n, lam in dict.fromkeys(itertools.product(spec.n_users, spec.lam)):
+            mc = (_ROUTES[METHOD_MC](spec, n, lam)
+                  if METHOD_MC in spec.methods else {})
+            for i, g in enumerate(spec.gamma_avg_db):
+                memo = {}
+                for mode, m in shapes:
+                    cell = mc[mode, m][i] if mc else None
+                    done[mode, n, m, lam, i] = _evaluate_point(
+                        spec, mode, n, m, lam, g, cell, memo)
+    points = [done[curve + (i,)] for curve in itertools.product(
+        spec.modes, spec.n_users, spec.m_relays, spec.lam)
+        for i in range(len(spec.gamma_avg_db))]
     if spec.out_path:
         write_csv(points, spec.out_path)
     return points

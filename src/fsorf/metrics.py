@@ -15,6 +15,15 @@ over any vectorised outage curve.  The experiments layer hands it the
 incomplete-gamma composition end_to_end_outage_semianalytic, so that
 the two BER routes share no Meijer-G code.
 
+ber_closed_form and end_to_end_outage_semianalytic take a memo
+keyword, a dict that calls may share; run_experiment passes one per
+(users, lambda, gamma_avg) group, so its gain modes and relay counts
+evaluate each shared part once.  ber_closed_form keeps there the series
+coefficients, their powers and each Laplace kernel, keyed on (gain
+mode, H, k, shift) within its LinkParams.  An entry is keyed on all its
+inputs and no failure is stored, so every result is the one a call
+without memo, the default, gives.
+
 The expansion bookkeeping: with the CDF series
 
     F(g) = F0 g^{zeta/2} + sum_{n>=0} E_n g^{(n+1)/2}
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import (LOG_STEP, GainMode, _fixed_kernel_params,
-                          fixed_segment_kernel)
+                          _memo_scope, _memoized, fixed_segment_kernel)
 from .series import series_coeffs, series_power_coeffs
 from .special import (_CLAMP_ULPS, _ROW_PLANS, ConvergenceError,
                       MeijerParams, _clamped, gamma_fn, meijer_g, trapezoid)
@@ -180,7 +189,7 @@ def ber_quadrature(outage_curve):
 
 # ------------------------------------------------------------ closed BER
 
-def ber_closed_form(topology, params):
+def ber_closed_form(topology, params, *, memo=None):
     """Closed-form DBPSK error rate of the chain.
 
     Each Laplace kernel integrates e^{-sigma g} g^H times a factor in
@@ -190,27 +199,33 @@ def ber_closed_form(topology, params):
     ConvergenceError instead of returning a silently wrong value.  So
     does a sum outside [0, 1/2] by more than its rounding floor; inside
     it, the value is clamped to [0, 1/2].
+
+    memo is a dict that calls may share (None gives a fresh one); see
+    the module docstring.
     """
-    coeffs = series_coeffs(params, _N_MAX)
+    scope = _memo_scope(memo, params)
+    coeffs = _memoized(scope, ("series", _N_MAX), series_coeffs, params,
+                       _N_MAX)
     gr = params.gamma_bar_rf
     adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
     terms = list(_chain_terms(topology))
     # per-k1 convolution coefficient arrays, shared across blocks
-    powers = {k1: series_power_coeffs(coeffs.e, k1)
+    powers = {k1: _memoized(scope, ("power", _N_MAX, k1),
+                            series_power_coeffs, coeffs.e, k1)
               for k1 in range(topology.m_relays)}
-    kernel_cache = {}
+    kernels = scope.setdefault(topology.first_segment_mode, {})
 
     def kernel(h_exp, k, shift):
         # the adaptive kernel depends on k only through shift
         key = (h_exp, shift, None if adaptive else k)
-        if key not in kernel_cache:
+        if key not in kernels:
             sigma = 1.0 + shift / gr
             bound = gamma_fn(1.0 + h_exp) * sigma ** (-1.0 - h_exp)
             value = bound - (
                 _ber_kernel_adaptive(h_exp, sigma, params) if adaptive else
                 _ber_kernel_fixed(h_exp, sigma, (k + 1.0) / gr, params))
-            kernel_cache[key] = value, max(-value, value - bound, 0.0)
-        return kernel_cache[key]
+            kernels[key] = value, max(-value, value - bound, 0.0)
+        return kernels[key]
 
     total = 1.0
     mass = 1.0

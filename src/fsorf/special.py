@@ -293,8 +293,10 @@ def _hyp_stop(a_params, b_params):
         stop = min(neg_a) + 1
     for bv in b_params:
         if _is_nonpos_int(bv):
+            # the series reaches term pole_at's 0 denominator unless it
+            # stops before it; a stop there too (a = b = -m) is 0 / 0
             pole_at = int(round(-bv)) + 1
-            if stop is None or stop > pole_at:
+            if stop is None or stop >= pole_at:
                 raise ValueError(
                     f"hyp_pfq lower parameter {bv} is a non-positive integer pole")
     return stop

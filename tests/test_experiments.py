@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fsorf
@@ -436,8 +437,84 @@ def test_repeated_sweep_values_repeat_their_rows(tmp_path):
     assert repeated == known + known + unknown + unknown
 
 
+def _route_outcome(route, *args):
+    # a route's value bits, or its exception's class and message
+    try:
+        return float(route(*args)).hex()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("metric", ["outage", "ber"])
+def test_group_memo_cells_equal_fresh_one_point_calls(monkeypatch, metric):
+    # every closed-form and quadrature cell of a run, failing cells
+    # included, is what a one-point call without a memo gives, though
+    # the run shares one memo among the six points of each level
+    calls = []
+
+    def recorded(route):
+        def call(spec, topology, params, memo):
+            try:
+                value = route(spec, topology, params, memo)
+            except Exception as exc:
+                calls.append((route, topology, params, memo,
+                              (type(exc).__name__, str(exc))))
+                raise
+            calls.append((route, topology, params, memo, float(value).hex()))
+            return value
+        return call
+
+    for method in ("closed-form", "quadrature"):
+        monkeypatch.setitem(experiments._ROUTES, method,
+                            recorded(experiments._ROUTES[method]))
+    spec = spec_from_sources(overrides={
+        "relays": "1,2,3", "gamma_avg_db": "-30:15:120", "metric": metric,
+        "methods": "closed-form,quadrature"})
+    points = run_experiment(spec)
+    # two routes per point, one memo per level
+    assert len(calls) == 2 * len(points) == 2 * 66
+    assert len({id(memo) for *_, memo, _ in calls}) == 11
+    failed = 0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for route, topology, params, memo, got in calls:
+            assert memo, (topology, params)
+            fresh = _route_outcome(route, spec, topology, params, None)
+            assert got == fresh, (route.__name__, topology, params)
+            failed += isinstance(got, tuple)
+    if metric == "ber":
+        assert failed
+
+
+def test_runs_share_no_cached_value(monkeypatch):
+    # two runs of one spec in one process make the same special-function
+    # and FSO CDF calls: the group memos die with their run
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    for target in ("fsorf.metrics.meijer_g", "fsorf.composition.meijer_g",
+                   "fsorf.composition.ne_pe_snr_cdf"):
+        module, name = target.rsplit(".", 1)
+        monkeypatch.setattr(target, counted(
+            name, getattr(sys.modules[module], name)))
+    spec = spec_from_sources(overrides={
+        "preset": "fig3", "methods": "closed-form,quadrature",
+        "gamma_avg_db": "0:20:40"})
+    seen = []
+    for _ in range(2):
+        counts.clear()
+        run_experiment(spec)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["meijer_g"] > 0 and seen[0]["ne_pe_snr_cdf"] > 0
+
+
 def test_unconverged_ber_series_lands_in_error_column(monkeypatch):
-    def unconverged(topology, params):
+    def unconverged(topology, params, *, memo=None):
         return BerResult(value=0.125, truncation=3.5e-4, n_terms=201,
                          converged=False)
 
@@ -740,8 +817,8 @@ def test_traced_closed_form_sees_every_special_call():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     metrics = result["metrics"]
-    assert metrics["special.meijer_g.calls"]["value"] == 1935
-    assert metrics["special.hyp_pfq.calls"]["value"] == 11605
+    assert metrics["special.meijer_g.calls"]["value"] == 1456
+    assert metrics["special.hyp_pfq.calls"]["value"] == 8788
 
 
 def test_ber_quadrature_column_needs_no_meijer_g(monkeypatch):

@@ -11,6 +11,7 @@ ln-grid trapezoid rule over that layer's outage curve; those routes
 share no Meijer-G code, only the incomplete-gamma FSO CDF.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -20,6 +21,7 @@ import pytest
 
 from fsorf.channels import LinkParams, db_to_linear, ne_pe_snr_cdf
 from fsorf.composition import (
+    LOG_STEP,
     GainMode,
     Topology,
     end_to_end_outage_semianalytic,
@@ -368,3 +370,70 @@ def test_expansion_term_exponents_and_signs():
             weights = [w for _, t, w, _ in _chain_terms(topo(n, 3, mode))
                        if t == 0]
             assert math.fsum(weights) == pytest.approx(-1.0, abs=1e-12)
+
+
+def _ber_bits(result):
+    return (float(result.value).hex(), float(result.truncation).hex(),
+            result.n_terms, result.converged)
+
+
+def test_memo_shared_across_link_params_gives_fresh_values():
+    # one memo through calls at different LinkParams: every call returns
+    # the bits of a call without memo, and the parameters do change them
+    base = make_params(20.0)
+    variants = [base, dataclasses.replace(base, lam=2.0),
+                dataclasses.replace(base, c_gain=2.0), base]
+    # two node arrays of one shape, each evenly spaced in ln gamma
+    nodes = [np.exp(np.log(g0) + LOG_STEP * np.arange(4.0))
+             for g0 in (5.0, 7.0)]
+    memo = {}
+    got = []
+    for params in variants:
+        for mode, n, m in itertools.product(GainMode, (1, 2), (1, 2, 3)):
+            t = topo(n, m, mode)
+            curve = functools.partial(end_to_end_outage_semianalytic, t,
+                                      params)
+            row = (_ber_bits(ber_closed_form(t, params, memo=memo)),
+                   ber_quadrature(functools.partial(curve, memo=memo)).hex(),
+                   curve(memo=memo).hex(),
+                   *(curve(g, memo=memo).tobytes() for g in nodes))
+            assert row == (_ber_bits(ber_closed_form(t, params)),
+                           ber_quadrature(curve).hex(), curve().hex(),
+                           *(curve(g).tobytes() for g in nodes))
+            got.append(row)
+    rows = len(got) // len(variants)
+    first, lam2, gain2, again = (got[i:i + rows]
+                                 for i in range(0, len(got), rows))
+    assert again == first
+    assert all(x != y for a, b in zip(first, lam2) for x, y in zip(a, b))
+    # the relay constant acts on the fixed gain only
+    half = rows // 2
+    assert first[:half] == gain2[:half]
+    assert all(x != y for a, b in zip(first[half:], gain2[half:])
+               for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("gamma_db,mode,route", [
+    (-100.0, GainMode.ADAPTIVE, "closed-form"),
+    (-3000.0, GainMode.FIXED, "quadrature")])
+def test_memo_keeps_floating_point_error_states_apart(gamma_db, mode,
+                                                      route):
+    # a part computed where numpy ignores overflow is not reused where
+    # overflow raises: the second call raises as a call without memo does
+    params = make_params(gamma_db)
+    t = topo(1, 2, mode)
+
+    def call(memo):
+        if route == "closed-form":
+            return ber_closed_form(t, params, memo=memo)
+        return end_to_end_outage_semianalytic(t, params, memo=memo)
+
+    memo = {}
+    with np.errstate(all="ignore"):
+        call(memo)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError) as fresh:
+            call(None)
+        with pytest.raises(FloatingPointError) as shared:
+            call(memo)
+    assert str(shared.value) == str(fresh.value)

@@ -239,7 +239,7 @@ def test_hyp_replays_preset_traffic_bit_for_bit(monkeypatch):
     run_experiment(spec_from_sources(overrides={
         "preset": "fig3", "methods": "closed-form",
         "gamma_avg_db": "0:10:40"}))
-    assert len(calls) == 11605
+    assert len(calls) == 8788
     for call in calls:
         assert _hyp_bits(hyp_pfq, *call) == \
             _hyp_bits(reference_loops.hyp_pfq, *call), call
@@ -275,14 +275,15 @@ def test_hyp_seeded_rows_bit_for_bit():
 
 
 def test_hyp_equal_nonpositive_integer_pair_matches_reference():
-    # known defect, kept as found: with a = b = -3 the series stops at
-    # the lower pole's own term, and the loop forms 0 / 0 there (a bare
-    # ZeroDivisionError) instead of a ValueError or the terminated
-    # polynomial.  Only agreement with the reference is asserted; the
-    # reference shares _hyp_stop, where the stop is chosen.
+    # with a = b = -3 the series would stop at the lower pole's own
+    # term, 0 / 0; the row is a pole like any the series reaches, so the
+    # z-free scan raises the documented ValueError before any term, and
+    # the reference, which shares _hyp_stop, does the same
     case = ([-3.0, 0.5], [-3.0], 0.5)
-    assert _hyp_bits(hyp_pfq, *case) == \
-        _hyp_bits(reference_loops.hyp_pfq, *case)
+    want = ("ValueError",
+            "hyp_pfq lower parameter -3.0 is a non-positive integer pole")
+    assert _hyp_bits(hyp_pfq, *case) == want
+    assert _hyp_bits(reference_loops.hyp_pfq, *case) == want
 
 
 # ---------------------------------------------------------------- meijer_g
