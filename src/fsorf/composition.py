@@ -28,8 +28,11 @@ end_to_end_outage_semianalytic evaluates the FSO CDF once for the first
 segment and the hops.  Its memo keyword, a dict that calls may share,
 keeps that CDF and the first-segment CDF (the fixed-gain oracle, or
 the adaptive product) per LinkParams and gamma array, reused only on
-the same array bit for bit and never for a failure, so a sweep
-evaluates them once per (users, lambda, gamma_avg) group.
+the same array bit for bit and never for a failure.  It passes the memo
+on to second_relay_cdf_fixed_numeric, which keeps there the FSO CDF of
+its survival array under the same key.  None of these FSO CDFs depends
+on the user count, so a sweep evaluates each once per (lambda,
+gamma_avg) level, and the first-segment CDF once per user count there.
 """
 
 import enum
@@ -143,6 +146,29 @@ def af_fixed_snr(g1, g2, c, *, out=None):
     return _af_result(np.multiply(g1, ratio, out=out), out)
 
 
+# ------------------------------------------------------------------ memo
+
+def _memo_scope(memo, params):
+    # memo's entries for params, a dict ({} for no memo); numpy's error
+    # state is in the key too, as it decides whether a step raises
+    if memo is None:
+        return {}
+    return memo.setdefault((params, tuple(np.geterr().items())), {})
+
+
+def _memoized(scope, key, compute, *args, **kwargs):
+    # a failing compute stores nothing, so it runs and raises again
+    if key not in scope:
+        scope[key] = compute(*args, **kwargs)
+    return scope[key]
+
+
+def _nodes_key(gamma):
+    # gamma bit for bit: a value is reused only on the very same nodes
+    a = np.asarray(gamma)
+    return type(gamma), a.dtype.str, a.shape, a.tobytes()
+
+
 # ------------------------------------------------- first-segment CDFs
 
 def second_relay_cdf_adaptive(gamma, n, params):
@@ -208,7 +234,7 @@ _TAIL = 50.0
 _RTOL = 1e-12
 
 
-def second_relay_cdf_fixed_numeric(gamma, n, params):
+def second_relay_cdf_fixed_numeric(gamma, n, params, *, memo=None):
     """Quadrature evaluation of the fixed-gain first-segment CDF.
 
     Integrates the defining conditional form directly and so serves as the
@@ -230,7 +256,9 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
     is dropped (step 2h) and raises ConvergenceError past the tolerance
     plus the rounding floors 16 eps (1 + sum |coef_k J_k|) of both sums.
     So does a value outside [0, 1] by more than the fine sum's floor;
-    inside it, the value is clamped.
+    inside it, the value is clamped.  memo is as in
+    end_to_end_outage_semianalytic: the FSO CDF behind S, which does not
+    depend on n, is kept there.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -251,13 +279,16 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
     s = np.arange(1.0, n + 1.0) / gr
     coef = np.array([[math.comb(n - 1, k) * (-1.0) ** k] for k in range(n)])
     coef = coef * ((n / gr) * np.exp(-np.outer(s, g)))
+    scope = _memo_scope(memo, params)
     floor = None
 
     def integral(t, weights):
         nonlocal floor
         # surv[i + steps - j] is S at gamma_i c_gain e^{-t_j} = y e^{ih - t_j}
         tau = lo + LOG_STEP * np.arange(t.size - 1, -g.size, -1)
-        surv = 1.0 - ne_pe_snr_cdf(y / np.exp(tau), params)
+        x = y / np.exp(tau)
+        surv = 1.0 - _memoized(scope, ("fso", _nodes_key(x)), ne_pe_snr_cdf,
+                               x, params)
         rf = np.exp(t - np.outer(s, np.exp(t)))
         fine, coarse = (coef * np.array([np.convolve(w * r, surv, "valid")
                                          for r in rf]) for w in weights)
@@ -278,27 +309,6 @@ def second_relay_cdf_fixed_numeric(gamma, n, params):
 
 
 # ------------------------------------------------------------ composition
-
-def _memo_scope(memo, params):
-    # memo's entries for params, a dict ({} for no memo); numpy's error
-    # state is in the key too, as it decides whether a step raises
-    if memo is None:
-        return {}
-    return memo.setdefault((params, tuple(np.geterr().items())), {})
-
-
-def _memoized(scope, key, compute, *args):
-    # a failing compute stores nothing, so it runs and raises again
-    if key not in scope:
-        scope[key] = compute(*args)
-    return scope[key]
-
-
-def _nodes_key(gamma):
-    # gamma bit for bit: a value is reused only on the very same nodes
-    a = np.asarray(gamma)
-    return type(gamma), a.dtype.str, a.shape, a.tobytes()
-
 
 def end_to_end_outage_semianalytic(topology, params, gamma=None, *,
                                    memo=None):
@@ -323,7 +333,8 @@ def end_to_end_outage_semianalytic(topology, params, gamma=None, *,
                        g, n, params, fso)
     else:
         f2 = _memoized(scope, ("fixed", n, nodes),
-                       second_relay_cdf_fixed_numeric, g, n, params)
+                       second_relay_cdf_fixed_numeric, g, n, params,
+                       memo=memo)
     # hybrid_hop_cdf on the shared FSO CDF
     hop = fso() * rayleigh_snr_cdf(g, params.gamma_bar_rf)
     # f2 and hop lie in [0, 1], and so, in floating point too, does this

@@ -365,7 +365,7 @@ def spec_from_sources(config_text="", overrides=None):
 
 def _closed_form(spec, topology, params, memo):
     if spec.metric is Metric.OUTAGE:
-        return float(outage_closed_form(topology, params))
+        return float(outage_closed_form(topology, params, memo=memo))
     ber = ber_closed_form(topology, params, memo=memo)
     if not ber.converged:
         raise ConvergenceError(
@@ -404,7 +404,7 @@ def _monte_carlo(spec, n, lam):
 # method -> route, in the canonical column order; each route looks up the
 # metric functions at call time, so monkeypatching and tracing reach them.
 # The closed-form and quadrature routes take one point's LinkParams and
-# the memo of its (users, lambda, gamma_avg) group; the Monte-Carlo route
+# the memo of its (lambda, gamma_avg) level; the Monte-Carlo route
 # takes a (users, lambda) group and returns its curves, each a cell or an
 # exception per point
 _ROUTES = {
@@ -423,7 +423,7 @@ def _link_params(spec, lam, gamma_avg_db):
 
 def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db, mc, memo):
     """One sweep point; mc is its Monte-Carlo cell or exception, or None
-    when the method is not run, and memo its group's analytic memo."""
+    when the method is not run, and memo its level's analytic memo."""
     params = _link_params(spec, lam, gamma_avg_db)
     topology = Topology(n_users=n, m_relays=m, first_segment_mode=mode)
     cells = {}
@@ -450,29 +450,31 @@ def _evaluate_point(spec, mode, n, m, lam, gamma_avg_db, mc, memo):
 def run_experiment(spec):
     """Evaluate every sweep point; write the CSV when out_path is set.
 
-    Points run in the calling thread one (users, lambda, gamma_avg)
-    group at a time: every gain mode and relay count at one level share
+    Points run in the calling thread one (lambda, gamma_avg) level at a
+    time: every gain mode, user count and relay count at one level share
     one memo of the closed-form and quadrature routes' parts, which is
-    dropped with the group, and each cell is the value or error a point
+    dropped with the level, and each cell is the value or error a point
     alone gives.  The Monte-Carlo route runs once per (users, lambda)
-    group and scores every point of every gain mode and relay count of
-    the group from one set of draws; spec.sim.workers threads only its
-    batches.  Points come out in sweep order, curve by curve, a curve
-    being the points of one (mode, users, relays, lambda).  Method
-    failures land in the point's error field and the run continues.
+    group, before the levels of its lambda, and scores every point of
+    every gain mode and relay count of the group from one set of draws;
+    spec.sim.workers threads only its batches.  Points come out in sweep
+    order, curve by curve, a curve being the points of one (mode, users,
+    relays, lambda).  Method failures land in the point's error field
+    and the run continues.
     """
     done = {}
+    users = list(dict.fromkeys(spec.n_users))
     shapes = list(dict.fromkeys(itertools.product(spec.modes, spec.m_relays)))
     # floating-point trouble lands in the error column, not on stderr;
     # underflow is routine in the quadrature rules' tails
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for n, lam in dict.fromkeys(itertools.product(spec.n_users, spec.lam)):
-            mc = (_ROUTES[METHOD_MC](spec, n, lam)
+        for lam in dict.fromkeys(spec.lam):
+            mc = ({n: _ROUTES[METHOD_MC](spec, n, lam) for n in users}
                   if METHOD_MC in spec.methods else {})
             for i, g in enumerate(spec.gamma_avg_db):
                 memo = {}
-                for mode, m in shapes:
-                    cell = mc[mode, m][i] if mc else None
+                for n, (mode, m) in itertools.product(users, shapes):
+                    cell = mc[n][mode, m][i] if mc else None
                     done[mode, n, m, lam, i] = _evaluate_point(
                         spec, mode, n, m, lam, g, cell, memo)
     points = [done[curve + (i,)] for curve in itertools.product(

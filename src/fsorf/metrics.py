@@ -15,12 +15,15 @@ over any vectorised outage curve.  The experiments layer hands it the
 incomplete-gamma composition end_to_end_outage_semianalytic, so that
 the two BER routes share no Meijer-G code.
 
-ber_closed_form and end_to_end_outage_semianalytic take a memo
-keyword, a dict that calls may share; run_experiment passes one per
-(users, lambda, gamma_avg) group, so its gain modes and relay counts
-evaluate each shared part once.  ber_closed_form keeps there the series
-coefficients, their powers and each Laplace kernel, keyed on (gain
-mode, H, k, shift) within its LinkParams.  An entry is keyed on all its
+outage_closed_form, ber_closed_form and end_to_end_outage_semianalytic
+take a memo keyword, a dict that calls may share; run_experiment passes
+one per (lambda, gamma_avg) level, so its gain modes, user counts and
+relay counts evaluate each shared part once.  outage_closed_form keeps
+there the Meijer-G FSO CDF at gamma_th and the first segment's tails
+T_k per (gain mode, k).  ber_closed_form keeps the series coefficients,
+their powers, each Laplace kernel, keyed on (gain mode, H, k, shift),
+and the fixed-gain kernel's Meijer-G value, keyed on (H, z).  All of
+these live within their LinkParams.  An entry is keyed on all its
 inputs and no failure is stored, so every result is the one a call
 without memo, the default, gives.
 
@@ -99,16 +102,19 @@ def _ber_adaptive_row(z2, h_exp):
     return MeijerParams(m=4, n=3, a=a, b=b)
 
 
-def _ber_kernel_fixed(h_exp, sigma, s, params):
+def _ber_kernel_fixed(h_exp, sigma, s, params, g_values):
     # int_0^inf e^{-sigma g} g^H sK(g) dg with the fixed-gain cascade
-    # tail sK folded through its own Meijer-G Laplace transform
+    # tail sK folded through its own Meijer-G Laplace transform.  The
+    # G-function's row depends on H alone for given params, so g_values
+    # keeps its value per (H, z), which several (s, sigma) pairs share
     z2 = params.zeta
     cs = params.c * params.c * params.c_gain * s
-    if cs / (4.0 * sigma) == 0.0:
+    z = cs / (4.0 * sigma)
+    if z == 0.0:
         return 0.0      # the limit; see composition._fixed_kernel_params
     pref, row = _fixed_kernel_params(z2, cs, -h_exp - z2 / 2.0)
     return (pref * sigma ** (-1.0 - h_exp - z2 / 2.0)
-            * meijer_g(row, cs / (4.0 * sigma)))
+            * _memoized(g_values, (h_exp, z), meijer_g, row, z))
 
 
 # ------------------------------------------------------------ chain terms
@@ -141,17 +147,20 @@ def _chain_terms(topology):
 
 # ----------------------------------------------------------------- outage
 
-def outage_closed_form(topology, params):
+def outage_closed_form(topology, params, *, memo=None):
     """Closed-form outage probability at params.gamma_th.
 
     A sum outside [0, 1] by more than its rounding floor raises
-    ConvergenceError; inside it, the value is clamped to [0, 1].
+    ConvergenceError; inside it, the value is clamped to [0, 1].  memo
+    is as in ber_closed_form.
     """
     gr = params.gamma_bar_rf
     gth = params.gamma_th
     adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
-    ff = _snr_cdf_meijer(gth, params)
-    tails = {}
+    scope = _memo_scope(memo, params)
+    ff = _memoized(scope, "meijer-fso", _snr_cdf_meijer, gth, params)
+    # T_k depends on the gain mode and k, not on the user count
+    tails = scope.setdefault(("tails", topology.first_segment_mode), {})
     total = 1.0
     mass = 1.0
     for k, t, weight, shift in _chain_terms(topology):
@@ -214,6 +223,7 @@ def ber_closed_form(topology, params, *, memo=None):
                             series_power_coeffs, coeffs.e, k1)
               for k1 in range(topology.m_relays)}
     kernels = scope.setdefault(topology.first_segment_mode, {})
+    g_values = scope.setdefault("fixed-ber-g", {})
 
     def kernel(h_exp, k, shift):
         # the adaptive kernel depends on k only through shift
@@ -223,7 +233,8 @@ def ber_closed_form(topology, params, *, memo=None):
             bound = gamma_fn(1.0 + h_exp) * sigma ** (-1.0 - h_exp)
             value = bound - (
                 _ber_kernel_adaptive(h_exp, sigma, params) if adaptive else
-                _ber_kernel_fixed(h_exp, sigma, (k + 1.0) / gr, params))
+                _ber_kernel_fixed(h_exp, sigma, (k + 1.0) / gr, params,
+                                  g_values))
             kernels[key] = value, max(-value, value - bound, 0.0)
         return kernels[key]
 

@@ -1,6 +1,8 @@
 """Sweep specs, config grammar, CSV contract, and the CLI shell."""
 
+import collections
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import fsorf
-from fsorf import experiments
+from fsorf import channels, experiments, special
 from fsorf.composition import GainMode
 from fsorf.experiments import (
     CSV_COLUMNS,
@@ -361,7 +363,7 @@ def test_write_csv_failing_midway_keeps_the_target(tmp_path, monkeypatch):
 
 
 def test_point_failure_lands_in_error_column(tmp_path, monkeypatch):
-    def boom(topology, params):
+    def boom(topology, params, *, memo=None):
         raise ArithmeticError("synthetic blow-up")
 
     monkeypatch.setattr("fsorf.experiments.outage_closed_form", boom)
@@ -445,11 +447,11 @@ def _route_outcome(route, *args):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("metric", ["outage", "ber"])
-def test_group_memo_cells_equal_fresh_one_point_calls(monkeypatch, metric):
-    # every closed-form and quadrature cell of a run, failing cells
-    # included, is what a one-point call without a memo gives, though
-    # the run shares one memo among the six points of each level
+def _check_cells_equal_fresh_calls(monkeypatch, spec, n_points, memos):
+    # every closed-form and quadrature cell of a run of spec, failing
+    # cells included, is what a one-point call without a memo gives,
+    # though the points of each (lambda, gamma_avg) level share a memo;
+    # returns the number of failing cells
     calls = []
 
     def recorded(route):
@@ -467,13 +469,10 @@ def test_group_memo_cells_equal_fresh_one_point_calls(monkeypatch, metric):
     for method in ("closed-form", "quadrature"):
         monkeypatch.setitem(experiments._ROUTES, method,
                             recorded(experiments._ROUTES[method]))
-    spec = spec_from_sources(overrides={
-        "relays": "1,2,3", "gamma_avg_db": "-30:15:120", "metric": metric,
-        "methods": "closed-form,quadrature"})
     points = run_experiment(spec)
     # two routes per point, one memo per level
-    assert len(calls) == 2 * len(points) == 2 * 66
-    assert len({id(memo) for *_, memo, _ in calls}) == 11
+    assert len(calls) == 2 * len(points) == 2 * n_points
+    assert len({id(memo) for *_, memo, _ in calls}) == memos
     failed = 0
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for route, topology, params, memo, got in calls:
@@ -481,6 +480,31 @@ def test_group_memo_cells_equal_fresh_one_point_calls(monkeypatch, metric):
             fresh = _route_outcome(route, spec, topology, params, None)
             assert got == fresh, (route.__name__, topology, params)
             failed += isinstance(got, tuple)
+    return failed
+
+
+@pytest.mark.parametrize("metric", ["outage", "ber"])
+def test_group_memo_cells_equal_fresh_one_point_calls(monkeypatch, metric):
+    # the six points of each level share its memo
+    spec = spec_from_sources(overrides={
+        "relays": "1,2,3", "gamma_avg_db": "-30:15:120", "metric": metric,
+        "methods": "closed-form,quadrature"})
+    failed = _check_cells_equal_fresh_calls(monkeypatch, spec, 66, 11)
+    if metric == "ber":
+        assert failed
+
+
+@pytest.mark.parametrize("metric", ["outage", "ber"])
+def test_level_memo_cells_equal_fresh_calls_across_user_counts(monkeypatch,
+                                                               metric):
+    # the twelve points of each level, three user counts among them,
+    # share its memo.  The config grammar lets one key sweep, so the
+    # relay list is set on the resolved spec: run_experiment takes any
+    # spec
+    spec = dataclasses.replace(spec_from_sources(overrides={
+        "users": "1,2,4", "gamma_avg_db": "-30:15:120", "metric": metric,
+        "methods": "closed-form,quadrature"}), m_relays=(1, 3))
+    failed = _check_cells_equal_fresh_calls(monkeypatch, spec, 132, 11)
     if metric == "ber":
         assert failed
 
@@ -511,6 +535,30 @@ def test_runs_share_no_cached_value(monkeypatch):
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["meijer_g"] > 0 and seen[0]["ne_pe_snr_cdf"] > 0
+
+
+def test_fig1_analytic_sweep_shares_user_independent_parts(monkeypatch):
+    # at each of fig1's nine levels the three user counts share the
+    # Meijer-G FSO CDF at gamma_th, the four fixed-segment kernels
+    # (k = 0..3), the scalar FSO CDF at gamma_th and the FSO CDF of the
+    # fixed-gain oracle's survival array
+    counts = collections.Counter()
+
+    def meijer(row, z):
+        counts["meijer_g"] += 1
+        return special.meijer_g(row, z)
+
+    def cdf(gamma, params):
+        counts[f"ne_pe_snr_cdf ndim {np.ndim(gamma)}"] += 1
+        return channels.ne_pe_snr_cdf(gamma, params)
+
+    for target in ("fsorf.metrics.meijer_g", "fsorf.composition.meijer_g"):
+        monkeypatch.setattr(target, meijer)
+    monkeypatch.setattr("fsorf.composition.ne_pe_snr_cdf", cdf)
+    run_experiment(spec_from_sources(overrides={
+        "preset": "fig1", "methods": "closed-form,quadrature"}))
+    assert counts == {"meijer_g": 45, "ne_pe_snr_cdf ndim 0": 9,
+                      "ne_pe_snr_cdf ndim 1": 9}
 
 
 def test_unconverged_ber_series_lands_in_error_column(monkeypatch):
@@ -638,7 +686,7 @@ def test_cli_config_file_not_utf8_is_config_error(tmp_path, capsys):
 
 
 def test_cli_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
-    def boom(topology, params):
+    def boom(topology, params, *, memo=None):
         raise ArithmeticError("synthetic blow-up")
 
     monkeypatch.setattr("fsorf.experiments.outage_closed_form", boom)
@@ -817,8 +865,8 @@ def test_traced_closed_form_sees_every_special_call():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     metrics = result["metrics"]
-    assert metrics["special.meijer_g.calls"]["value"] == 1456
-    assert metrics["special.hyp_pfq.calls"]["value"] == 8788
+    assert metrics["special.meijer_g.calls"]["value"] == 1407
+    assert metrics["special.hyp_pfq.calls"]["value"] == 8396
 
 
 def test_ber_quadrature_column_needs_no_meijer_g(monkeypatch):

@@ -65,6 +65,13 @@ OUTAGE_FIXED_REF = {
     (1, 1, 0.0): 0.9999991357600537,
     (4, 2, 20.0): 0.083849491497326779,
 }
+# 40-digit values of the fixed-gain first-segment CDF F_seg at gamma_th,
+# by mpmath quadrature in t = ln h over breakpoints np.linspace(-80, 5,
+# 341); keyed (N, gamma_avg dB), M = 1, c_gain = 1
+SEGMENT_FIXED_REF = {
+    (2, 40.0): 0.00062719453694456780094,
+    (8, 50.0): 0.000039390904314038433824,
+}
 BER_ADAPTIVE_REF = {
     (2, 1, 10.0): 0.18070202383734112,
     (2, 2, 10.0): 0.19102073629362341,
@@ -95,6 +102,22 @@ def test_outage_fixed_frozen(point, ref):
     n, m, gdb = point
     value = outage_closed_form(topo(n, m, GainMode.FIXED), make_params(gdb))
     assert value == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("point,ref", sorted(SEGMENT_FIXED_REF.items()))
+def test_fixed_segment_cdf_matches_40_digit_reference(point, ref):
+    # the Meijer-G closed form and the quadrature oracle, each without
+    # and with a memo; errors today: -7.4e-11 and 2.2e-13 at N = 2,
+    # -3.5e-10 and -2.2e-10 at N = 8
+    n, gdb = point
+    p = make_params(gdb)
+    memo = {}
+    for kwargs in ({}, {"memo": memo}, {"memo": memo}):
+        closed = outage_closed_form(topo(n, 1, GainMode.FIXED), p, **kwargs)
+        oracle = second_relay_cdf_fixed_numeric(p.gamma_th, n, p, **kwargs)
+        assert closed == pytest.approx(ref, rel=1e-9)
+        assert oracle == pytest.approx(ref, rel=1e-9)
+    assert memo
 
 
 @pytest.mark.parametrize("n,m,gdb", [(2, 2, 10.0), (4, 3, 25.0), (1, 1, 0.0)])
@@ -383,23 +406,34 @@ def test_memo_shared_across_link_params_gives_fresh_values():
     base = make_params(20.0)
     variants = [base, dataclasses.replace(base, lam=2.0),
                 dataclasses.replace(base, c_gain=2.0), base]
-    # two node arrays of one shape, each evenly spaced in ln gamma
+    # node arrays of one shape, each evenly spaced in ln gamma; the
+    # oracle's survival nodes at the first and last have one shape too
     nodes = [np.exp(np.log(g0) + LOG_STEP * np.arange(4.0))
-             for g0 in (5.0, 7.0)]
+             for g0 in (5.0, 7.0, 5.0 + 2.0 ** -20)]
     memo = {}
     got = []
     for params in variants:
-        for mode, n, m in itertools.product(GainMode, (1, 2), (1, 2, 3)):
+        for mode, n, m in itertools.product(GainMode, (1, 2, 4), (1, 2, 3)):
             t = topo(n, m, mode)
             curve = functools.partial(end_to_end_outage_semianalytic, t,
                                       params)
+            # the fixed-gain oracle on its own, in the fixed-gain rows
+            oracle = functools.partial(second_relay_cdf_fixed_numeric,
+                                       n=n, params=params)
+            gammas = [params.gamma_th, *nodes] if mode is GainMode.FIXED \
+                else []
             row = (_ber_bits(ber_closed_form(t, params, memo=memo)),
                    ber_quadrature(functools.partial(curve, memo=memo)).hex(),
                    curve(memo=memo).hex(),
-                   *(curve(g, memo=memo).tobytes() for g in nodes))
+                   *(curve(g, memo=memo).tobytes() for g in nodes),
+                   float(outage_closed_form(t, params, memo=memo)).hex(),
+                   *(np.asarray(oracle(g, memo=memo)).tobytes()
+                     for g in gammas))
             assert row == (_ber_bits(ber_closed_form(t, params)),
                            ber_quadrature(curve).hex(), curve().hex(),
-                           *(curve(g).tobytes() for g in nodes))
+                           *(curve(g).tobytes() for g in nodes),
+                           float(outage_closed_form(t, params)).hex(),
+                           *(np.asarray(oracle(g)).tobytes() for g in gammas))
             got.append(row)
     rows = len(got) // len(variants)
     first, lam2, gain2, again = (got[i:i + rows]
@@ -413,27 +447,52 @@ def test_memo_shared_across_link_params_gives_fresh_values():
                for x, y in zip(a, b))
 
 
+def _outcome(call, *args):
+    # (None, the value's bits), or the exception's class name and message
+    try:
+        return None, call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 @pytest.mark.parametrize("gamma_db,mode,route", [
     (-100.0, GainMode.ADAPTIVE, "closed-form"),
-    (-3000.0, GainMode.FIXED, "quadrature")])
+    (-3000.0, GainMode.FIXED, "quadrature"),
+    (3000.0, GainMode.FIXED, "oracle"),
+    (20.0, GainMode.FIXED, "outage-closed-form")])
 def test_memo_keeps_floating_point_error_states_apart(gamma_db, mode,
                                                       route):
     # a part computed where numpy ignores overflow is not reused where
-    # overflow raises: the second call raises as a call without memo does
+    # overflow raises: with one memo shared by user counts 1, 2 and 4,
+    # every call gives what a call without memo does, FloatingPointError
+    # where the route overflows.  At 3000 dB the oracle fails its step
+    # check where overflow is ignored, after it has stored its FSO CDF.
+    # outage_closed_form runs on Python floats, so its values do not
+    # depend on the error state
     params = make_params(gamma_db)
-    t = topo(1, 2, mode)
 
-    def call(memo):
+    def call(n, memo):
+        t = topo(n, 2, mode)
         if route == "closed-form":
-            return ber_closed_form(t, params, memo=memo)
-        return end_to_end_outage_semianalytic(t, params, memo=memo)
+            return _ber_bits(ber_closed_form(t, params, memo=memo))
+        if route == "outage-closed-form":
+            return float(outage_closed_form(t, params, memo=memo)).hex()
+        if route == "oracle":
+            return float(second_relay_cdf_fixed_numeric(
+                params.gamma_th, n, params, memo=memo)).hex()
+        return float(end_to_end_outage_semianalytic(t, params,
+                                                    memo=memo)).hex()
 
+    # the exception class a call gives where overflow is ignored, and
+    # where it raises (None for a value)
+    ignored, raised = {"oracle": ("ConvergenceError", "FloatingPointError"),
+                       "outage-closed-form": (None, None)}.get(
+                           route, (None, "FloatingPointError"))
     memo = {}
-    with np.errstate(all="ignore"):
-        call(memo)
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError) as fresh:
-            call(None)
-        with pytest.raises(FloatingPointError) as shared:
-            call(memo)
-    assert str(shared.value) == str(fresh.value)
+    for state, want in (({"all": "ignore"}, ignored),
+                        ({"over": "raise"}, raised)):
+        with np.errstate(**state):
+            for n in (1, 2, 4):
+                fresh = _outcome(call, n, None)
+                assert _outcome(call, n, memo) == fresh
+                assert fresh[0] == want

@@ -239,7 +239,7 @@ def test_hyp_replays_preset_traffic_bit_for_bit(monkeypatch):
     run_experiment(spec_from_sources(overrides={
         "preset": "fig3", "methods": "closed-form",
         "gamma_avg_db": "0:10:40"}))
-    assert len(calls) == 8788
+    assert len(calls) == 8396
     for call in calls:
         assert _hyp_bits(hyp_pfq, *call) == \
             _hyp_bits(reference_loops.hyp_pfq, *call), call
