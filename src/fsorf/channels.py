@@ -17,8 +17,11 @@ c = lam / (a0 sqrt(gamma_bar_fso)):
     SNR CDF        F(gamma) = X^zeta Gamma(1-zeta, X) + 1 - e^{-X}
 
 where W = zeta lam^{zeta-1} / (2 a0^zeta gamma_bar_fso^{zeta/2}).  The CDF
-expression is the exact integral of the density (the same function has an
-equivalent Meijer-G form exercised by the closed-form metrics layer).
+expression is the exact integral of the density, and ne_pe_snr_cdf is
+the one evaluation of it that every route uses.  Its Meijer-G form
+zeta G^{2,1}_{2,3}(X | 1, 1+zeta; 1, zeta, 0) is left to the tests: its
+Slater sum loses 1e-8 relative by X = 23 (xi = 1.45), which a large lam
+reaches at ordinary SNR.
 """
 
 import math

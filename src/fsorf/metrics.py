@@ -5,8 +5,10 @@ the first relay, and M - 1 selection-combined FSO/RF hops follow.
 Expanding 1 - (1 - F_2nd)(1 - F_hop)^(M-1) binomially turns the chain
 into one alternating sum over (k, t, u), written once in _chain_terms;
 outage_closed_form and ber_closed_form are its only consumers.  The
-fixed-gain mode additionally carries a Meijer-G Laplace kernel for the
-relay cascade.  The bit error rate is the Laplace-type integral
+outage reads the FSO CDF at gamma_th from channels.ne_pe_snr_cdf, the
+incomplete-gamma form that every route uses.  The fixed-gain mode
+additionally carries a Meijer-G Laplace kernel for the relay cascade.
+The bit error rate is the Laplace-type integral
 (1/2) int_0^inf e^{-gamma} P_out(gamma) dgamma, offered two ways: a
 closed multi-sum obtained by expanding the FSO CDF power F^t through its
 series form, which turns every term into Gamma(1+H) sigma^{-1-H} minus a
@@ -15,17 +17,22 @@ over any vectorised outage curve.  The experiments layer hands it the
 incomplete-gamma composition end_to_end_outage_semianalytic, so that
 the two BER routes share no Meijer-G code.
 
+Meijer-G is cross-checked by the tests: the fixed-gain outage tails
+against the quadrature oracle (gate 4), the error-rate kernels against
+ber_quadrature (gate 5), and meijer_g against mpmath and a contour
+integral.
+
 outage_closed_form, ber_closed_form and end_to_end_outage_semianalytic
 take a memo keyword, a dict that calls may share; run_experiment passes
 one per (lambda, gamma_avg) level, so its gain modes, user counts and
 relay counts evaluate each shared part once.  outage_closed_form keeps
-there the Meijer-G FSO CDF at gamma_th and the first segment's tails
-T_k per (gain mode, k).  ber_closed_form keeps the series coefficients,
-their powers, each Laplace kernel, keyed on (gain mode, H, k, shift),
-and the fixed-gain kernel's Meijer-G value, keyed on (H, z).  All of
-these live within their LinkParams.  An entry is keyed on all its
-inputs and no failure is stored, so every result is the one a call
-without memo, the default, gives.
+there the FSO CDF at gamma_th, under the key the quadrature route uses,
+and the first segment's tails T_k per (gain mode, k).  ber_closed_form
+keeps the series coefficients, their powers, each Laplace kernel, keyed
+on (gain mode, H, k, shift), and the fixed-gain kernel's Meijer-G
+value, keyed on (H, z).  All of these live within their LinkParams.  An
+entry is keyed on all its inputs and no failure is stored, so every
+result is the one a call without memo, the default, gives.
 
 The expansion bookkeeping: with the CDF series
 
@@ -45,8 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import ne_pe_snr_cdf
 from .composition import (LOG_STEP, GainMode, _fixed_kernel_params,
-                          _memo_scope, _memoized, fixed_segment_kernel)
+                          _memo_scope, _memoized, _nodes_key,
+                          fixed_segment_kernel)
 from .series import series_coeffs, series_power_coeffs
 from .special import (_CLAMP_ULPS, _ROW_PLANS, ConvergenceError,
                       MeijerParams, _clamped, gamma_fn, meijer_g, trapezoid)
@@ -58,6 +67,9 @@ _N_MAX = 200
 # gate on the BER kernels' distance outside their provable range; the
 # floor of the closed-form vs quadrature BER tolerance
 _KERNEL_TOL = 1e-6
+# the same gate on the fixed-gain outage kernels, below the 1e-8
+# closed-form vs quadrature outage tolerance
+_TAIL_TOL = 1e-9
 # u = ln gamma span of the error-rate rule: its integrand e^{u - e^u} F
 # leaves out at most e^-60 below and e^-50 above; relative tolerance
 _BER_LN_LO, _BER_LN_HI, _BER_RTOL = -60.0, math.log(50.0), 1e-12
@@ -74,18 +86,6 @@ class BerResult:
 
 
 # ------------------------------------------------------------ Meijer rows
-
-def _snr_cdf_meijer(gamma, params):
-    """FSO SNR CDF through its Meijer-G representation.
-
-    The closed-form metrics deliberately evaluate the CDF on this path
-    so that comparisons against the channel layer's incomplete-gamma
-    form cross-check two different special-function pipelines.
-    """
-    z2 = params.zeta
-    row = MeijerParams(m=2, n=1, a=(1.0, 1.0 + z2), b=(1.0, z2, 0.0))
-    return z2 * meijer_g(row, params.c * math.sqrt(gamma))
-
 
 def _ber_kernel_adaptive(h_exp, sigma, params):
     # int_0^inf e^{-sigma g} g^H F_FSO(g) dg in closed form
@@ -150,30 +150,44 @@ def _chain_terms(topology):
 def outage_closed_form(topology, params, *, memo=None):
     """Closed-form outage probability at params.gamma_th.
 
-    A sum outside [0, 1] by more than its rounding floor raises
-    ConvergenceError; inside it, the value is clamped to [0, 1].  memo
-    is as in ber_closed_form.
+    The FSO CDF at gamma_th is channels.ne_pe_snr_cdf.  Each fixed-gain
+    tail kernel is a probability, so it lies in [0, 1]; past _TAIL_TOL
+    of weighted distance outside that range the call raises
+    ConvergenceError, as ber_closed_form does for its kernels.  So does
+    a sum outside [0, 1] by more than its rounding floor; inside it, the
+    value is clamped to [0, 1].  memo is as in ber_closed_form.
     """
     gr = params.gamma_bar_rf
     gth = params.gamma_th
     adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
     scope = _memo_scope(memo, params)
-    ff = _memoized(scope, "meijer-fso", _snr_cdf_meijer, gth, params)
-    # T_k depends on the gain mode and k, not on the user count
+    # the quadrature route keeps the same entry
+    ff = _memoized(scope, ("fso", _nodes_key(gth)), ne_pe_snr_cdf, gth,
+                   params)
+    # T_k = 1 - K_k and K_k's distance outside [0, 1] depend on the gain
+    # mode and k, not on the user count
     tails = scope.setdefault(("tails", topology.first_segment_mode), {})
     total = 1.0
     mass = 1.0
+    excess = 0.0
     for k, t, weight, shift in _chain_terms(topology):
         decay = math.exp(-shift * gth / gr)
         if decay == 0.0:
             # the term is exactly 0; at low SNR its kernel may not converge
             continue
         if k not in tails:
-            tails[k] = 1.0 - (ff if adaptive else fixed_segment_kernel(
-                gth, (k + 1.0) / gr, params))
-        term = weight * decay * tails[k] * ff ** t
+            kernel = ff if adaptive else fixed_segment_kernel(
+                gth, (k + 1.0) / gr, params)
+            tails[k] = 1.0 - kernel, max(-kernel, kernel - 1.0, 0.0)
+        tail, outside = tails[k]
+        term = weight * decay * tail * ff ** t
         total += term
         mass += abs(term)
+        excess += abs(weight * decay * ff ** t) * outside
+    if not excess <= _TAIL_TOL:
+        raise ConvergenceError(
+            f"fixed-gain outage kernels lie {excess:.3g} outside [0, 1] "
+            f"(gamma_bar={gr:g})")
     return _clamped(total, _CLAMP_ULPS * mass, 1.0, "closed-form outage")
 
 

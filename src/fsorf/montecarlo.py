@@ -10,14 +10,13 @@ detection.  Each ends in a Wilson or normal interval builder.
 
 Common random numbers, drawn once per chain group (random stream v2):
 simulate_outage_curves and simulate_ber_snr_level_curves score every
-average-SNR level of every chain of one user count from the same draws,
-and the *_curve functions are their one-chain case.  Every stage SNR is
-its mean times a unit draw, so each batch draws the unit quantities
-once: the users' best unit RF SNR U, the first-segment unit FSO SNR F,
-and each hop's unit FSO and RF SNRs G_j and R_j, up to the deepest
-chain's last hop; a shallower chain's draws are a prefix of these.  For
-each distinct ratio rho = gamma_bar_rf / gamma_bar_fso among the levels
-it folds each hop's pair, as soon as it is drawn, into the
+average-SNR level of every chain of one user count from the same draws.
+Every stage SNR is its mean times a unit draw, so each batch draws the
+unit quantities once: the users' best unit RF SNR U, the first-segment
+unit FSO SNR F, and each hop's unit FSO and RF SNRs G_j and R_j, up to
+the deepest chain's last hop; a shallower chain's draws are a prefix of
+these.  For each distinct ratio rho = gamma_bar_rf / gamma_bar_fso among
+the levels it folds each hop's pair, as soon as it is drawn, into the
 gamma-bar-free minimum H = min_j max(G_j, rho R_j), and it scores each
 chain once its last hop is folded in.  A level only scales: its chain
 minimum is gamma_bar_fso min(H, rho U, F) ("min"), or the smaller of
@@ -26,10 +25,10 @@ gamma_bar_fso H ("exact").  A correctly rounded product with a positive
 factor is monotone, so it commutes exactly with min and max: each
 level's chain minimum is bit for bit the column minimum of
 sample_chain_stage_snrs at that level alone, and simulate_outage and
-simulate_ber_snr_level are the one-level case.  Every pool thread of a
-call keeps one workspace of 1 + max(N, 4 + #rho) rows for the call's
-life (_curve has the layout), so no batch after a thread's first
-allocates an array of batch size.
+simulate_ber_snr_level are the one-chain, one-level case.  Every pool
+thread of a call keeps one workspace of 1 + max(N, 4 + #rho) rows for
+the call's life (_curve has the layout), so no batch after a thread's
+first allocates an array of batch size.
 
 One batch runner, _batches, holds the reproducibility contract: work is
 cut into fixed-size batches run by one pool of `workers` threads, batch
@@ -417,8 +416,8 @@ def _curve(chains, levels, cfg, score, estimate):
             for k in range(0, len(cells), len(levels))]
 
 
-def _one_level(curve):
-    (estimate,) = curve
+def _one_level(curves):
+    ((estimate,),) = curves
     if isinstance(estimate, Exception):
         raise estimate
     return estimate
@@ -427,12 +426,15 @@ def _one_level(curve):
 # --------------------------------------------------------------- outage
 
 def simulate_outage_curves(chains, levels, cfg):
-    """simulate_outage_curve of every (topology, first_segment) pair of
-    `chains`, all from one draw set.
+    """simulate_outage of every (topology, first_segment) pair of
+    `chains` at every LinkParams of `levels`, all from one draw set.
 
-    The chains must share n_users (ValueError otherwise); they may
-    differ in m_relays, gain mode and first segment.  Returns one curve
-    per chain, each equal to that chain's own simulate_outage_curve.
+    The levels may differ in gamma_bar_rf, gamma_bar_fso, gamma_th and
+    c_gain, and must share lam, a0 and xi; the chains must share
+    n_users (ValueError otherwise), and may differ in m_relays, gain
+    mode and first segment.  Returns one curve per chain: per level,
+    the MetricEstimate that simulate_outage gives at that level alone,
+    or in its place the exception that level raised.
     """
     n = cfg.trials_or_bits
     return _curve(chains, levels, cfg,
@@ -441,26 +443,14 @@ def simulate_outage_curves(chains, levels, cfg):
                   lambda hits, _: _wilson_estimate(hits, n))
 
 
-def simulate_outage_curve(topology, levels, cfg, first_segment="exact"):
-    """simulate_outage at every LinkParams of `levels`, from one draw set.
-
-    The levels may differ in gamma_bar_rf, gamma_bar_fso, gamma_th and
-    c_gain, and must share lam, a0 and xi.  Returns one MetricEstimate
-    per level, equal to simulate_outage at that level alone, or in its
-    place the exception that level raised.
-    """
-    return simulate_outage_curves([(topology, first_segment)], levels,
-                                  cfg)[0]
-
-
 def simulate_outage(topology, params, cfg, first_segment="exact"):
     """Outage frequency of the chain with a Wilson 95% interval.
 
     A trial is an outage when any stage SNR falls below gamma_th,
     equivalently when the chain minimum does.
     """
-    return _one_level(simulate_outage_curve(topology, [params], cfg,
-                                            first_segment))
+    return _one_level(simulate_outage_curves([(topology, first_segment)],
+                                             [params], cfg))
 
 
 # ------------------------------------------------------- SNR-level BER
@@ -495,8 +485,9 @@ def _dbpsk_error(snr, out=None, scratch=None):
 
 
 def simulate_ber_snr_level_curves(chains, levels, cfg):
-    """simulate_ber_snr_level_curve of every pair of `chains`, all from
-    one draw set; chains and return value as in simulate_outage_curves.
+    """simulate_ber_snr_level of every pair of `chains` at every level
+    of `levels`, all from one draw set; chains, levels and return value
+    as in simulate_outage_curves.
     """
     n = cfg.trials_or_bits
     return _curve(chains, levels, cfg,
@@ -505,24 +496,14 @@ def simulate_ber_snr_level_curves(chains, levels, cfg):
                   lambda s1, s2: _normal_estimate(s1, s2, n))
 
 
-def simulate_ber_snr_level_curve(topology, levels, cfg,
-                                 first_segment="exact"):
-    """simulate_ber_snr_level at every LinkParams of `levels`.
-
-    Levels and return value as in simulate_outage_curve.
-    """
-    return simulate_ber_snr_level_curves([(topology, first_segment)],
-                                         levels, cfg)[0]
-
-
 def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):
     """DBPSK bit error rate from per-stage SNR draws.
 
     Averages the conditional kernel exp(-g)/2 of the chain-minimum SNR,
     which is exactly the quantity the closed forms integrate.
     """
-    return _one_level(simulate_ber_snr_level_curve(topology, [params], cfg,
-                                                   first_segment))
+    return _one_level(simulate_ber_snr_level_curves(
+        [(topology, first_segment)], [params], cfg))
 
 
 def simulate_ber_cascade_xor(topology, params, cfg):

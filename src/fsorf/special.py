@@ -145,20 +145,15 @@ def gamma_upper(a, x):
         if np.any(x_arr == 0):
             raise ValueError("gamma_upper diverges at x = 0 for a <= 0")
     x_cf = a + 0.5 if a > 0 else 4.0
-    if x_arr.size == 1:
-        # one value: no masks, and the series runs on floats
-        x_val = float(x_arr.flat[0])
-        v = float(_gamma_upper_cf(a, x_val) if x_val >= x_cf
-                  else _gamma_upper_left(a, x_val))
-        return v if x_arr.ndim == 0 else np.full(x_arr.shape, v)
-    out = np.empty_like(x_arr)
-    big = x_arr >= x_cf
+    x_1d = np.atleast_1d(x_arr)
+    out = np.empty_like(x_1d)
+    big = x_1d >= x_cf
     if np.any(big):
-        out[big] = _gamma_upper_cf(a, x_arr[big])
+        out[big] = _gamma_upper_cf(a, x_1d[big])
     small = ~big
     if np.any(small):
-        out[small] = _gamma_upper_left(a, x_arr[small])
-    return out
+        out[small] = _gamma_upper_left(a, x_1d[small])
+    return float(out[0]) if x_arr.ndim == 0 else out
 
 
 def _gamma_upper_left(a, x):
@@ -435,11 +430,11 @@ def meijer_g(params, z):
     error even in eps, so the extrapolation removes the eps^2 term and
     leaves an O(eps^4) residual.  This eps balances that residual
     against roundoff: the paired pole terms carry Gamma(+/-eps) ~ 1/eps
-    prefactors that nearly cancel, so roundoff grows like machine-eps/eps
-    while the post-extrapolation analytic error stays below it until eps
-    approaches the spacing between distinct poles (~5e-2 at the default
-    operating parameters).  1e-3 keeps both contributions under ~1e-8
-    across the argument ranges the SNR formulas produce.
+    prefactors that nearly cancel, so roundoff grows like machine-eps/eps.
+    Against 30-digit mpmath on every distinct call of the fig1 outage and
+    fig1 and fig3 error-rate closed-form sweeps, the relative error is
+    at most 6.5e-13 on the simple rows (G^{4,3}_{5,6}) and 7.5e-10 on
+    the log-case rows (G^{5,2}_{4,7} and G^{5,3}_{5,7}).
 
     For p > q, or p = q with z > 1, the series is summed after the
     z -> 1/z reflection, where it converges.

@@ -30,7 +30,7 @@ from fsorf.channels import (
 )
 from fsorf.composition import GainMode, Topology
 from fsorf.experiments import run_experiment, spec_from_sources
-from fsorf.metrics import _snr_cdf_meijer, ber_closed_form, ber_quadrature
+from fsorf.metrics import ber_closed_form, ber_quadrature
 from fsorf.montecarlo import SimConfig, simulate_outage_curves
 from fsorf.series import ne_pe_snr_cdf_series, series_coeffs, series_power_coeffs
 from fsorf.special import MeijerParams, gamma_upper, meijer_g
@@ -165,7 +165,7 @@ def test_3_series_expansion_matches_gamma_form():
         if not ok:
             continue
         converged_points += 1
-        assert _rel(val, _snr_cdf_meijer(float(g), p)) <= 1e-8, f"gamma={g}"
+        assert _rel(val, ne_pe_snr_cdf(float(g), p)) <= 1e-8, f"gamma={g}"
     assert converged_points >= 150  # the domain must actually be exercised
 
     coeffs = series_coeffs(p, 60)

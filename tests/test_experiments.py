@@ -538,10 +538,10 @@ def test_runs_share_no_cached_value(monkeypatch):
 
 
 def test_fig1_analytic_sweep_shares_user_independent_parts(monkeypatch):
-    # at each of fig1's nine levels the three user counts share the
-    # Meijer-G FSO CDF at gamma_th, the four fixed-segment kernels
-    # (k = 0..3), the scalar FSO CDF at gamma_th and the FSO CDF of the
-    # fixed-gain oracle's survival array
+    # at each of fig1's nine levels the three user counts and both routes
+    # share the scalar FSO CDF at gamma_th; the user counts share the
+    # four fixed-segment kernels (k = 0..3), the only Meijer-G calls, and
+    # the FSO CDF of the fixed-gain oracle's survival array
     counts = collections.Counter()
 
     def meijer(row, z):
@@ -554,10 +554,12 @@ def test_fig1_analytic_sweep_shares_user_independent_parts(monkeypatch):
 
     for target in ("fsorf.metrics.meijer_g", "fsorf.composition.meijer_g"):
         monkeypatch.setattr(target, meijer)
-    monkeypatch.setattr("fsorf.composition.ne_pe_snr_cdf", cdf)
+    for target in ("fsorf.metrics.ne_pe_snr_cdf",
+                   "fsorf.composition.ne_pe_snr_cdf"):
+        monkeypatch.setattr(target, cdf)
     run_experiment(spec_from_sources(overrides={
         "preset": "fig1", "methods": "closed-form,quadrature"}))
-    assert counts == {"meijer_g": 45, "ne_pe_snr_cdf ndim 0": 9,
+    assert counts == {"meijer_g": 36, "ne_pe_snr_cdf ndim 0": 9,
                       "ne_pe_snr_cdf ndim 1": 9}
 
 
@@ -701,6 +703,26 @@ def test_cli_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert read_csv(str(out))[0].error is not None
 
 
+@pytest.mark.parametrize("args,rows", [
+    # X = c sqrt(gamma_th) = 33, where the FSO CDF is 1 to double
+    # precision and a Slater sum for it had cancelled to 0.737
+    (["--lambda", "10", "--users", "2", "--relays", "2", "--mode",
+      "known-csi", "--gamma-avg-db=-6"], 1),
+    # X = 316, where that Slater sum did not converge in either mode
+    (["--users", "1", "--relays", "1", "--gamma-avg-db=-40"], 2),
+], ids=["lambda-10-at-minus-6-db", "minus-40-db"])
+def test_cli_outage_is_one_in_both_routes_where_the_fso_cdf_is(
+        tmp_path, args, rows):
+    out = tmp_path / "one.csv"
+    assert cli.main(args + ["--methods", "closed-form,quadrature",
+                            "--out", str(out)]) == 0
+    points = read_csv(str(out))
+    assert len(points) == rows
+    for point in points:
+        assert point.error is None, point
+        assert point.closed_form == point.quadrature == 1.0, point
+
+
 def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
     # numpy floating-point trouble at extreme SNR raises inside each
     # route, also in the Monte-Carlo pool threads, and lands in the
@@ -800,7 +822,7 @@ def test_fixed_gain_closed_form_reads_its_limit_at_3000_db(tmp_path, metric):
 def test_cli_closed_stdout_keeps_the_sweep_status(db, code):
     # the reader of stdout is gone before the CSV is written: no
     # traceback, the failure lines still on stderr, the sweep's own code.
-    # At -3000 dB the closed-form Slater series does not converge.
+    # At -3000 dB the closed-form error rate overflows in c ** zeta.
     src = os.path.dirname(os.path.dirname(fsorf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -810,7 +832,7 @@ def test_cli_closed_stdout_keeps_the_sweep_status(db, code):
         proc = subprocess.Popen(
             [sys.executable, "-m", "fsorf.cli", "--users", "1",
              "--relays", "1", "--methods", "closed-form", "--mode",
-             "known-csi", f"--gamma-avg-db={db}"],
+             "known-csi", "--metric", "ber", f"--gamma-avg-db={db}"],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)

@@ -31,7 +31,6 @@ from fsorf.composition import (
 from fsorf.metrics import (
     BerResult,
     _chain_terms,
-    _snr_cdf_meijer,
     ber_closed_form,
     ber_quadrature,
     outage_closed_form,
@@ -182,16 +181,26 @@ def test_fixed_outage_at_low_snr_is_one(n, m, xi):
     assert end_to_end_outage_semianalytic(t, p) == 1.0
 
 
-@pytest.mark.parametrize("gamma_bar_fso,cdf", [(1e-3, -3.1e24),
-                                               (10 ** -2.5, 1.1e5)])
-def test_outage_outside_unit_interval_raises(gamma_bar_fso, cdf):
-    # the Slater sum of the FSO CDF cancels at low FSO SNR; the chain sum
-    # then lies far outside [0, 1], where clamping gave 0.0 and 1.0
-    p = LinkParams(gamma_bar_rf=1.0, gamma_bar_fso=gamma_bar_fso, lam=1.0,
-                   a0=1.0, xi=XI, gamma_th=10.0)
-    assert _snr_cdf_meijer(p.gamma_th, p) == pytest.approx(cdf, rel=0.05)
-    with pytest.raises(ConvergenceError, match=r"outside \[0, 1\]"):
-        outage_closed_form(topo(1, 1, GainMode.ADAPTIVE), p)
+@pytest.mark.parametrize("lam,gamma_db,n,m,match", [
+    # at lambda = 10, -8 dB the Slater sum of the fixed-gain kernel K_0
+    # cancels to 1.2e13 in place of a value in [0, 1]; its weight
+    # e^(-gamma_th / gamma_bar) = 4e-28 puts the outage 4.8e-15 above 1,
+    # under the kernel gate and over the sum's rounding floor 8.9e-16
+    (10.0, -8.0, 1, 1, r"closed-form outage 1 lies outside \[0, 1\]"),
+    # at lambda = 30, -1 dB the kernels' Slater sums cancel to -6.9e4
+    # and -7.9e9; weighted, they would put the outage at 0.9999987,
+    # inside [0, 1] and 1.3e-6 below the quadrature's 1, so only the
+    # kernels' range check sees the error
+    (30.0, -1.0, 2, 2, r"fixed-gain outage kernels lie .* outside \[0, 1\]"),
+], ids=["sum", "kernels"])
+def test_outage_outside_unit_interval_raises(lam, gamma_db, n, m, match):
+    g = db_to_linear(gamma_db)
+    p = LinkParams(gamma_bar_rf=g, gamma_bar_fso=g, lam=lam, a0=1.0,
+                   xi=XI, gamma_th=10.0)
+    t = topo(n, m, GainMode.FIXED)
+    assert end_to_end_outage_semianalytic(t, p) == 1.0
+    with pytest.raises(ConvergenceError, match=match):
+        outage_closed_form(t, p)
 
 
 # -------------------------------------------------------- quadrature

@@ -48,10 +48,8 @@ from fsorf.montecarlo import (
     simulate_ber_cascade_xor,
     simulate_ber_signal_level,
     simulate_ber_snr_level,
-    simulate_ber_snr_level_curve,
     simulate_ber_snr_level_curves,
     simulate_outage,
-    simulate_outage_curve,
     simulate_outage_curves,
     wilson_interval,
 )
@@ -162,22 +160,22 @@ def _level(rf_db, fso_db, th_db, c_gain):
 # levels of one curve: unequal RF and FSO means, own threshold and gain
 CURVE_LEVELS = (_level(5.0, 12.0, 8.0, 1.0), _level(15.0, 9.0, 10.0, 3.7),
                 _level(25.0, 30.0, 20.0, 0.5))
-# name -> curve estimator, point estimator, chain, first segment, and the
+# name -> group estimator, point estimator, chain, first segment, and the
 # point estimates at CURVE_LEVELS recorded at random stream v2: outage
 # counts, and (mean, ci_low, ci_high) of the BER, at 70,000 trials and
 # seed 5
 CURVE_CASES = {
     "outage-min": (
-        simulate_outage_curve, simulate_outage,
+        simulate_outage_curves, simulate_outage,
         topo(2, 3, GainMode.ADAPTIVE), "min", (68596, 62419, 39562)),
     "outage-exact-adaptive": (
-        simulate_outage_curve, simulate_outage,
+        simulate_outage_curves, simulate_outage,
         topo(2, 3, GainMode.ADAPTIVE), "exact", (69458, 64550, 42963)),
     "outage-exact-fixed": (
-        simulate_outage_curve, simulate_outage,
+        simulate_outage_curves, simulate_outage,
         topo(3, 2, GainMode.FIXED), "exact", (64475, 40765, 10424)),
     "snr-level": (
-        simulate_ber_snr_level_curve, simulate_ber_snr_level,
+        simulate_ber_snr_level_curves, simulate_ber_snr_level,
         topo(2, 3, GainMode.FIXED), "exact", (
             (0.18692866510258413, 0.18575610814035, 0.18810122206481825),
             (0.09899438227615395, 0.09782173484797131, 0.1001670297043366),
@@ -205,10 +203,10 @@ def _reference_estimate(name, t, p, cfg, first):
 @pytest.mark.parametrize("name", sorted(CURVE_CASES))
 def test_curve_scores_each_level_as_its_own_point(name):
     # 70,000 trials leave a partial second batch
-    curve_fn, point_fn, t, first, recorded = CURVE_CASES[name]
+    group_fn, point_fn, t, first, recorded = CURVE_CASES[name]
     for w in (1, 2):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
-        curve = curve_fn(t, CURVE_LEVELS, cfg, first_segment=first)
+        (curve,) = group_fn([(t, first)], CURVE_LEVELS, cfg)
         assert curve == [point_fn(t, p, cfg, first_segment=first)
                          for p in CURVE_LEVELS], (name, w)
         assert curve == [_reference_estimate(name, t, p, cfg, first)
@@ -272,9 +270,10 @@ def test_curve_levels_must_share_the_fso_law():
     for field, value in (("lam", 1.2), ("a0", 0.8), ("xi", 1.3)):
         levels = [CURVE_LEVELS[0],
                   dataclasses.replace(CURVE_LEVELS[1], **{field: value})]
-        for curve_fn in (simulate_outage_curve, simulate_ber_snr_level_curve):
+        for group_fn in (simulate_outage_curves,
+                         simulate_ber_snr_level_curves):
             with pytest.raises(ValueError, match="lam, a0 and xi"):
-                curve_fn(t, levels, cfg)
+                group_fn([(t, "exact")], levels, cfg)
 
 
 def test_failed_shared_draws_fail_every_level():
@@ -286,7 +285,7 @@ def test_failed_shared_draws_fail_every_level():
     for w in (1, 2):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            curve = simulate_outage_curve(t, levels, cfg)
+            (curve,) = simulate_outage_curves([(t, "exact")], levels, cfg)
         assert isinstance(curve[0], FloatingPointError), curve
         assert "overflow encountered in divide" in str(curve[0])
         assert all(level is curve[0] for level in curve)
@@ -307,8 +306,8 @@ def test_failed_fold_fails_its_ratio_alone():
         for w in (1, 2):
             cfg = SimConfig(trials_or_bits=140000, seed=5, workers=w)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                curve = simulate_outage_curve(t, levels, cfg, first)
-                alone = [simulate_outage_curve(t, [p], cfg, first)[0]
+                (curve,) = simulate_outage_curves([(t, first)], levels, cfg)
+                alone = [simulate_outage_curves([(t, first)], [p], cfg)[0][0]
                          for p in levels]
             assert isinstance(curve[1], FloatingPointError), curve
             assert str(curve[1]) == str(alone[1]) \
@@ -326,18 +325,22 @@ TWO_RATIO_LEVELS = CURVE_LEVELS[:2] + (dataclasses.replace(
     gamma_bar_fso=2.0 * CURVE_LEVELS[0].gamma_bar_fso),)
 
 
-@pytest.mark.parametrize("group_fn, curve_fn", [
-    (simulate_outage_curves, simulate_outage_curve),
-    (simulate_ber_snr_level_curves, simulate_ber_snr_level_curve)])
-def test_group_scores_each_chain_as_its_own_curve(group_fn, curve_fn):
+@pytest.mark.parametrize("group_fn, point_fn", [
+    (simulate_outage_curves, simulate_outage),
+    (simulate_ber_snr_level_curves, simulate_ber_snr_level)])
+def test_group_scores_each_chain_as_its_own_curve(group_fn, point_fn):
+    # each chain's curve is its one-chain curve, and each cell of it the
+    # point estimate at that level alone
     for w in (1, 2):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
         group = group_fn(GROUP_CHAINS, TWO_RATIO_LEVELS, cfg)
         assert len(group) == len(GROUP_CHAINS)
         for (t, first), curve in zip(GROUP_CHAINS, group):
             assert all(isinstance(est, MetricEstimate) for est in curve)
-            assert curve == curve_fn(t, TWO_RATIO_LEVELS, cfg, first), (
-                t, first, w)
+            assert [curve] == group_fn([(t, first)], TWO_RATIO_LEVELS,
+                                       cfg), (t, first, w)
+            assert curve == [point_fn(t, p, cfg, first)
+                             for p in TWO_RATIO_LEVELS], (t, first, w)
 
 
 def test_group_draws_its_deepest_chain_once(monkeypatch):
@@ -388,8 +391,8 @@ def test_group_failures_stay_with_the_chains_that_reach_them(monkeypatch):
     for w in (1, 2):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            alone = [simulate_outage_curve(t, levels, cfg, first)
-                     for t, first in GROUP_CHAINS]
+            alone = [simulate_outage_curves([chain], levels, cfg)[0]
+                     for chain in GROUP_CHAINS]
             with monkeypatch.context() as patch:
                 patch.setattr(montecarlo, "sample_rf_snr", spy)
                 group = simulate_outage_curves(GROUP_CHAINS, levels, cfg)
@@ -422,17 +425,18 @@ def test_curve_workspace_keeps_nothing_between_curves():
     # batches raised mid-draw
     t = topo(2, 3, GainMode.FIXED)
     cfg = SimConfig(trials_or_bits=140000, seed=5, workers=2)
-    alone = simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg)
-    assert all(isinstance(est, MetricEstimate) for est in alone)
-    simulate_outage_curve(topo(4, 1, GainMode.ADAPTIVE), CURVE_LEVELS, cfg,
-                          first_segment="min")
-    assert simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg) == alone
+    chains = [(t, "exact")]
+    alone = simulate_ber_snr_level_curves(chains, CURVE_LEVELS, cfg)
+    assert all(isinstance(est, MetricEstimate) for est in alone[0])
+    simulate_outage_curves([(topo(4, 1, GainMode.ADAPTIVE), "min")],
+                           CURVE_LEVELS, cfg)
+    assert simulate_ber_snr_level_curves(chains, CURVE_LEVELS, cfg) == alone
     failing = [dataclasses.replace(p, lam=1e-308) for p in CURVE_LEVELS]
     with np.errstate(over="raise"):
-        broken = simulate_ber_snr_level_curve(t, failing, cfg)
+        (broken,) = simulate_ber_snr_level_curves(chains, failing, cfg)
     assert all("overflow encountered in divide" in str(exc)
                for exc in broken), broken
-    assert simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg) == alone
+    assert simulate_ber_snr_level_curves(chains, CURVE_LEVELS, cfg) == alone
 
 
 def test_curve_workspace_dies_with_its_pool(monkeypatch):
@@ -446,8 +450,8 @@ def test_curve_workspace_dies_with_its_pool(monkeypatch):
         return kernel(snr, out, scratch)
 
     monkeypatch.setattr(montecarlo, "_dbpsk_error", spy)
-    simulate_ber_snr_level_curve(
-        topo(2, 2, GainMode.FIXED), CURVE_LEVELS,
+    simulate_ber_snr_level_curves(
+        [(topo(2, 2, GainMode.FIXED), "exact")], CURVE_LEVELS,
         SimConfig(trials_or_bits=4 * _BATCH, seed=5, workers=2))
     assert 1 <= len(refs) <= 2
     assert all(ref() is None for ref in refs.values())
@@ -458,13 +462,15 @@ def test_workspaces_stay_per_thread_under_thread_switching():
     # each batch in its own thread's workspace
     t = topo(3, 3, GainMode.ADAPTIVE)
     n = 8 * _BATCH
-    want = simulate_ber_snr_level_curve(
-        t, CURVE_LEVELS, SimConfig(trials_or_bits=n, seed=5, workers=1))
+    (want,) = simulate_ber_snr_level_curves(
+        [(t, "exact")], CURVE_LEVELS,
+        SimConfig(trials_or_bits=n, seed=5, workers=1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = simulate_ber_snr_level_curve(
-            t, CURVE_LEVELS, SimConfig(trials_or_bits=n, seed=5, workers=8))
+        (got,) = simulate_ber_snr_level_curves(
+            [(t, "exact")], CURVE_LEVELS,
+            SimConfig(trials_or_bits=n, seed=5, workers=8))
     finally:
         sys.setswitchinterval(interval)
     assert got == want
@@ -500,9 +506,10 @@ def test_curve_survives_more_threads_than_workspaces(monkeypatch):
 
     t = topo(2, 3, GainMode.FIXED)
     cfg = SimConfig(trials_or_bits=70000, seed=5, workers=1)
-    want = simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg)
+    want = simulate_ber_snr_level_curves([(t, "exact")], CURVE_LEVELS, cfg)
     monkeypatch.setattr(montecarlo, "_stream", spy)
-    assert simulate_ber_snr_level_curve(t, CURVE_LEVELS, cfg) == want
+    assert simulate_ber_snr_level_curves([(t, "exact")], CURVE_LEVELS,
+                                         cfg) == want
 
 
 # one 32-batch BER curve at 9 levels and workers=1, after a warm-up run;
@@ -511,16 +518,17 @@ _FAULT_PROBE = """
 import resource
 from fsorf.channels import LinkParams
 from fsorf.composition import GainMode, Topology
-from fsorf.montecarlo import _BATCH, SimConfig, simulate_ber_snr_level_curve
+from fsorf.montecarlo import _BATCH, SimConfig, simulate_ber_snr_level_curves
 
-t = Topology(n_users=2, m_relays=2, first_segment_mode=GainMode.FIXED)
+chains = [(Topology(n_users=2, m_relays=2, first_segment_mode=GainMode.FIXED),
+           "exact")]
 levels = [LinkParams(gamma_bar_rf=10.0 ** (db / 10), gamma_bar_fso=10.0 ** (
     db / 10), lam=1.0, a0=1.0, xi=1.45, gamma_th=10.0)
     for db in range(0, 41, 5)]
-simulate_ber_snr_level_curve(t, levels, SimConfig(trials_or_bits=1000))
+simulate_ber_snr_level_curves(chains, levels, SimConfig(trials_or_bits=1000))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-simulate_ber_snr_level_curve(
-    t, levels, SimConfig(trials_or_bits=32 * _BATCH, seed=3, workers=1))
+simulate_ber_snr_level_curves(
+    chains, levels, SimConfig(trials_or_bits=32 * _BATCH, seed=3, workers=1))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -140,24 +140,40 @@ def test_gamma_upper_against_mpmath_grid():
 
     For small a > 0 the series loses about 1/(a E1(x)) to its
     subtraction, and for a < 0 the last downward step divides by a (the
-    worst point is a = -1e-3, at 1.0e-11).  Arrays, one-element arrays
-    and floats take different paths, so all three are checked.
+    worst point is a = -1e-3, at 1.0e-11).  A float gives the bits of
+    an array (test_gamma_upper_one_value_takes_the_array_path), so the
+    array call is the one checked.
     """
     worst = {}
     with mpmath.workdps(40):
         for a in _GRID_A:
             ref = np.array([float(mpmath.gammainc(a, float(x)))
                             for x in _GRID_X])
-            got = [gamma_upper(a, _GRID_X),
-                   [gamma_upper(a, float(x)) for x in _GRID_X],
-                   [gamma_upper(a, _GRID_X[i:i + 1])[0] for i in range(80)]]
-            worst[a] = max(np.max(np.abs(np.asarray(g) / ref - 1.0))
-                           for g in got)
+            worst[a] = np.max(np.abs(gamma_upper(a, _GRID_X) / ref - 1.0))
     for lo, hi, bound in [(0.05, math.inf, 1e-13), (0.0, 0.05, 1e-12),
                           (-math.inf, 0.0, 3e-11)]:
         band = {a: e for a, e in worst.items() if lo <= a < hi}
         a = max(band, key=band.get)
         assert band[a] <= bound, f"a in [{lo}, {hi}): {band[a]:.3g} at a={a}"
+
+
+def test_gamma_upper_one_value_takes_the_array_path():
+    # a one-element array gives the bits of the same x in a longer array,
+    # whose series sums more terms, across the series, recurrence and
+    # continued-fraction branches, with a <= 0 included.  A float and a
+    # 0-d array, which become one-element arrays inside, give them too
+    # as a float, checked at every fourth x
+    xs = np.geomspace(1e-6, 600.0, 60)
+    for a in np.linspace(-4.9, 5.9, 304):
+        a = float(a)
+        want = gamma_upper(a, xs)
+        for i, x in enumerate(xs):
+            one = gamma_upper(a, xs[i:i + 1])
+            assert one.shape == (1,) and one[0] == want[i], (a, x)
+            if i % 4 == 0:
+                for arg in (float(x), np.array(x)):
+                    got = gamma_upper(a, arg)
+                    assert type(got) is float and got == want[i], (a, arg)
 
 
 def test_gamma_upper_rejects_bad_input():
