@@ -122,14 +122,6 @@ def rayleigh_snr_pdf(gamma, gamma_bar):
     return float(out) if np.isscalar(gamma) else out
 
 
-def _standard_exponential(rng, size, out):
-    # rng.standard_exponential(size=size), drawn into out when it is
-    # given; numpy refuses an out whose shape is not size
-    if out is None:
-        return rng.standard_exponential(size=size)
-    return rng.standard_exponential(size=size, out=out)
-
-
 def sample_rf_snr(gamma_bar, rng, size=None, *, out=None):
     """Draw exponential SNR with mean gamma_bar.
 
@@ -138,7 +130,7 @@ def sample_rf_snr(gamma_bar, rng, size=None, *, out=None):
     a C-contiguous float64 array of shape `size`, receives the draws in
     place of a new array.
     """
-    draws = _standard_exponential(rng, size, out)
+    draws = rng.standard_exponential(size=size, out=out)
     return np.multiply(gamma_bar, draws, out=out)
 
 
@@ -216,9 +208,9 @@ def sample_fso_gain(params, rng, size=None, *, out=None):
     and out[1] is overwritten.
     """
     a_out, p_out = (None, None) if out is None else out
-    h_a = np.divide(_standard_exponential(rng, size, a_out),
+    h_a = np.divide(rng.standard_exponential(size=size, out=a_out),
                     params.lam, out=a_out)
-    h_p = np.divide(_standard_exponential(rng, size, p_out),
+    h_p = np.divide(rng.standard_exponential(size=size, out=p_out),
                     -params.zeta, out=p_out)
     h_p = np.multiply(params.a0, np.exp(h_p, out=p_out), out=p_out)
     return np.multiply(h_a, h_p, out=a_out)

@@ -18,21 +18,24 @@ chain.
 
 Everything here is expressed over CDFs, but the three routes compose the
 chain each their own way: the closed form through the binomial terms of
-metrics._chain_terms, the quadrature through the product in
-end_to_end_outage_semianalytic, and Monte Carlo through the chain
-minimum that montecarlo._curve folds hop by hop as it draws, bit for bit
-the column minimum of the per-stage SNRs that
-montecarlo.sample_chain_stage_snrs draws.
+metrics._chain_terms, the quadrature in end_to_end_outage_semianalytic,
+and Monte Carlo through the chain minimum that montecarlo._curve folds
+hop by hop as it draws, bit for bit the column minimum of the per-stage
+SNRs that montecarlo.sample_chain_stage_snrs draws.  The quadrature
+route never subtracts a sum from 1: the fixed-gain oracle adds
+nonnegative terms only, and each composition step forms p + (1 - p) q,
+in [0, 1] also when rounded, so a small outage keeps its digits.
 
 end_to_end_outage_semianalytic evaluates the FSO CDF once for the first
 segment and the hops.  Its memo keyword, a dict that calls may share,
 keeps that CDF and the first-segment CDF (the fixed-gain oracle, or
 the adaptive product) per LinkParams and gamma array, reused only on
 the same array bit for bit and never for a failure.  It passes the memo
-on to second_relay_cdf_fixed_numeric, which keeps there the FSO CDF of
-its survival array under the same key.  None of these FSO CDFs depends
-on the user count, so a sweep evaluates each once per (lambda,
-gamma_avg) level, and the first-segment CDF once per user count there.
+on to second_relay_cdf_fixed_numeric, which keeps there the FSO CDF on
+its t grid, keyed on the grid's left cut and node count.  None of these
+FSO CDFs depends on the user count, so a sweep evaluates each once per
+(lambda, gamma_avg) level, and the first-segment CDF once per user
+count there.
 """
 
 import enum
@@ -43,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ne_pe_snr_cdf, rayleigh_snr_cdf, rayleigh_snr_pdf
-from .special import (_ROW_PLANS, MeijerParams, _clamped, meijer_g,
-                      trapezoid)
+from .special import (_CLAMP_ULPS, _ROW_PLANS, MeijerParams, _clamped,
+                      meijer_g, trapezoid)
 
 
 class GainMode(enum.Enum):
@@ -174,8 +177,8 @@ def _nodes_key(gamma):
 def second_relay_cdf_adaptive(gamma, n, params):
     """First-segment SNR CDF under the adaptive gain's min model.
 
-    1 - (1 - F_sel(g))(1 - F_FSO(g)): the selected-user RF SNR and the
-    FSO SNR both have to clear g.
+    1 - (1 - F_sel(g))(1 - F_FSO(g)), formed as F_sel + (1 - F_sel) F_FSO:
+    the selected-user RF SNR and the FSO SNR both have to clear g.
     """
     return _min_model_cdf(gamma, n, params,
                           functools.partial(ne_pe_snr_cdf, gamma, params))
@@ -185,7 +188,7 @@ def _min_model_cdf(gamma, n, params, fso):
     # fso() gives F_FSO at gamma; it is asked for after the RF side, so a
     # failure of either surfaces in the same order whoever supplies it
     f1 = multiuser_select_cdf(gamma, n, params.gamma_bar_rf)
-    return 1.0 - (1.0 - f1) * (1.0 - fso())
+    return f1 + (1.0 - f1) * fso()
 
 
 def _fixed_kernel_params(z2, arg, *lead):
@@ -223,42 +226,39 @@ def fixed_segment_kernel(gamma, s, params):
 
 # Trapezoid step in t = ln x for the fixed-gain oracle, and the ln gamma
 # spacing of its array form.  The integrand is analytic and decays at both
-# ends, so the rule converges exponentially in the step: over gamma_bar in
-# [-30, 80] dB, N <= 8 and xi in {0.8, 1.45, 2.5} the sums at steps 1/8
-# and 1/4 already agree to rounding, so the step-h against step-2h
-# difference is a sound error estimate here.
+# ends, so the rule converges exponentially in the step: on the error-rate
+# rule's nodes at -30 to 120 dB, N <= 8 and xi in {0.8, 1.45, 2.5}, the
+# sums at steps 1/8 and 1/16 agree within 4.3e-15 of the value.
 LOG_STEP = 1.0 / 16.0
-# Each cut sits where the factor it truncates has fallen to about e^-50.
-_TAIL = 50.0
-# Relative tolerance on the returned CDF, above its rounding floor.
+# The cuts: u is _U_LEFT at the first node on the left one, and the tail
+# right of ln c_gain + _T_RIGHT is at most N e^-_T_RIGHT of the value.
+_U_LEFT, _T_RIGHT = 60.0, 37.0
+# Relative tolerance on the returned CDF.
 _RTOL = 1e-12
 
 
 def second_relay_cdf_fixed_numeric(gamma, n, params, *, memo=None):
     """Quadrature evaluation of the fixed-gain first-segment CDF.
 
-    Integrates the defining conditional form directly and so serves as the
-    independent oracle for the Meijer-G closed form (the single-relay
+    The independent oracle for the Meijer-G closed form (the single-relay
     metrics.outage_closed_form): it uses only the incomplete-gamma FSO
-    CDF.  User term k needs
+    CDF.  The CDF is E[(1 - e^{-a-u})^N] over the FSO SNR x, with
+    a = gamma / gamma_bar_rf and u = a c_gain / x.  By parts in t = ln x,
+    with 1 - e^{-a-u} = A + E (1 - e^{-u}), A = 1 - e^{-a}, E = e^{-a}:
 
-        J_k = int_0^inf e^{-s_k x} (1 - F_FSO(gamma c_gain / x)) dx,
+        A^N + int F_FSO(e^t) N sum_m C(N-1, m) A^{N-1-m} E^{m+1}
+                  (1 - e^{-u})^m u e^{-u} dt,
 
-    with s_k = (k + 1) / gamma_bar_rf.  In t = ln x the integrand is
-    e^{t - s_k e^t} S(ln(gamma c_gain) - t), S(v) = 1 - F_FSO(e^v), and
-    one trapezoid rule of fixed step over a t grid shared by every k
-    evaluates it.  The nodes span e^-50 <= s_1 x <= 50, the range of the
-    RF weight, cut on the left where X = c sqrt(gamma_0 c_gain / x) = 50,
-    gamma_0 the first node, and the FSO survival is about e^-50.  An
-    array gamma must be evenly spaced in ln gamma at LOG_STEP: S is then
-    evaluated once, and J_k at every node is one discrete convolution.
-    special.trapezoid checks each node's change when every other t node
-    is dropped (step 2h) and raises ConvergenceError past the tolerance
-    plus the rounding floors 16 eps (1 + sum |coef_k J_k|) of both sums.
-    So does a value outside [0, 1] by more than the fine sum's floor;
-    inside it, the value is clamped.  memo is as in
-    end_to_end_outage_semianalytic: the FSO CDF behind S, which does not
-    depend on n, is kept there.
+    nonnegative terms only, so a small value keeps its relative precision.
+    One trapezoid rule of fixed step spans t in [ln(c_gain a_0 / _U_LEFT),
+    ln c_gain + _T_RIGHT], a_0 at the first node.  An array gamma must be
+    evenly spaced in ln gamma at LOG_STEP: u then depends on the node and
+    t only through ln gamma - t, so F_FSO is evaluated once on the t grid
+    and each m-term is one discrete convolution.  special.trapezoid raises
+    ConvergenceError where dropping every other t node moves a value by
+    more than _RTOL of it; so does a NaN, or a value above 1 by more than
+    its rounding floor, and within it the value is clamped.  memo is as in
+    end_to_end_outage_semianalytic; the t grid's F_FSO is kept there.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -270,41 +270,44 @@ def second_relay_cdf_fixed_numeric(gamma, n, params, *, memo=None):
         raise ValueError("gamma must be positive and evenly spaced in "
                          f"ln gamma at step {LOG_STEP}")
     gr = params.gamma_bar_rf
-    y = g[0] * params.c_gain
-    hi = math.log(_TAIL * gr)
-    lo = math.log(gr) - _TAIL
-    fso_cut = y * (params.c / _TAIL) ** 2
-    if fso_cut > 0.0:       # it underflows to 0 at extreme high SNR
-        lo = max(lo, math.log(fso_cut))
-    s = np.arange(1.0, n + 1.0) / gr
-    coef = np.array([[math.comb(n - 1, k) * (-1.0) ** k] for k in range(n)])
-    coef = coef * ((n / gr) * np.exp(-np.outer(s, g)))
+    big_a, big_e = -np.expm1(-g / gr), np.exp(-g / gr)
+    coef = np.array([n * math.comb(n - 1, m) * big_a ** (n - 1 - m)
+                     * big_e ** (m + 1) for m in range(n)])
+    # ln(c_gain a_0) as a sum of logs: a_0 underflows at extreme SNR
+    log_ca = math.log(params.c_gain) + math.log(g[0]) - math.log(gr)
+    lo = log_ca - math.log(_U_LEFT)
+    hi = math.log(params.c_gain) + _T_RIGHT
     scope = _memo_scope(memo, params)
-    floor = None
 
     def integral(t, weights):
-        nonlocal floor
-        # surv[i + steps - j] is S at gamma_i c_gain e^{-t_j} = y e^{ih - t_j}
-        tau = lo + LOG_STEP * np.arange(t.size - 1, -g.size, -1)
-        x = y / np.exp(tau)
-        surv = 1.0 - _memoized(scope, ("fso", _nodes_key(x)), ne_pe_snr_cdf,
-                               x, params)
-        rf = np.exp(t - np.outer(s, np.exp(t)))
-        fine, coarse = (coef * np.array([np.convolve(w * r, surv, "valid")
-                                         for r in rf]) for w in weights)
-        # 1 - sum(coef J) cancels; its rounding floor scales with the
-        # terms, and the step-halving change carries both sums' floors
-        floor, coarse_floor = (
-            16.0 * np.finfo(float).eps * (1.0 + np.abs(x).sum(axis=0))
-            for x in (fine, coarse))
-        return (1.0 - fine.sum(axis=0), 1.0 - coarse.sum(axis=0),
-                floor + coarse_floor)
+        # the t grid is lo + LOG_STEP * arange(t.size), bit for bit
+        fso = _memoized(scope, ("fso", lo, t.size), ne_pe_snr_cdf,
+                        np.exp(t), params)
+        wf = weights[0] * fso
+        # kernel[i - j + t.size - 1] is u at gamma_i and t_j,
+        # e^{log_ca - lo + (i - j) h}, then the m-term's factor of u there
+        kernel = np.exp((log_ca - lo)
+                        + LOG_STEP * np.arange(1 - t.size, g.size))
+        rise = -np.expm1(-kernel)
+        kernel *= np.exp(-kernel)
+        sums = np.zeros((2, g.size))
+        for row in coef:
+            # node i reads the kernel at i's parity on the even t nodes
+            # (t.size is odd); the step-2h sum is twice their step-h share
+            for r in range(min(2, g.size)):
+                even = np.convolve(wf[::2], kernel[r::2], "valid")
+                odd = np.convolve(wf[1::2], kernel[r + 1::2], "valid")
+                sums[:, r::2] += row[r::2] * np.array(
+                    [even + odd[:even.size], 2.0 * even])
+            kernel *= rise
+        # sums of nonnegative terms round relatively, except subnormals
+        return (*(big_a ** n + sums), np.finfo(float).smallest_normal)
 
-    # at low SNR the cuts cross: every x then has a factor below e^-50,
-    # the integral is under the rounding floor, and two steps suffice
+    # at low SNR the cuts cross, and two steps from lo see e^-a = 0
     what = f"fixed-gain oracle (gamma in [{g[0]:g}, {g[-1]:g}], n={n})"
-    value = _clamped(trapezoid(integral, lo, hi, LOG_STEP, _RTOL, what),
-                     floor, 1.0, what)
+    fine = trapezoid(integral, lo, hi, LOG_STEP, _RTOL, what)
+    # the n-th powers of A and E carry n times their rounding
+    value = _clamped(fine, n * _CLAMP_ULPS * fine, 1.0, what)
     return float(value[0]) if np.ndim(gamma) == 0 else value
 
 
@@ -316,9 +319,9 @@ def end_to_end_outage_semianalytic(topology, params, gamma=None, *,
 
     The method-independent reference: the first-segment CDF (the
     quadrature oracle in fixed-gain mode, the exact product form in
-    adaptive mode) composed with M-1 hybrid-hop factors, which share one
-    FSO CDF.  memo is a dict that calls may share (None gives a fresh
-    one); see the module docstring.
+    adaptive mode) composed hop by hop with M-1 hybrid hops, which share
+    one FSO CDF; every step adds nonnegative terms.  memo is a dict that
+    calls may share (None gives a fresh one); see the module docstring.
     """
     g = params.gamma_th if gamma is None else gamma
     n = topology.n_users
@@ -337,6 +340,8 @@ def end_to_end_outage_semianalytic(topology, params, gamma=None, *,
                        memo=memo)
     # hybrid_hop_cdf on the shared FSO CDF
     hop = fso() * rayleigh_snr_cdf(g, params.gamma_bar_rf)
-    # f2 and hop lie in [0, 1], and so, in floating point too, does this
-    out = 1.0 - (1.0 - f2) * (1.0 - hop) ** (topology.m_relays - 1)
+    # 1 - (1 - f2)(1 - hop)^(M-1), one hop at a time as in _min_model_cdf
+    out = f2
+    for _ in range(topology.m_relays - 1):
+        out = out + (1.0 - out) * hop
     return float(out) if np.ndim(g) == 0 else out

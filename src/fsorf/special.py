@@ -474,8 +474,9 @@ def trapezoid(integral, lo, hi, step, rtol, what):
 
     The nodes are lo + step * i, i = 0..2k, for the least k >= 1 that
     reaches hi.  integral(nodes, weights) applies the step-h and step-2h
-    weight rows to its integrand and returns (fine, coarse, floor): the
-    two sums (scalars or arrays) and the rounding floor of their change.
+    weight rows (the latter twice the former on even i, 0 on odd i) to
+    its integrand and returns (fine, coarse, floor): the two sums
+    (scalars or arrays) and the rounding floor of their change.
     The rule converges exponentially for an integrand analytic in a strip
     and decaying at both cuts, so |fine - coarse| bounds the error of
     fine; past rtol |fine| + floor the call raises ConvergenceError.

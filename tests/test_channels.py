@@ -224,7 +224,7 @@ class _Exponentials:
     def __init__(self, *draws):
         self.draws = list(draws)
 
-    def standard_exponential(self, size=None):
+    def standard_exponential(self, size=None, out=None):
         return self.draws.pop(0)
 
 

@@ -2,6 +2,7 @@
 and the outage composition rule.  Frozen oracles are 30-digit mpmath
 quadratures of the defining integrals."""
 
+import itertools
 import math
 import warnings
 
@@ -10,10 +11,10 @@ import pytest
 import scipy.integrate as si
 import scipy.stats as st
 
-from fsorf import special
 from fsorf.channels import (
     LinkParams,
     db_to_linear,
+    ne_pe_snr_cdf,
     sample_fso_snr,
     sample_rf_snr,
 )
@@ -32,7 +33,7 @@ from fsorf.composition import (
 )
 from fsorf.metrics import outage_closed_form
 from fsorf.montecarlo import SimConfig, simulate_outage
-from fsorf.special import ConvergenceError
+from fsorf.special import _CLAMP_ULPS, ConvergenceError
 
 
 def params(gamma_db=20.0, **kw):
@@ -286,27 +287,18 @@ def test_fixed_segment_numeric_raises_on_missed_error_estimate(monkeypatch):
 
 
 @pytest.mark.parametrize("moved,want", [
-    (lambda floor: 1.0 + 2.0 * floor, None),      # past the floor: raises
-    (lambda floor: -2.0 * floor, None),
-    (lambda floor: np.full_like(floor, np.nextafter(1.0, 2.0)), 1.0),
-    (lambda floor: np.full_like(floor, -5e-324), 0.0)])  # one ulp: clamped
+    (lambda: 1.0 + 4.0 * _CLAMP_ULPS, None),    # twice the floor: raises
+    (lambda: -5e-324, None),    # nonnegative terms never round below 0
+    (lambda: math.nan, None),
+    (lambda: np.nextafter(1.0, 2.0), 1.0),      # one ulp above 1: clamped
+    (lambda: 0.0, 0.0)])        # 0 itself is inside
 def test_fixed_segment_numeric_clamps_only_within_its_floor(monkeypatch,
                                                             moved, want):
-    # the rule's value is moved outside [0, 1], by twice the floor the
-    # rule is given (the sum of both sums' rounding floors 16 eps
-    # (1 + sum |coef J|), at least the clamp's fine floor) or by one ulp
-    def moved_rule(integral, *args):
-        floors = []
-
-        def spy(nodes, weights):
-            fine, coarse, floor = integral(nodes, weights)
-            floors.append(floor)
-            return fine, coarse, floor
-
-        special.trapezoid(spy, *args)
-        return moved(floors[0])
-
-    monkeypatch.setattr("fsorf.composition.trapezoid", moved_rule)
+    # the rule's value is moved to the edges of [0, 1] or past them.  Both
+    # sums add nonnegative terms, so the floor is relative: n = 2 times
+    # _CLAMP_ULPS of the value
+    monkeypatch.setattr("fsorf.composition.trapezoid",
+                        lambda *args: np.array([moved()]))
     if want is None:
         with pytest.raises(ConvergenceError, match=(
                 r"fixed-gain oracle .* lies outside \[0, 1\] by more than "
@@ -320,28 +312,27 @@ def test_fixed_segment_numeric_clamps_only_within_its_floor(monkeypatch,
 @pytest.mark.parametrize("n", [2, 4])
 def test_fixed_segment_numeric_step_halving_allows_both_sums_rounding(n):
     # at 3000 dB the segment is almost never in outage, and the step-h and
-    # step-2h sums differ by their rounding alone: the check must allow
-    # the floors of both sums, not of the fine one only
+    # step-2h sums, both of nonnegative terms, differ by their rounding
+    # alone: far below the relative tolerance
     value = second_relay_cdf_fixed_numeric(10.0, n, params(3000.0, xi=0.8))
-    assert 0.0 <= value <= 1e-12
+    assert 0.0 < value <= 1e-12
 
 
 @pytest.mark.parametrize("n,gdb", [(1, 0.0), (2, 20.0), (4, 40.0),
                                    (8, -20.0), (8, 60.0)])
 def test_fixed_segment_numeric_array_is_scalar_nodewise(n, gdb):
     # an ln-spaced array runs one convolution per user term; each node
-    # must equal the one-node call, cuts and all.  The CDF is
-    # 1 - sum(coef J) with sum |coef J| <= 2^n - 1, so a small value
-    # carries an absolute rounding floor of a few ulps of 2^n.
+    # must equal the one-node call, whose rule starts at its own left
+    # cut.  Every term is nonnegative, so the two agree to a few ulps
+    # relative, however small the value.
     p = params(gamma_db=gdb)
     gammas = np.exp(-6.0 + np.arange(0, 161) / 16.0)
     values = second_relay_cdf_fixed_numeric(gammas, n, p)
     assert values.shape == gammas.shape
-    floor = 16.0 * np.finfo(float).eps * 2.0 ** n
     for g, value in zip(gammas, values):
         assert value == pytest.approx(
-            second_relay_cdf_fixed_numeric(float(g), n, p), rel=1e-12,
-            abs=floor), g
+            second_relay_cdf_fixed_numeric(float(g), n, p), rel=1e-14,
+            abs=0.0), g
     for bad in (np.array([1.0, 2.0, 3.0]), gammas[::-1],
                 np.array([0.0, math.exp(1.0 / 16.0)]), gammas[None, :]):
         with pytest.raises(ValueError, match="evenly spaced"):
@@ -398,6 +389,29 @@ def test_e2e_single_relay_is_first_segment():
     t = Topology(n_users=3, m_relays=1)
     assert end_to_end_outage_semianalytic(t, p) == pytest.approx(
         second_relay_cdf_adaptive(p.gamma_th, 3, p), rel=1e-14)
+
+
+def test_e2e_composition_keeps_relative_precision_of_a_small_outage():
+    # at 120 dB the outage is below 1e-5 (fixed gain: near 1e-11), and
+    # 1 - (1 - p)(1 - q) formed as written would lose that share of its
+    # digits.  The reference composes the same double parts in 40 digits
+    import mpmath
+
+    p = params(gamma_db=120.0)
+    g = 10.0
+    hop = hybrid_hop_cdf(g, p)
+    sel = mpmath.mpf(multiuser_select_cdf(g, 2, p.gamma_bar_rf))
+    with mpmath.workdps(40):
+        adaptive = 1 - (1 - sel) * (1 - mpmath.mpf(ne_pe_snr_cdf(g, p)))
+        firsts = {GainMode.ADAPTIVE: adaptive, GainMode.FIXED: mpmath.mpf(
+            second_relay_cdf_fixed_numeric(g, 2, p))}
+        for mode, m in itertools.product(GainMode, (1, 2, 3)):
+            want = 1 - (1 - firsts[mode]) * (1 - mpmath.mpf(hop)) ** (m - 1)
+            got = end_to_end_outage_semianalytic(
+                Topology(n_users=2, m_relays=m, first_segment_mode=mode), p)
+            assert 0.0 < got < 1e-5
+            assert got == pytest.approx(float(want), rel=1e-15,
+                                        abs=0.0), (mode, m)
 
 
 def test_e2e_monotonicity():

@@ -541,7 +541,7 @@ def test_fig1_analytic_sweep_shares_user_independent_parts(monkeypatch):
     # at each of fig1's nine levels the three user counts and both routes
     # share the scalar FSO CDF at gamma_th; the user counts share the
     # four fixed-segment kernels (k = 0..3), the only Meijer-G calls, and
-    # the FSO CDF of the fixed-gain oracle's survival array
+    # the FSO CDF on the fixed-gain oracle's t grid
     counts = collections.Counter()
 
     def meijer(row, z):
@@ -732,7 +732,7 @@ def test_cli_extreme_db_warns_nothing_and_records_error(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONWARNINGS", None)
-    for db in ("-3000", "3000", "3080"):
+    for db in ("-3080", "3000", "3080"):
         out = tmp_path / f"extreme{db}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "fsorf.cli", "--users", "1",
@@ -779,9 +779,9 @@ def test_monte_carlo_curve_point_fails_alone(tmp_path):
 
 
 def test_extreme_db_ber_failures_name_their_operation(tmp_path):
-    # Python float ** raises a bare OverflowError at -3000 dB, and the
-    # oracle's FSO cut underflows to 0 at 3000 dB; each has to land in
-    # the error column as the floating-point trouble it is
+    # Python float ** raises a bare OverflowError at -3000 dB, and at
+    # 3000 dB the oracle's left cut lies where the FSO CDF overflows; each
+    # has to land in the error column as the floating-point trouble it is
     errors = {}
     for db in ("-3000", "3000"):
         out = tmp_path / f"ber{db}.csv"
@@ -816,6 +816,23 @@ def test_fixed_gain_closed_form_reads_its_limit_at_3000_db(tmp_path, metric):
             assert point.error is None, point
             if point.gamma_avg_db >= 600.0:
                 assert point.closed_form == 0.0, point
+
+
+def test_cli_quadrature_reads_its_limits_at_minus_3000_db(tmp_path):
+    # both gain modes are always in outage, and the error rate is 1/2
+    # to rounding; the fixed-gain oracle's cuts cross there, and its rule
+    # forms no product that overflows
+    for metric, want in (("outage", 1.0), ("ber", 0.49999999999999994)):
+        out = tmp_path / f"{metric}.csv"
+        assert cli.main([
+            "--users", "1", "--relays", "1", "--gamma-avg-db=-3000",
+            "--metric", metric, "--methods", "quadrature",
+            "--out", str(out)]) == 0
+        points = read_csv(str(out))
+        assert {p.mode for p in points} == set(GainMode)
+        for point in points:
+            assert point.error is None, point
+            assert point.quadrature == want, point
 
 
 @pytest.mark.parametrize("db,code", [("10", 0), ("-3000", 2)])

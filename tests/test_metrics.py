@@ -64,12 +64,24 @@ OUTAGE_FIXED_REF = {
     (1, 1, 0.0): 0.9999991357600537,
     (4, 2, 20.0): 0.083849491497326779,
 }
-# 40-digit values of the fixed-gain first-segment CDF F_seg at gamma_th,
-# by mpmath quadrature in t = ln h over breakpoints np.linspace(-80, 5,
-# 341); keyed (N, gamma_avg dB), M = 1, c_gain = 1
+# 40-digit values of the fixed-gain first-segment CDF F_seg at gamma, by
+# mpmath quadrature in t = ln h over breakpoints np.linspace(-80, 5, 341);
+# keyed (N, gamma_avg dB, gamma), M = 1, c_gain = 1
 SEGMENT_FIXED_REF = {
-    (2, 40.0): 0.00062719453694456780094,
-    (8, 50.0): 0.000039390904314038433824,
+    (2, 40.0, 10.0): 0.00062719453694456780094,
+    (8, 50.0, 10.0): 0.000039390904314038433824,
+    (8, 80.0, 10.0): 3.9393105735284776876e-8,
+    (1, 120.0, 0.01): 3.4801217428397e-13,
+    (1, 120.0, 1.0): 4.38012174248853e-12,
+    (1, 120.0, 5.0): 1.25581819873851e-11,
+}
+# 40-digit fixed-gain error rates at N = M = 1, keyed gamma_avg dB: the
+# same quadrature over the gain I, of (1/2) E[(a I^2 + b) / ((1 + a) I^2
+# + b)] with a = 1 / gamma_bar_rf and b = c_gain / (gamma_bar_rf
+# gamma_bar_fso)
+BER_FIXED_HIGH_SNR_REF = {
+    100.0: 1.9977774346865671952e-10,
+    120.0: 1.9977774497295898913e-12,
 }
 BER_ADAPTIVE_REF = {
     (2, 1, 10.0): 0.18070202383734112,
@@ -103,20 +115,32 @@ def test_outage_fixed_frozen(point, ref):
     assert value == pytest.approx(ref, rel=1e-9)
 
 
-@pytest.mark.parametrize("point,ref", sorted(SEGMENT_FIXED_REF.items()))
+@pytest.mark.parametrize("point,ref", list(SEGMENT_FIXED_REF.items()))
 def test_fixed_segment_cdf_matches_40_digit_reference(point, ref):
-    # the Meijer-G closed form and the quadrature oracle, each without
-    # and with a memo; errors today: -7.4e-11 and 2.2e-13 at N = 2,
-    # -3.5e-10 and -2.2e-10 at N = 8
-    n, gdb = point
-    p = make_params(gdb)
+    # the quadrature oracle and, up to 50 dB, the Meijer-G closed form,
+    # each without and with a memo.  Errors today: the oracle's within
+    # 3.8e-15 at every point; the closed form's -7.4e-11 at N = 2, 40 dB
+    # and -3.5e-10 at N = 8, 50 dB, and -1.6e-7 at N = 8, 80 dB
+    n, gdb, gamma = point
+    p = make_params(gdb, gamma_th=gamma)
     memo = {}
     for kwargs in ({}, {"memo": memo}, {"memo": memo}):
-        closed = outage_closed_form(topo(n, 1, GainMode.FIXED), p, **kwargs)
-        oracle = second_relay_cdf_fixed_numeric(p.gamma_th, n, p, **kwargs)
-        assert closed == pytest.approx(ref, rel=1e-9)
-        assert oracle == pytest.approx(ref, rel=1e-9)
+        oracle = second_relay_cdf_fixed_numeric(gamma, n, p, **kwargs)
+        assert oracle == pytest.approx(ref, rel=1e-13, abs=0.0)
+        if gdb <= 50.0:
+            closed = outage_closed_form(topo(n, 1, GainMode.FIXED), p,
+                                        **kwargs)
+            assert closed == pytest.approx(ref, rel=1e-9)
     assert memo
+
+
+@pytest.mark.parametrize("gdb,ref", sorted(BER_FIXED_HIGH_SNR_REF.items()))
+def test_fixed_ber_quadrature_matches_40_digit_reference(gdb, ref):
+    # the oracle and the composition add nonnegative terms, so the error
+    # rate keeps its relative precision as it falls like 1 / gamma_bar
+    curve = functools.partial(end_to_end_outage_semianalytic,
+                              topo(1, 1, GainMode.FIXED), make_params(gdb))
+    assert ber_quadrature(curve) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n,m,gdb", [(2, 2, 10.0), (4, 3, 25.0), (1, 1, 0.0)])
@@ -416,7 +440,8 @@ def test_memo_shared_across_link_params_gives_fresh_values():
     variants = [base, dataclasses.replace(base, lam=2.0),
                 dataclasses.replace(base, c_gain=2.0), base]
     # node arrays of one shape, each evenly spaced in ln gamma; the
-    # oracle's survival nodes at the first and last have one shape too
+    # oracle's t grids at the first and last have one node count too,
+    # and differ in their left cut alone
     nodes = [np.exp(np.log(g0) + LOG_STEP * np.arange(4.0))
              for g0 in (5.0, 7.0, 5.0 + 2.0 ** -20)]
     memo = {}
@@ -466,7 +491,7 @@ def _outcome(call, *args):
 
 @pytest.mark.parametrize("gamma_db,mode,route", [
     (-100.0, GainMode.ADAPTIVE, "closed-form"),
-    (-3000.0, GainMode.FIXED, "quadrature"),
+    (3000.0, GainMode.FIXED, "quadrature"),
     (3000.0, GainMode.FIXED, "oracle"),
     (20.0, GainMode.FIXED, "outage-closed-form")])
 def test_memo_keeps_floating_point_error_states_apart(gamma_db, mode,
@@ -474,8 +499,9 @@ def test_memo_keeps_floating_point_error_states_apart(gamma_db, mode,
     # a part computed where numpy ignores overflow is not reused where
     # overflow raises: with one memo shared by user counts 1, 2 and 4,
     # every call gives what a call without memo does, FloatingPointError
-    # where the route overflows.  At 3000 dB the oracle fails its step
-    # check where overflow is ignored, after it has stored its FSO CDF.
+    # where the route overflows.  At 3000 dB the oracle, alone or in the
+    # quadrature route, fails its step check where overflow is ignored,
+    # after it has stored its FSO CDF.
     # outage_closed_form runs on Python floats, so its values do not
     # depend on the error state
     params = make_params(gamma_db)
@@ -494,9 +520,9 @@ def test_memo_keeps_floating_point_error_states_apart(gamma_db, mode,
 
     # the exception class a call gives where overflow is ignored, and
     # where it raises (None for a value)
-    ignored, raised = {"oracle": ("ConvergenceError", "FloatingPointError"),
-                       "outage-closed-form": (None, None)}.get(
-                           route, (None, "FloatingPointError"))
+    ignored, raised = {"outage-closed-form": (None, None),
+                       "closed-form": (None, "FloatingPointError")}.get(
+                           route, ("ConvergenceError", "FloatingPointError"))
     memo = {}
     for state, want in (({"all": "ignore"}, ignored),
                         ({"over": "raise"}, raised)):
