@@ -16,26 +16,23 @@ g1 g2 / (g1 + g2 + 1); the exact-law gap is measurable through
 montecarlo.simulate_outage with first_segment="exact" on a one-relay
 chain.
 
-Everything here is expressed over CDFs, but the three routes compose the
-chain each their own way: the closed form through the binomial terms of
-metrics._chain_terms, the quadrature in end_to_end_outage_semianalytic,
-and Monte Carlo through the chain minimum that montecarlo._curve folds
-hop by hop as it draws, bit for bit the column minimum of the per-stage
-SNRs that montecarlo.sample_chain_stage_snrs draws.  The quadrature
-route never subtracts a sum from 1: the fixed-gain oracle adds
-nonnegative terms only, and each composition step forms p + (1 - p) q,
-in [0, 1] also when rounded, so a small outage keeps its digits.
+Everything here is expressed over CDFs.  The closed form and the
+quadrature compose the chain alike, through _compose_hops; Monte Carlo
+through the chain minimum that montecarlo._curve folds hop by hop as it
+draws, bit for bit the column minimum of the per-stage SNRs that
+montecarlo.sample_chain_stage_snrs draws.  The quadrature route never
+subtracts a sum from 1: the fixed-gain oracle adds nonnegative terms
+only, and each composition step forms p + (1 - p) q, in [0, 1] also
+when rounded, so a small outage keeps its digits.
 
 end_to_end_outage_semianalytic evaluates the FSO CDF once for the first
 segment and the hops.  Its memo keyword, a dict that calls may share,
-keeps that CDF and the first-segment CDF (the fixed-gain oracle, or
-the adaptive product) per LinkParams and gamma array, reused only on
-the same array bit for bit and never for a failure.  It passes the memo
-on to second_relay_cdf_fixed_numeric, which keeps there the FSO CDF on
-its t grid, keyed on the grid's left cut and node count.  None of these
-FSO CDFs depends on the user count, so a sweep evaluates each once per
-(lambda, gamma_avg) level, and the first-segment CDF once per user
-count there.
+keeps that CDF and the first-segment CDF per LinkParams and gamma array,
+reused only on the same array bit for bit and never for a failure;
+second_relay_cdf_fixed_numeric keeps there the FSO CDF on its t grid,
+keyed on the grid's left cut and node count.  None of these FSO CDFs
+depends on the user count, so a sweep evaluates each once per (lambda,
+gamma_avg) level, and the first-segment CDF once per user count there.
 """
 
 import enum
@@ -46,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ne_pe_snr_cdf, rayleigh_snr_cdf, rayleigh_snr_pdf
-from .special import (_CLAMP_ULPS, _ROW_PLANS, MeijerParams, _clamped,
-                      meijer_g, trapezoid)
+from .special import (_CLAMP_ULPS, _ROW_PLANS, ConvergenceError,
+                      MeijerParams, _clamped, meijer_g, trapezoid)
 
 
 class GainMode(enum.Enum):
@@ -196,8 +193,7 @@ def _fixed_kernel_params(z2, arg, *lead):
     # the error-rate kernel's G^{5,3}_{5,7} prepends one upper parameter.
     # The prefactor carries arg^(zeta/2), and as its argument z -> 0 the
     # G-function grows no faster than z^min(0, (1-zeta)/2), so a kernel
-    # vanishes like arg^(min(zeta, 1)/2): where z underflows to 0 at
-    # extreme SNR, the kernel's value is its limit 0
+    # vanishes like arg^(min(zeta, 1)/2)
     pref = (z2 * 2.0 ** (-1.0 - z2) / math.sqrt(math.pi)) * arg ** (z2 / 2.0)
     return pref, _fixed_kernel_row(z2, lead)
 
@@ -215,12 +211,15 @@ def fixed_segment_kernel(gamma, s, params):
 
     Equals s * integral_0^inf e^{-s x} F_FSO(gamma c_gain / x) dx, the
     probability-weighted chance the FSO leg fails given the RF leg's
-    exponential share, in closed Meijer-G form.
+    exponential share, in closed Meijer-G form.  ConvergenceError where
+    the G-function's argument or prefactor underflows below the least
+    normal double (from about 1,470 dB at xi = 1.45).
     """
     arg = params.c * params.c * gamma * params.c_gain * s
-    if arg / 4.0 == 0.0:
-        return 0.0      # the limit; see _fixed_kernel_params
     pref, row = _fixed_kernel_params(params.zeta, arg)
+    if not min(arg / 4.0, pref) >= np.finfo(float).smallest_normal:
+        raise ConvergenceError(f"fixed-gain outage kernel underflows: "
+                               f"argument {arg / 4.0:.3g}, prefactor {pref:.3g}")
     return pref * meijer_g(row, arg / 4.0)
 
 
@@ -338,10 +337,16 @@ def end_to_end_outage_semianalytic(topology, params, gamma=None, *,
         f2 = _memoized(scope, ("fixed", n, nodes),
                        second_relay_cdf_fixed_numeric, g, n, params,
                        memo=memo)
-    # hybrid_hop_cdf on the shared FSO CDF
-    hop = fso() * rayleigh_snr_cdf(g, params.gamma_bar_rf)
-    # 1 - (1 - f2)(1 - hop)^(M-1), one hop at a time as in _min_model_cdf
-    out = f2
-    for _ in range(topology.m_relays - 1):
-        out = out + (1.0 - out) * hop
+    out, _ = _compose_hops(f2, fso(), g, params, topology.m_relays)
     return float(out) if np.ndim(g) == 0 else out
+
+
+def _compose_hops(first, fso, gamma, params, m_relays):
+    # 1 - (1 - first)(1 - hop)^(M-1) hop by hop, hop = F_FSO F_RF on the
+    # shared FSO CDF fso; and (1 - hop)^(M-1), which scales first's error
+    hop = fso * rayleigh_snr_cdf(gamma, params.gamma_bar_rf)
+    out, survival = first, 1.0
+    for _ in range(m_relays - 1):
+        out = out + (1.0 - out) * hop
+        survival = survival * (1.0 - hop)
+    return out, survival

@@ -1,38 +1,32 @@
 """Closed-form outage and DBPSK bit error rate for the relay chain.
 
-Both metrics come from one structure: the best of N Rayleigh users feeds
-the first relay, and M - 1 selection-combined FSO/RF hops follow.
-Expanding 1 - (1 - F_2nd)(1 - F_hop)^(M-1) binomially turns the chain
-into one alternating sum over (k, t, u), written once in _chain_terms;
-outage_closed_form and ber_closed_form are its only consumers.  The
-outage reads the FSO CDF at gamma_th from channels.ne_pe_snr_cdf, the
-incomplete-gamma form that every route uses.  The fixed-gain mode
-additionally carries a Meijer-G Laplace kernel for the relay cascade.
-The bit error rate is the Laplace-type integral
-(1/2) int_0^inf e^{-gamma} P_out(gamma) dgamma, offered two ways: a
-closed multi-sum obtained by expanding the FSO CDF power F^t through its
-series form, which turns every term into Gamma(1+H) sigma^{-1-H} minus a
-Meijer-G correction, and ber_quadrature, a trapezoid rule in ln gamma
-over any vectorised outage curve.  The experiments layer hands it the
-incomplete-gamma composition end_to_end_outage_semianalytic, so that
-the two BER routes share no Meijer-G code.
+The best of N Rayleigh users feeds the first relay, and M - 1
+selection-combined FSO/RF hops follow.  outage_closed_form evaluates the
+first-segment CDF at gamma_th, the fixed gain's through Meijer-G kernels,
+and composes it with the hops as the quadrature route does.  The bit
+error rate is (1/2) int_0^inf e^{-gamma} P_out(gamma) dgamma, offered
+two ways.  ber_closed_form expands 1 - (1 - F_2nd)(1 - F_hop)^(M-1) into
+_chain_terms' alternating (k, t, u) sum and each FSO CDF power F^t into
+its series, which turns every term into Gamma(1+H) sigma^{-1-H} minus a
+Meijer-G correction.  ber_quadrature is a trapezoid rule in ln gamma
+over any vectorised outage curve; the experiments layer hands it
+end_to_end_outage_semianalytic, so the two share no Meijer-G code.
 
-Meijer-G is cross-checked by the tests: the fixed-gain outage tails
+Meijer-G is cross-checked by the tests: the fixed-gain outage kernels
 against the quadrature oracle (gate 4), the error-rate kernels against
 ber_quadrature (gate 5), and meijer_g against mpmath and a contour
 integral.
 
 outage_closed_form, ber_closed_form and end_to_end_outage_semianalytic
 take a memo keyword, a dict that calls may share; run_experiment passes
-one per (lambda, gamma_avg) level, so its gain modes, user counts and
-relay counts evaluate each shared part once.  outage_closed_form keeps
-there the FSO CDF at gamma_th, under the key the quadrature route uses,
-and the first segment's tails T_k per (gain mode, k).  ber_closed_form
-keeps the series coefficients, their powers, each Laplace kernel, keyed
-on (gain mode, H, k, shift), and the fixed-gain kernel's Meijer-G
-value, keyed on (H, z).  All of these live within their LinkParams.  An
-entry is keyed on all its inputs and no failure is stored, so every
-result is the one a call without memo, the default, gives.
+one per (lambda, gamma_avg) level, so each shared part is evaluated once
+there.  outage_closed_form keeps the FSO CDF at gamma_th, under the
+quadrature route's key, and the fixed-gain kernels K_k per user term k;
+ber_closed_form the series coefficients, their powers, each Laplace
+kernel, keyed on (gain mode, H, k, shift), and the fixed-gain kernel's
+Meijer-G value, keyed on (H, z).  An entry is keyed on all its inputs
+within its LinkParams and no failure is stored, so every result is the
+one a call without memo, the default, gives.
 
 The expansion bookkeeping: with the CDF series
 
@@ -53,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ne_pe_snr_cdf
-from .composition import (LOG_STEP, GainMode, _fixed_kernel_params,
-                          _memo_scope, _memoized, _nodes_key,
-                          fixed_segment_kernel)
+from .composition import (LOG_STEP, GainMode, _compose_hops,
+                          _fixed_kernel_params, _memo_scope, _memoized,
+                          _min_model_cdf, _nodes_key, fixed_segment_kernel)
 from .series import series_coeffs, series_power_coeffs
 from .special import (_CLAMP_ULPS, _ROW_PLANS, ConvergenceError,
                       MeijerParams, _clamped, gamma_fn, meijer_g, trapezoid)
@@ -122,10 +116,10 @@ def _ber_kernel_fixed(h_exp, sigma, s, params, g_values):
 def _chain_terms(topology):
     """Terms (k, t, weight, shift) of the chain's alternating binomial sum.
 
-    Outage is 1 + sum weight e^{-shift gamma_th / gamma_bar_rf} F^t T_k,
-    with F the FSO CDF at gamma_th and T_k the first segment's tail for
-    user term k; the error rate sums the same terms against Laplace
-    kernels.  The adaptive gain has k = 1..N, weight
+    The outage at gamma is 1 + sum weight e^{-shift gamma / gamma_bar_rf}
+    F^t T_k, with F the FSO CDF and T_k the first segment's tail for user
+    term k; ber_closed_form, the one consumer, integrates it term by term
+    against Laplace kernels.  The adaptive gain has k = 1..N, weight
     C(N, k) C(M-1, t) C(t, u) (-1)^{k+t+u} and shift k + u.  The fixed
     gain has k = 0..N-1, C(N-1, k) in place of C(N, k), an extra factor
     -N / (k + 1) that folds in its outer sign, and shift k + u + 1.
@@ -150,45 +144,46 @@ def _chain_terms(topology):
 def outage_closed_form(topology, params, *, memo=None):
     """Closed-form outage probability at params.gamma_th.
 
-    The FSO CDF at gamma_th is channels.ne_pe_snr_cdf.  Each fixed-gain
-    tail kernel is a probability, so it lies in [0, 1]; past _TAIL_TOL
-    of weighted distance outside that range the call raises
-    ConvergenceError, as ber_closed_form does for its kernels.  So does
-    a sum outside [0, 1] by more than its rounding floor; inside it, the
-    value is clamped to [0, 1].  memo is as in ber_closed_form.
+    The first-segment CDF composed with the hops as the quadrature route
+    does, so the adaptive gain's value is that route's.  The fixed gain's
+    CDF is A^N + sum_k N C(N-1, k) (-1)^k / (k + 1) e^{-(k+1) a} K_k, with
+    a = gamma_th / gamma_bar_rf, A = 1 - e^{-a} and the probabilities
+    K_k = fixed_segment_kernel(gamma_th, (k + 1) / gamma_bar_rf).  Past
+    _TAIL_TOL of weighted distance of the K_k outside [0, 1] the call
+    raises ConvergenceError, as ber_closed_form does for its kernels; so
+    does an outage outside [0, 1] by more than the sum's rounding floor
+    carried through the hops, and within it the value is clamped.  memo
+    is as in ber_closed_form.
     """
-    gr = params.gamma_bar_rf
-    gth = params.gamma_th
-    adaptive = topology.first_segment_mode is GainMode.ADAPTIVE
+    gr, gth, n = params.gamma_bar_rf, params.gamma_th, topology.n_users
     scope = _memo_scope(memo, params)
     # the quadrature route keeps the same entry
     ff = _memoized(scope, ("fso", _nodes_key(gth)), ne_pe_snr_cdf, gth,
                    params)
-    # T_k = 1 - K_k and K_k's distance outside [0, 1] depend on the gain
-    # mode and k, not on the user count
-    tails = scope.setdefault(("tails", topology.first_segment_mode), {})
-    total = 1.0
-    mass = 1.0
+    if topology.first_segment_mode is GainMode.ADAPTIVE:
+        first = _min_model_cdf(gth, n, params, lambda: ff)
+        return float(_compose_hops(first, ff, gth, params,
+                                   topology.m_relays)[0])
+    first = mass = (-math.expm1(-gth / gr)) ** n
     excess = 0.0
-    for k, t, weight, shift in _chain_terms(topology):
-        decay = math.exp(-shift * gth / gr)
+    for k in range(n):
+        decay = math.exp(-(k + 1.0) * gth / gr)
         if decay == 0.0:
-            # the term is exactly 0; at low SNR its kernel may not converge
-            continue
-        if k not in tails:
-            kernel = ff if adaptive else fixed_segment_kernel(
-                gth, (k + 1.0) / gr, params)
-            tails[k] = 1.0 - kernel, max(-kernel, kernel - 1.0, 0.0)
-        tail, outside = tails[k]
-        term = weight * decay * tail * ff ** t
-        total += term
+            break       # and the later terms; their kernels may not converge
+        kernel = _memoized(scope, ("segment-kernel", k),
+                           fixed_segment_kernel, gth, (k + 1.0) / gr, params)
+        weight = n * math.comb(n - 1, k) / (k + 1.0) * decay
+        term = (-1.0) ** k * weight * kernel
+        first += term
         mass += abs(term)
-        excess += abs(weight * decay * ff ** t) * outside
+        excess += weight * max(-kernel, kernel - 1.0, 0.0)
     if not excess <= _TAIL_TOL:
         raise ConvergenceError(
             f"fixed-gain outage kernels lie {excess:.3g} outside [0, 1] "
             f"(gamma_bar={gr:g})")
-    return _clamped(total, _CLAMP_ULPS * mass, 1.0, "closed-form outage")
+    out, survival = _compose_hops(first, ff, gth, params, topology.m_relays)
+    return _clamped(float(out), _CLAMP_ULPS * mass * survival, 1.0,
+                    "closed-form outage")
 
 
 # ------------------------------------------------------------- quadrature

@@ -802,20 +802,45 @@ def test_extreme_db_ber_failures_name_their_operation(tmp_path):
 
 @pytest.mark.parametrize("metric", ["outage", "ber"])
 def test_fixed_gain_closed_form_reads_its_limit_at_3000_db(tmp_path, metric):
-    # the fixed-gain kernels' Meijer-G argument underflows to 0.0 from
-    # about 1800 dB; the kernel's limit there is 0, and so is every cell
+    # outage: the known-csi cells read the anchor zeta / (zeta - 1)
+    # (lambda / a0) sqrt(gamma_th / gamma_bar).  The unknown-csi cells
+    # match the quadrature up to 1200 dB; from about 1470 dB the
+    # fixed-gain kernel's prefactor, and from about 1540 dB its Meijer-G
+    # argument, fall below the least normal double, and the cells fail
+    # naming the underflow.  Error rate: the fixed-gain kernels' Meijer-G
+    # argument underflows to 0.0 from about 1800 dB, where their limit
+    # is 0, and the closed-form sum 1/2 + sum of terms reads 0.0 from
+    # 600 dB, although the true error rate is not 0
+    outage = metric == "outage"
+    zeta = 1.45 ** 2
     for users, relays, db in (("1", "1", "3000"), ("4", "3", "300:300:3000")):
         out = tmp_path / f"{metric}-{users}.csv"
         assert cli.main([
             "--users", users, "--relays", relays, f"--gamma-avg-db={db}",
-            "--metric", metric, "--methods", "closed-form",
-            "--out", str(out)]) == 0
+            "--metric", metric, "--methods",
+            "closed-form,quadrature" if outage else "closed-form",
+            "--out", str(out)]) == (2 if outage else 0)
         points = read_csv(str(out))
         assert {p.mode for p in points} == set(GainMode)
         for point in points:
-            assert point.error is None, point
-            if point.gamma_avg_db >= 600.0:
-                assert point.closed_form == 0.0, point
+            if not outage:
+                assert point.error is None, point
+                if point.gamma_avg_db >= 600.0:
+                    assert point.closed_form == 0.0, point
+            elif point.mode is GainMode.ADAPTIVE:
+                assert point.error is None, point
+                anchor = zeta / (zeta - 1.0) * math.sqrt(
+                    10.0 / 10.0 ** (point.gamma_avg_db / 10.0))
+                assert point.closed_form == pytest.approx(
+                    anchor, rel=1e-9, abs=0.0), point
+            elif point.gamma_avg_db <= 1200.0:
+                assert point.error is None, point
+                assert point.closed_form == pytest.approx(
+                    point.quadrature, rel=1e-8, abs=0.0), point
+            else:
+                assert point.closed_form is None, point
+                assert "closed-form: fixed-gain outage kernel underflows" \
+                    in point.error, point
 
 
 def test_cli_quadrature_reads_its_limits_at_minus_3000_db(tmp_path):

@@ -25,6 +25,7 @@ from fsorf.composition import (
     GainMode,
     Topology,
     end_to_end_outage_semianalytic,
+    fixed_segment_kernel,
     second_relay_cdf_adaptive,
     second_relay_cdf_fixed_numeric,
 )
@@ -83,6 +84,14 @@ BER_FIXED_HIGH_SNR_REF = {
     100.0: 1.9977774346865671952e-10,
     120.0: 1.9977774497295898913e-12,
 }
+# 40-digit known-csi error rates at N = M = 2 near an integer zeta, keyed
+# (xi, gamma_avg dB): (1/2) int e^{-gamma} F_out dgamma with
+# F_FSO = X^zeta Gamma(1 - zeta, X) - expm1(-X), to the digits given
+BER_ADAPTIVE_NEAR_INTEGER_ZETA_REF = {
+    (2.0000005, 0.0): 0.37468837088,
+    (1.7320512, 0.0): 0.382023395732,
+    (1.0000005, 40.0): 0.0222265142782,
+}
 BER_ADAPTIVE_REF = {
     (2, 1, 10.0): 0.18070202383734112,
     (2, 2, 10.0): 0.19102073629362341,
@@ -117,20 +126,17 @@ def test_outage_fixed_frozen(point, ref):
 
 @pytest.mark.parametrize("point,ref", list(SEGMENT_FIXED_REF.items()))
 def test_fixed_segment_cdf_matches_40_digit_reference(point, ref):
-    # the quadrature oracle and, up to 50 dB, the Meijer-G closed form,
-    # each without and with a memo.  Errors today: the oracle's within
-    # 3.8e-15 at every point; the closed form's -7.4e-11 at N = 2, 40 dB
-    # and -3.5e-10 at N = 8, 50 dB, and -1.6e-7 at N = 8, 80 dB
+    # the quadrature oracle and the Meijer-G closed form, each without
+    # and with a memo.  Errors today: the oracle's within 3.8e-15 at every
+    # point; the closed form's within 8.2e-11, the Meijer-G log-case floor
     n, gdb, gamma = point
     p = make_params(gdb, gamma_th=gamma)
     memo = {}
     for kwargs in ({}, {"memo": memo}, {"memo": memo}):
         oracle = second_relay_cdf_fixed_numeric(gamma, n, p, **kwargs)
         assert oracle == pytest.approx(ref, rel=1e-13, abs=0.0)
-        if gdb <= 50.0:
-            closed = outage_closed_form(topo(n, 1, GainMode.FIXED), p,
-                                        **kwargs)
-            assert closed == pytest.approx(ref, rel=1e-9)
+        closed = outage_closed_form(topo(n, 1, GainMode.FIXED), p, **kwargs)
+        assert closed == pytest.approx(ref, rel=1e-10, abs=0.0)
     assert memo
 
 
@@ -145,11 +151,12 @@ def test_fixed_ber_quadrature_matches_40_digit_reference(gdb, ref):
 
 @pytest.mark.parametrize("n,m,gdb", [(2, 2, 10.0), (4, 3, 25.0), (1, 1, 0.0)])
 def test_outage_adaptive_matches_composition(n, m, gdb):
+    # both routes compose the min model's product form the same way
     t = topo(n, m, GainMode.ADAPTIVE)
     p = make_params(gdb)
     closed = outage_closed_form(t, p)
     semi = end_to_end_outage_semianalytic(t, p)
-    assert closed == pytest.approx(semi, rel=1e-8)
+    assert closed == semi
 
 
 @pytest.mark.parametrize("n,m,gdb", [(2, 2, 10.0), (2, 3, 25.0), (4, 2, 20.0)])
@@ -185,11 +192,37 @@ def test_single_hop_outage_is_second_relay_cdf():
     # m_relays = 1 leaves no decode-and-forward hops after the relay
     p = make_params(12.0)
     adaptive = outage_closed_form(topo(3, 1, GainMode.ADAPTIVE), p)
-    assert adaptive == pytest.approx(
-        second_relay_cdf_adaptive(p.gamma_th, 3, p), rel=1e-12)
+    assert adaptive == second_relay_cdf_adaptive(p.gamma_th, 3, p)
     fixed = outage_closed_form(topo(3, 1, GainMode.FIXED), p)
     assert fixed == pytest.approx(
         second_relay_cdf_fixed_numeric(p.gamma_th, 3, p), rel=1e-9)
+
+
+def _expanded_outage(t, p):
+    # the chain's alternating binomial sum that ber_closed_form integrates
+    # term by term, at gamma_th: 1 + sum w e^{-shift a} F^t (1 - K_k),
+    # with K_k = F in adaptive gain, summed in the terms' order; and its
+    # rounding floor 4 eps (1 + sum |term|)
+    gth, gr = p.gamma_th, p.gamma_bar_rf
+    f = ne_pe_snr_cdf(gth, p)
+    terms = [w * math.exp(-shift * gth / gr) * f ** power * (1.0 - (
+        f if t.first_segment_mode is GainMode.ADAPTIVE
+        else fixed_segment_kernel(gth, (k + 1.0) / gr, p)))
+        for k, power, w, shift in _chain_terms(t)]
+    return (sum(terms, 1.0),
+            4.0 * np.finfo(float).eps * (1.0 + sum(map(abs, terms))))
+
+
+@pytest.mark.parametrize("mode", list(GainMode))
+@pytest.mark.parametrize("gdb", [0.0, 10.0, 20.0, 30.0, 40.0])
+def test_outage_matches_the_expansion_ber_integrates(mode, gdb):
+    # the outage composes hop by hop; the error rate expands the same
+    # chain into _chain_terms' sum.  The two agree within the sum's floor
+    p = make_params(gdb)
+    for n, m in itertools.product((1, 2, 4, 8), (1, 2, 3)):
+        t = topo(n, m, mode)
+        want, floor = _expanded_outage(t, p)
+        assert abs(outage_closed_form(t, p) - want) <= floor, (n, m)
 
 
 @pytest.mark.parametrize("xi", [0.8, 1.45, 2.5])
@@ -225,6 +258,27 @@ def test_outage_outside_unit_interval_raises(lam, gamma_db, n, m, match):
     assert end_to_end_outage_semianalytic(t, p) == 1.0
     with pytest.raises(ConvergenceError, match=match):
         outage_closed_form(t, p)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fixed_outage_floor_goes_through_the_hops(monkeypatch, m):
+    # the first segment's rounding floor reaches the outage scaled by
+    # (1 - hop)^(M-1), as the segment's error does, so whether a segment
+    # sum above 1 clamps or raises does not depend on the relay count.
+    # K_0 is set so that F_seg = A + e^{-a} K_0 lies d eps above 1
+    # (N = 1, a = 1); the floor is 4 eps times about 1
+    t = topo(1, m, GainMode.FIXED)
+    p = make_params(10.0)
+    for d, raises in ((2.0, False), (8.0, True)):
+        monkeypatch.setattr(
+            "fsorf.metrics.fixed_segment_kernel",
+            lambda gamma, s, params: 1.0 + d * np.finfo(float).eps * math.e)
+        if raises:
+            with pytest.raises(ConvergenceError,
+                               match=r"closed-form outage .* outside"):
+                outage_closed_form(t, p)
+        else:
+            assert outage_closed_form(t, p) == 1.0
 
 
 # -------------------------------------------------------- quadrature
@@ -277,6 +331,19 @@ def test_ber_quadrature_adaptive_frozen(point, ref):
     p = make_params(gdb)
     assert ber_quadrature(_outage_curve(t, p)) == pytest.approx(
         ref, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "point,ref", sorted(BER_ADAPTIVE_NEAR_INTEGER_ZETA_REF.items()))
+def test_ber_quadrature_near_integer_zeta_matches_40_digit_reference(point,
+                                                                     ref):
+    # the quadrature evaluates no Meijer-G, so the clustered poles near
+    # an integer zeta do not reach it.  Errors today: -2.4e-12, -7.4e-12
+    # and -2.9e-11
+    xi, gdb = point
+    p = dataclasses.replace(make_params(gdb), xi=xi)
+    curve = _outage_curve(topo(2, 2, GainMode.ADAPTIVE), p)
+    assert ber_quadrature(curve) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("point,ref", sorted(BER_FIXED_REF.items()))
