@@ -19,11 +19,16 @@ Everything about a parameter row that does not depend on the argument z
 is prepared once per row and kept in one bounded ``functools.lru_cache``
 of 512 row plans keyed on the row's floats: the log-case decision and
 its perturbed rows, and per Slater pole the sign and log of the gamma
-prefactor and the hypergeometric rows.  ``hyp_pfq`` keeps its
-terminating-parameter and pole scan in a second cache of 2,048 rows.  A
-call then sums only the series in z, with the same arithmetic as a fresh
-set-up, so a cached value is bit-identical to an uncached one.  A set-up
-that raises is not cached: it raises before any series, on every call.
+prefactor and the plan of its hypergeometric series.  Those series
+plans live in a second cache of 2,048 rows, which ``hyp_pfq`` shares:
+each holds the series' stop (a zero or terminating upper parameter) and
+a table of its z-free term ratios, grown as sums need more terms and
+never past the term cap.  A call then sums only the terms in z, one
+product each, in the one series loop of the module; a pole whose series
+is exactly 1 sums none.  A table entry does not depend on when the
+table grew, so a cached value is bit-identical to an uncached one.  A
+set-up that raises is not cached: it raises before any series, on
+every call.
 
 The gamma function and its logarithm come from the ``math`` module and
 the incomplete gamma function is evaluated here, so the module needs
@@ -37,6 +42,7 @@ all the metric formulas need.
 from dataclasses import dataclass, field
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -61,9 +67,11 @@ _CLAMP_ULPS = 4.0 * _EPS
 # continued-fraction iterations of the large-x incomplete gamma branch
 _CF_MAX_ITER = 300
 # hypergeometric series: relative term size that counts as negligible,
-# and the hard cap on the number of terms
+# and the hard cap on the number of terms, which bounds each ratio table
 _HYP_TOL = 1e-14
 _HYP_MAX_TERMS = 500
+# taken to grow a ratio table (see _HypRow)
+_GROW_LOCK = threading.Lock()
 # spread of a logarithmic-case parameter cluster (see meijer_g)
 _LOG_EPS = 1e-3
 # bounds of the z-free plan caches: Meijer-G row plans and hypergeometric
@@ -229,33 +237,40 @@ def hyp_pfq(a_params, b_params, z):
 
     Returns ``(value, converged)``.  The sum stops once three consecutive
     terms fall below _HYP_TOL relative to the running partial sum, or
-    hard stops at _HYP_MAX_TERMS with ``converged=False``.  A zero upper
-    parameter short-circuits to exactly 1.0, and a negative-integer upper
-    parameter makes the series a polynomial which is summed exactly.
+    hard stops at _HYP_MAX_TERMS terms past the first with
+    ``converged=False``.  A zero upper parameter short-circuits to
+    exactly 1.0, and a negative-integer upper parameter makes the series
+    a polynomial which is summed exactly if it has no more terms than
+    the cap.
 
     Lower parameters at non-positive integers are poles and raise
     ValueError unless a terminating upper parameter cuts the series off
-    first.
+    first.  The z-free part of the rows, their stop and their term
+    ratios, is planned once per row (_hyp_row); a call sums only the
+    terms in z, in the loop that meijer_g also runs.
     """
-    a_params = tuple(map(float, a_params))
-    b_params = tuple(map(float, b_params))
-    z = float(z)
-    stop = _hyp_stop(a_params, b_params)
+    row = _hyp_row(tuple(map(float, a_params)), tuple(map(float, b_params)))
+    return _hyp_sum(row, float(z))
 
+
+def _hyp_sum(row, z):
+    """The series of a row plan at z, as (value, converged).
+
+    Term n+1 is term n times z * r_n, with r_n from the row's ratio
+    table, which grows here as a sum first needs it.
+    """
+    n_cap = row.n_cap
+    ratios = row.ratios
+    known = len(ratios)
     total = 1.0
     term = 1.0
     small_run = 0
-    n = 0.0
-    n_cap = stop if stop is not None else _HYP_MAX_TERMS
-    while n < n_cap:
-        ratio = z / (n + 1.0)
-        for av in a_params:
-            ratio *= av + n
-        for bv in b_params:
-            ratio /= bv + n
-        term *= ratio
+    for n in range(n_cap):
+        if n == known:
+            ratios = row.extend(n)
+            known = len(ratios)
+        term *= z * ratios[n]
         total += term
-        n += 1.0
         if total - total != 0.0:         # inf or nan
             return total, False
         size = total if total >= 0.0 else -total
@@ -267,21 +282,60 @@ def hyp_pfq(a_params, b_params, z):
                 return total, True
         else:
             small_run = 0
-    if stop is not None:
-        return total, True               # exact polynomial (1.0 if stop is 0)
-    return total, False
+    # an exact polynomial (1.0 if stop is 0), or the term cap
+    return total, n_cap == row.stop
+
+
+class _HypRow:
+    """z-free plan of one hypergeometric row (a; b), made by _hyp_row.
+
+    ``stop`` is the number of terms past the first: 0 for a zero upper
+    parameter, the index past the last nonzero term for a terminating
+    series, and None for an infinite one.  ``n_cap`` is the number of
+    terms a sum may add past the first: the stop, capped at
+    _HYP_MAX_TERMS.  ``ratios`` holds the term ratios without z,
+    r_n = (a_1+n)...(a_p+n) / ((b_1+n)...(b_q+n)) / (n+1), formed as
+    1/(n+1), then times each a_i+n, then over each b_j+n, in row order.
+    It starts empty and grows to at most n_cap entries; each growth
+    binds a new tuple under a lock, so a reader holds either the old
+    table or the new, and an entry has the same bits however the table
+    grew.
+    """
+
+    __slots__ = ("a", "b", "stop", "n_cap", "ratios")
+
+    def __init__(self, a, b, stop):
+        self.a, self.b, self.stop = a, b, stop
+        self.n_cap = _HYP_MAX_TERMS if stop is None else min(stop,
+                                                              _HYP_MAX_TERMS)
+        self.ratios = ()
+
+    def extend(self, n):
+        """The ratio table grown to hold index n < n_cap, and kept."""
+        with _GROW_LOCK:
+            ratios = self.ratios
+            if len(ratios) <= n:
+                grown = list(ratios)
+                for k in range(len(ratios), min(max(2 * n, 16), self.n_cap)):
+                    r = 1.0 / (k + 1.0)
+                    for av in self.a:
+                        r *= av + k
+                    for bv in self.b:
+                        r /= bv + k
+                    grown.append(r)
+                ratios = self.ratios = tuple(grown)
+            return ratios
 
 
 @functools.lru_cache(maxsize=_HYP_PLANS)
-def _hyp_stop(a_params, b_params):
-    """z-free scan of hyp_pfq's rows: the number of terms past the first.
+def _hyp_row(a_params, b_params):
+    """The z-free plan of hyp_pfq's rows (float tuples), as a _HypRow.
 
-    0 for a zero upper parameter, the index past the last nonzero term
-    for a terminating series, and None for an infinite one.  A lower
-    pole that the series reaches raises ValueError.
+    A lower pole that the series reaches raises ValueError, before any
+    term and on every call: a set-up that raises is not cached.
     """
     if 0.0 in a_params:
-        return 0
+        return _HypRow(a_params, b_params, 0)
     stop = None
     neg_a = [int(round(-av)) for av in a_params if _is_nonpos_int(av)]
     if neg_a:
@@ -294,7 +348,7 @@ def _hyp_stop(a_params, b_params):
             if stop is None or stop >= pole_at:
                 raise ValueError(
                     f"hyp_pfq lower parameter {bv} is a non-positive integer pole")
-    return stop
+    return _HypRow(a_params, b_params, stop)
 
 
 @dataclass(frozen=True)
@@ -359,11 +413,13 @@ class MeijerParams:
 def _slater_plan(params):
     """z-free part of a Slater sum: (series argument sign, poles).
 
-    poles holds (k, b[k], sign, log prefactor, hyper_a, hyper_b) for each
-    pole in order whose term does not vanish: its gamma prefactor
+    poles holds (k, b[k], sign, log prefactor, row) for each pole in
+    order whose term does not vanish: its gamma prefactor
     prod Gamma(numer) / prod Gamma(denom) is sign * exp(log prefactor),
-    and its series is hyp_pfq(hyper_a, hyper_b, +/-z).  A prefactor that
-    math.lgamma cannot form (at a pole or out of range) raises.
+    and its series is the _HypRow row at +/-z, or exactly 1.0 where row
+    is None (a zero upper parameter).  A prefactor that math.lgamma
+    cannot form (at a pole or out of range) raises, as does a series
+    row with a lower pole.
     """
     m, n = params.m, params.n
     a, b = params.a, params.b
@@ -383,9 +439,9 @@ def _slater_plan(params):
                 lg, sg = _lgamma_sign(arg)
                 log_pref += power * lg
                 sign *= sg
-        poles.append((k, bk, sign, log_pref,
-                      tuple(1.0 + bk - a[j] for j in range(p)),
-                      tuple(1.0 + bk - b[j] for j in range(q) if j != k)))
+        row = _hyp_row(tuple(1.0 + bk - a[j] for j in range(p)),
+                       tuple(1.0 + bk - b[j] for j in range(q) if j != k))
+        poles.append((k, bk, sign, log_pref, None if row.stop == 0 else row))
     return (-1.0) ** (p - m - n), tuple(poles)
 
 
@@ -432,18 +488,20 @@ def meijer_g(params, z):
     against roundoff: the paired pole terms carry Gamma(+/-eps) ~ 1/eps
     prefactors that nearly cancel, so roundoff grows like machine-eps/eps.
     Against 30-digit mpmath on every distinct call of the fig1 outage and
-    fig1 and fig3 error-rate closed-form sweeps, the relative error is
-    at most 6.5e-13 on the simple rows (G^{4,3}_{5,6}) and 7.5e-10 on
-    the log-case rows (G^{5,2}_{4,7} and G^{5,3}_{5,7}).
+    fig1 and fig3 error-rate closed-form sweeps (3,149 calls), the
+    relative error is at most 6.5e-13 on the simple rows (G^{4,3}_{5,6})
+    and 7.5e-10 on the log-case rows (G^{5,2}_{4,7} and G^{5,3}_{5,7}).
 
     For p > q, or p = q with z > 1, the series is summed after the
     z -> 1/z reflection, where it converges.
 
     The z-free set-up of a row is built on its first call and kept in one
     plan cache of 512 rows (_row_plan), keyed on the row's floats, so an
-    equal row sums only the series in z; hyp_pfq keeps 2,048 parameter
-    scans the same way.  A set-up that fails raises before any series,
-    on every call.
+    equal row sums only the series in z.  Each pole's series is summed
+    from its own plan in the 2,048-row cache that hyp_pfq shares, by the
+    same loop, without a hyp_pfq call; a pole with a zero upper
+    parameter adds its prefactor alone.  A set-up that fails raises
+    before any series, on every call.
     """
     if not isinstance(params, MeijerParams):
         raise TypeError("params must be a MeijerParams")
@@ -458,13 +516,18 @@ def meijer_g(params, z):
     log_z = math.log(z)
     sums = []
     for sign_arg, poles in _row_plan(params):
+        x = sign_arg * z
         total = 0.0                 # Slater expansion, DLMF 16.17.2
-        for k, bk, sign, log_pref, hyper_a, hyper_b in poles:
-            val, ok = hyp_pfq(hyper_a, hyper_b, sign_arg * z)
-            if not ok:
-                raise ConvergenceError(f"Slater series failed to converge "
-                                       f"at pole b[{k}]={bk}, z={z}")
-            total += sign * math.exp(log_pref + bk * log_z) * val
+        for k, bk, sign, log_pref, row in poles:
+            term = sign * math.exp(log_pref + bk * log_z)
+            if row is not None:
+                val, ok = _hyp_sum(row, x)
+                if not ok:
+                    raise ConvergenceError(f"Slater series failed to "
+                                           f"converge at pole b[{k}]={bk}, "
+                                           f"z={z}")
+                term *= val
+            total += term
         sums.append(total)
     return sums[0] if len(sums) == 1 else (4.0 * sums[0] - sums[1]) / 3.0
 

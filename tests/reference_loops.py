@@ -1,12 +1,13 @@
 """Plain reference version of the series loop of fsorf.special.hyp_pfq.
 
-``fsorf.special.hyp_pfq`` runs a lean form of this loop: a float counter
-and plain comparisons in place of ``range``, ``abs``, ``max`` and
-``math.isfinite``.  The version here keeps the straightforward form,
-with the same float operations in the same order, so the tests can ask
-for the same bits.  It reads the module's constants and its
-``_hyp_stop`` at call time, so a test that patches one patches both
-sides.
+``fsorf.special`` sums every series in one lean loop, ``_hyp_sum``: it
+reads each term ratio from the row plan's table, which it grows on
+demand, and uses plain comparisons in place of ``abs``, ``max`` and
+``math.isfinite``.  The version here forms each ratio afresh, with the
+same float operations in the same order (1/(n+1), then times each a+n,
+then over each b+n, then times z), so the tests can ask for the same
+bits.  It reads the module's constants at call time and takes only the
+stop from ``_hyp_row``, so a test that patches one patches both sides.
 """
 
 import math
@@ -19,18 +20,20 @@ def hyp_pfq(a_params, b_params, z):
     a_params = tuple(map(float, a_params))
     b_params = tuple(map(float, b_params))
     z = float(z)
-    stop = special._hyp_stop(a_params, b_params)
+    stop = special._hyp_row(a_params, b_params).stop
     total = 1.0
     term = 1.0
     small_run = 0
-    n_cap = stop if stop is not None else special._HYP_MAX_TERMS
+    n_cap = special._HYP_MAX_TERMS
+    if stop is not None:
+        n_cap = min(stop, n_cap)
     for n in range(n_cap):
-        ratio = z / (n + 1.0)
+        ratio = 1.0 / (n + 1.0)
         for av in a_params:
             ratio *= av + n
         for bv in b_params:
             ratio /= bv + n
-        term *= ratio
+        term *= z * ratio
         total += term
         if not math.isfinite(total):
             return total, False
@@ -40,7 +43,4 @@ def hyp_pfq(a_params, b_params, z):
                 return total, True
         else:
             small_run = 0
-    if stop is not None:
-        return total, True
-    return total, False
-
+    return total, stop is not None and stop <= special._HYP_MAX_TERMS

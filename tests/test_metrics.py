@@ -37,7 +37,7 @@ from fsorf.metrics import (
     outage_closed_form,
 )
 from fsorf.series import series_coeffs, series_power_coeffs
-from fsorf.special import ConvergenceError
+from fsorf.special import ConvergenceError, gamma_fn
 
 XI = 1.45
 
@@ -238,26 +238,67 @@ def test_fixed_outage_at_low_snr_is_one(n, m, xi):
     assert end_to_end_outage_semianalytic(t, p) == 1.0
 
 
-@pytest.mark.parametrize("lam,gamma_db,n,m,match", [
-    # at lambda = 10, -8 dB the Slater sum of the fixed-gain kernel K_0
-    # cancels to 1.2e13 in place of a value in [0, 1]; its weight
-    # e^(-gamma_th / gamma_bar) = 4e-28 puts the outage 4.8e-15 above 1,
-    # under the kernel gate and over the sum's rounding floor 8.9e-16
-    (10.0, -8.0, 1, 1, r"closed-form outage 1 lies outside \[0, 1\]"),
-    # at lambda = 30, -1 dB the kernels' Slater sums cancel to -6.9e4
-    # and -7.9e9; weighted, they would put the outage at 0.9999987,
-    # inside [0, 1] and 1.3e-6 below the quadrature's 1, so only the
-    # kernels' range check sees the error
-    (30.0, -1.0, 2, 2, r"fixed-gain outage kernels lie .* outside \[0, 1\]"),
+@pytest.mark.parametrize("lam,gamma_db,n,m,kernels,match", [
+    # K_0 = 1.2e13 in place of a value in [0, 1], as a cancelling Slater
+    # sum once left it here: its weight e^(-gamma_th / gamma_bar) = 4e-28
+    # puts the outage 4.8e-15 above 1, under the kernel gate and over the
+    # sum's rounding floor 8.9e-16
+    (10.0, -8.0, 1, 1, (1.2e13,),
+     r"closed-form outage 1 lies outside \[0, 1\]"),
+    # K_0 = -6.9e4 and K_1 = -7.9e9: far outside [0, 1] at weights 6.8e-6
+    # and 1.2e-11, so the kernels' range check raises before the sum
+    (30.0, -1.0, 2, 2, (-6.9e4, -7.9e9),
+     r"fixed-gain outage kernels lie .* outside \[0, 1\]"),
 ], ids=["sum", "kernels"])
-def test_outage_outside_unit_interval_raises(lam, gamma_db, n, m, match):
+def test_outage_outside_unit_interval_raises(monkeypatch, lam, gamma_db, n,
+                                             m, kernels, match):
     g = db_to_linear(gamma_db)
     p = LinkParams(gamma_bar_rf=g, gamma_bar_fso=g, lam=lam, a0=1.0,
                    xi=XI, gamma_th=10.0)
-    t = topo(n, m, GainMode.FIXED)
-    assert end_to_end_outage_semianalytic(t, p) == 1.0
+    # the kernel of user term k is called with s = (k + 1) / gamma_bar
+    monkeypatch.setattr("fsorf.metrics.fixed_segment_kernel",
+                        lambda gamma, s, params: kernels[round(s * g) - 1])
     with pytest.raises(ConvergenceError, match=match):
-        outage_closed_form(t, p)
+        outage_closed_form(topo(n, m, GainMode.FIXED), p)
+
+
+def _fixed_point(lam, gamma_db, n, m):
+    g = db_to_linear(gamma_db)
+    return topo(n, m, GainMode.FIXED), LinkParams(
+        gamma_bar_rf=g, gamma_bar_fso=g, lam=lam, a0=1.0, xi=XI,
+        gamma_th=10.0)
+
+
+# points where the fixed-gain Slater sums cancel to noise.  Which check
+# sees the noise moves with its last bits, so the tests above pin each
+# check's message on set kernels, and these pin what holds of the
+# closed form at each point: it raises, or it is within the route's
+# tolerance of the quadrature (rel 1e-8 for the outage)
+@pytest.mark.parametrize("lam,gamma_db,n,m,agrees", [
+    (10.0, -8.0, 1, 1, True),           # reads 1 - 6.9e-15
+    (30.0, -1.0, 2, 2, False),          # kernels outside [0, 1]
+], ids=["10-at-minus-8-db", "30-at-minus-1-db"])
+def test_outage_slater_noise_points_raise_or_agree(lam, gamma_db, n, m,
+                                                    agrees):
+    t, p = _fixed_point(lam, gamma_db, n, m)
+    quad = end_to_end_outage_semianalytic(t, p)
+    assert quad == 1.0
+    if agrees:
+        assert outage_closed_form(t, p) == pytest.approx(quad, rel=1e-8)
+    else:
+        with pytest.raises(ConvergenceError):
+            outage_closed_form(t, p)
+
+
+def test_ber_slater_noise_point_raises():
+    # lambda = 1/sqrt(2), -30 dB: the error rate is 1.0e-6 below 1/2,
+    # and the closed form's kernels land about 2e-6 outside their range
+    t, p = _fixed_point(2 ** -0.5, -30.0, 1, 2)
+    quad = ber_quadrature(functools.partial(
+        end_to_end_outage_semianalytic, t, p))
+    assert quad == pytest.approx(0.4999989943531331, rel=1e-10)
+    with pytest.raises(ConvergenceError):
+        ber_closed_form(t, p)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -448,14 +489,35 @@ def test_ber_raises_where_kernels_leave_their_range():
         0.49988, abs=1e-5)
 
 
-def test_ber_above_one_half_raises():
-    # at -30 dB and lambda = 1/sqrt(2) the fixed-gain sum passes the kernel
-    # check but lands 1e-6 above 1/2, where clamping gave 0.5
-    g = db_to_linear(-30.0)
-    p = LinkParams(gamma_bar_rf=g, gamma_bar_fso=g, lam=2 ** -0.5, a0=1.0,
-                   xi=XI, gamma_th=10.0)
-    with pytest.raises(ConvergenceError, match=r"outside \[0, 0.5\]"):
-        ber_closed_form(topo(1, 2, GainMode.FIXED), p)
+def _ber_with_fixed_kernels(monkeypatch, factor):
+    # every fixed-gain Laplace kernel set to (1 - factor) times its bound
+    # Gamma(1+H) sigma^(-1-H): at factor 1 each is 0 and the error rate
+    # is exactly 1/2, and past 1 each lies below its range by
+    # (factor - 1) times its bound
+    monkeypatch.setattr(
+        "fsorf.metrics._ber_kernel_fixed",
+        lambda h_exp, sigma, s, params, g_values:
+            factor * gamma_fn(1.0 + h_exp) * sigma ** (-1.0 - h_exp))
+    return ber_closed_form(topo(1, 2, GainMode.FIXED), make_params(0.0))
+
+
+def test_ber_above_one_half_raises(monkeypatch):
+    # kernels 1e-8 of their bounds below 0 pass the 1e-6 kernel gate;
+    # their sum lands 1.9e-9 above 1/2, past its rounding floor, and raises
+    # where clamping would have given 0.5
+    assert _ber_with_fixed_kernels(monkeypatch, 1.0).value == 0.5
+    with pytest.raises(ConvergenceError,
+                       match=r"closed-form error rate .* outside \[0, 0.5\]"):
+        _ber_with_fixed_kernels(monkeypatch, 1.0 + 1e-8)
+
+
+def test_ber_kernels_outside_their_range_raise(monkeypatch):
+    # 1e-4 of their bounds below 0: the kernel gate sees 4.3e-4 of
+    # weighted distance and raises before the sum is checked
+    with pytest.raises(ConvergenceError,
+                       match=r"BER Laplace kernels lie .* outside \[0, "
+                             r"Gamma\(1\+H\) sigma\^\(-1-H\)\]"):
+        _ber_with_fixed_kernels(monkeypatch, 1.0 + 1e-4)
 
 
 # -------------------------------------------------------- expansions

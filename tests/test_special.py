@@ -6,6 +6,8 @@ contour-integration oracle of meijer_contour.py (noted inline).
 """
 
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -243,22 +245,24 @@ def _hyp_bits(f, a_params, b_params, z):
 
 
 def test_hyp_replays_preset_traffic_bit_for_bit(monkeypatch):
-    # every series of a closed-form fig3 BER sweep, against the plain
-    # reference loop: the same value bits and the same flag
+    # every series that meijer_g sums in a closed-form fig3 BER sweep,
+    # against the plain reference loop: the same value bits and the same
+    # flag; the poles with a zero upper parameter sum no series
     calls = []
+    hyp_sum = special._hyp_sum
 
-    def recording(a_params, b_params, z):
-        calls.append((a_params, b_params, z))
-        return hyp_pfq(a_params, b_params, z)
+    def recording(row, z):
+        got = hyp_sum(row, z)
+        calls.append(((row.a, row.b, z), (got[0].hex(), got[1])))
+        return got
 
-    monkeypatch.setattr(special, "hyp_pfq", recording)
+    monkeypatch.setattr(special, "_hyp_sum", recording)
     run_experiment(spec_from_sources(overrides={
         "preset": "fig3", "methods": "closed-form",
         "gamma_avg_db": "0:10:40"}))
-    assert len(calls) == 8396
-    for call in calls:
-        assert _hyp_bits(hyp_pfq, *call) == \
-            _hyp_bits(reference_loops.hyp_pfq, *call), call
+    assert len(calls) == 6154
+    for call, got in calls:
+        assert got == _hyp_bits(reference_loops.hyp_pfq, *call), call
 
 
 def test_hyp_seeded_rows_bit_for_bit():
@@ -293,8 +297,8 @@ def test_hyp_seeded_rows_bit_for_bit():
 def test_hyp_equal_nonpositive_integer_pair_matches_reference():
     # with a = b = -3 the series would stop at the lower pole's own
     # term, 0 / 0; the row is a pole like any the series reaches, so the
-    # z-free scan raises the documented ValueError before any term, and
-    # the reference, which shares _hyp_stop, does the same
+    # z-free set-up raises the documented ValueError before any term, and
+    # the reference, which shares _hyp_row, does the same
     case = ([-3.0, 0.5], [-3.0], 0.5)
     want = ("ValueError",
             "hyp_pfq lower parameter -3.0 is a non-positive integer pole")
@@ -412,7 +416,7 @@ def test_contour_matches_slater_simple_classes():
 
 # ------------------------------------------------------------ plan caches
 
-_PLAN_CACHES = (special._hyp_stop, special._row_plan)
+_PLAN_CACHES = (special._hyp_row, special._row_plan)
 
 
 @pytest.fixture
@@ -463,10 +467,10 @@ def test_rows_one_ulp_apart_get_their_own_plans(cold_plans):
     near = dict(row, b=(1.0, math.nextafter(Z2, 2.0), 0.0))
     meijer_g(MeijerParams(**row), 0.3)
     plans = special._row_plan.cache_info().currsize
-    scans = special._hyp_stop.cache_info().currsize
+    scans = special._hyp_row.cache_info().currsize
     meijer_g(MeijerParams(**near), 0.3)
     assert special._row_plan.cache_info().currsize == plans + 1
-    assert special._hyp_stop.cache_info().currsize > scans
+    assert special._hyp_row.cache_info().currsize > scans
     (_, poles), = special._row_plan(MeijerParams(**near))
     assert [pole[1] for pole in poles] == [1.0, math.nextafter(Z2, 2.0)]
     # a zero parameter is stored as 0.0 whatever its sign, so rows that
@@ -488,7 +492,7 @@ def test_failed_set_up_raises_on_every_call(cold_plans):
 def test_failing_set_up_raises_before_any_series(cold_plans, monkeypatch):
     # G^{2,0}_{1,2}(z | 1; 1/2, 0): pole b[0] = 1/2 has denominator
     # Gamma(1/2), pole b[1] = 0 has Gamma(1); make the second one fail
-    # and record the series calls, which go through the module name
+    # and record the series sums, which go through the module name
     lgamma_sign = special._lgamma_sign
 
     def failing_at_one(x):
@@ -498,18 +502,138 @@ def test_failing_set_up_raises_before_any_series(cold_plans, monkeypatch):
 
     calls = []
 
-    def recording(a_params, b_params, z):
-        calls.append(tuple(b_params))
-        return hyp_pfq(a_params, b_params, z)
+    def recording(row, z):
+        calls.append(row.b)
+        return hyp_sum(row, z)
 
+    hyp_sum = special._hyp_sum
     monkeypatch.setattr(special, "_lgamma_sign", failing_at_one)
-    monkeypatch.setattr(special, "hyp_pfq", recording)
+    monkeypatch.setattr(special, "_hyp_sum", recording)
     row = MeijerParams(m=2, n=0, a=(1.0,), b=(0.5, 0.0))
     for _ in range(2):
         with pytest.raises(ValueError, match="math domain error"):
             meijer_g(row, 0.4)
         assert calls == []
     assert special._row_plan.cache_info().currsize == 0
+
+
+def _table_traffic():
+    # Meijer-G rows of gate 1 and series rows whose ratio tables grow
+    # more than once, with arguments in rising order so that later
+    # calls extend the tables earlier calls left
+    calls = [(meijer_g, MeijerParams(**fields), z)
+             for fields, zs in _gate1_rows() for z in zs]
+    for z in (0.5, 0.9, 0.99, 0.999):
+        calls.append((hyp_pfq, ([1.0], []), z))
+    for z in (-3.0, -20.0, -45.0):
+        calls.append((hyp_pfq, ([2.0, -0.1025], [0.8975, 3.0]), z))
+        calls.append((hyp_pfq, ([0.5], [1.5, 2.5]), z))
+    return calls
+
+
+def _run_traffic(calls):
+    out = []
+    for f, args, z in calls:
+        got = f(args, z) if f is meijer_g else f(*args, z)
+        out.append(got.hex() if f is meijer_g else (got[0].hex(), got[1]))
+    return out
+
+
+def test_ratio_tables_grown_by_threads_keep_serial_bits(cold_plans):
+    # four threads, more than the cores of a small machine, switching
+    # often, run the same traffic from cold caches: they set up the
+    # Meijer-G plans together, and grow the tables of the series rows,
+    # whose plans are made first so that every thread grows the same
+    # tables.  The traffic opens with 100 rows that each grow to the term
+    # cap, while the threads still run abreast and their growths can
+    # overlap.  Whether they do is up to the scheduler, so the end of the
+    # test checks the rebinding that makes an overlap harmless
+    calls = [(hyp_pfq, ([1.0 + 1e-3 * i, 0.5], [1.5]), 0.999)
+             for i in range(100)] + _table_traffic()
+    serial = _run_traffic(calls)
+    cold_plans()
+    for f, args, _ in calls:
+        if f is hyp_pfq:
+            special._hyp_row(*(tuple(map(float, row)) for row in args))
+    start = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def worker(i):
+        start.wait()
+        results[i] = _run_traffic(calls)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
+    # the tables the threads grew hold the entries a fresh set-up forms;
+    # a growth binds a new table and leaves the one a reader holds as it
+    # was, so no reader sees a table half grown
+    rows = [((1.0,), ()), ((2.0, -0.1025), (0.8975, 3.0)),
+            ((0.5,), (1.5, 2.5))]
+    grown = [special._hyp_row(*row).ratios for row in rows]
+    cold_plans()
+    for row, table in zip(rows, grown):
+        plan = special._hyp_row(*row)
+        held = plan.extend(0)
+        fresh = plan.extend(len(table) - 1)
+        assert fresh[:len(table)] == table
+        assert len(held) == 16 and held == fresh[:16]
+
+
+def test_warm_calls_equal_cold_calls_bit_for_bit(cold_plans):
+    # a call on tables that other arguments grew, and the same call on a
+    # fresh set-up, give the same float; the order of growth is no input
+    calls = _table_traffic()
+    warm = _run_traffic(calls)
+    warm_again = _run_traffic(calls[::-1])[::-1]
+    cold = []
+    for call in calls:
+        cold_plans()
+        cold += _run_traffic([call])
+    assert warm == cold
+    assert warm_again == cold
+
+
+def test_ratio_table_never_grows_past_the_term_cap(cold_plans):
+    cap = special._HYP_MAX_TERMS
+    val, ok = hyp_pfq([1.0], [], 0.999)     # geometric: the cap stops it
+    assert not ok
+    assert len(special._hyp_row((1.0,), ()).ratios) == cap
+    # a polynomial longer than the cap is a series like any other: its
+    # terms C(1000, n) grow past n = 500, so the cap flags it
+    val, ok = hyp_pfq([-1000.0], [], -1.0)
+    assert not ok
+    assert len(special._hyp_row((-1000.0,), ()).ratios) == cap
+    # a terminating row keeps no ratio past its stop, so its lower pole
+    # at term 6 (b = -5) is never divided by
+    val, ok = hyp_pfq([-2.0, 1.0], [-5.0], 1.0)
+    assert ok
+    assert len(special._hyp_row((-2.0, 1.0), (-5.0,)).ratios) == 3
+
+
+def test_lower_pole_raises_from_set_up_on_every_call(cold_plans,
+                                                     monkeypatch):
+    sums = []
+    hyp_sum = special._hyp_sum
+    monkeypatch.setattr(special, "_hyp_sum",
+                        lambda row, z: sums.append(row) or hyp_sum(row, z))
+    for _ in range(3):
+        with pytest.raises(ValueError) as excinfo:
+            hyp_pfq([0.5], [-2.0], 0.3)
+        assert str(excinfo.value) == (
+            "hyp_pfq lower parameter -2.0 is a non-positive integer pole")
+    assert sums == []
+    assert special._hyp_row.cache_info().currsize == 0
 
 
 def test_log_case_row_plans_its_two_perturbed_rows_once(cold_plans,
@@ -543,7 +667,7 @@ def test_preset_sweep_fits_the_plan_caches(cold_plans):
     run_experiment(spec_from_sources(overrides={
         "preset": "fig3", "methods": "closed-form"}))
     rows = special._row_plan.cache_info()
-    scans = special._hyp_stop.cache_info()
+    scans = special._hyp_row.cache_info()
     assert (rows.currsize, scans.currsize) == (100, 550)
     assert rows.currsize < special._ROW_PLANS
     assert scans.currsize < special._HYP_PLANS
