@@ -18,12 +18,13 @@ chain.
 
 Everything here is expressed over CDFs.  The closed form and the
 quadrature compose the chain alike, through _compose_hops; Monte Carlo
-through the chain minimum that montecarlo._curve folds hop by hop as it
-draws, bit for bit the column minimum of the per-stage SNRs that
-montecarlo.sample_chain_stage_snrs draws.  The quadrature route never
-subtracts a sum from 1: the fixed-gain oracle adds nonnegative terms
-only, and each composition step forms p + (1 - p) q, in [0, 1] also
-when rounded, so a small outage keeps its digits.
+through the chain minima that montecarlo._curve forms from each depth's
+folded hops once a batch's hops are drawn, bit for bit the column
+minimum of the per-stage SNRs that montecarlo.sample_chain_stage_snrs
+draws.  The quadrature route never subtracts a sum from 1: the
+fixed-gain oracle adds nonnegative terms only, and each composition
+step forms p + (1 - p) q, in [0, 1] also when rounded, so a small
+outage keeps its digits.
 
 end_to_end_outage_semianalytic evaluates the FSO CDF once for the first
 segment and the hops.  Its memo keyword, a dict that calls may share,

@@ -61,6 +61,10 @@ _N_MAX = 200
 # gate on the BER kernels' distance outside their provable range; the
 # floor of the closed-form vs quadrature BER tolerance
 _KERNEL_TOL = 1e-6
+# gate on the closed-form BER's rounding floor over its value: past it
+# the alternating terms have cancelled so far that the value may be off
+# by more than this share of itself
+_FLOOR_RTOL = 1e-6
 # the same gate on the fixed-gain outage kernels, below the 1e-8
 # closed-form vs quadrature outage tolerance
 _TAIL_TOL = 1e-9
@@ -216,7 +220,10 @@ def ber_closed_form(topology, params, *, memo=None):
     result's error from below; past _KERNEL_TOL the call raises
     ConvergenceError instead of returning a silently wrong value.  So
     does a sum outside [0, 1/2] by more than its rounding floor; inside
-    it, the value is clamped to [0, 1/2].
+    it, the value is clamped to [0, 1/2].  The floor, 4 eps times half
+    the sum of the terms' magnitudes, bounds the value's rounding error,
+    so a value that the floor exceeds by more than _FLOOR_RTOL of it
+    raises too.
 
     memo is a dict that calls may share (None gives a fresh one); see
     the module docstring.
@@ -285,7 +292,12 @@ def ber_closed_form(topology, params, *, memo=None):
         raise ConvergenceError(
             f"BER Laplace kernels lie {0.5 * excess:.3g} outside "
             f"[0, Gamma(1+H) sigma^(-1-H)] (gamma_bar={gr:g})")
-    value = _clamped(0.5 * total, _CLAMP_ULPS * (0.5 * mass), 0.5,
-                     "closed-form error rate")
+    floor = _CLAMP_ULPS * (0.5 * mass)
+    value = _clamped(0.5 * total, floor, 0.5, "closed-form error rate")
+    if floor > _FLOOR_RTOL * value:
+        raise ConvergenceError(
+            f"closed-form error rate {value:.3g} is less than "
+            f"{1.0 / _FLOOR_RTOL:g} times its rounding floor {floor:.3g} "
+            f"(gamma_bar={gr:g})")
     return BerResult(value=value, truncation=0.5 * sum(last_blocks),
                      n_terms=n_used, converged=converged)

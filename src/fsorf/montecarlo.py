@@ -16,19 +16,22 @@ unit quantities once: the users' best unit RF SNR U, the first-segment
 unit FSO SNR F, and each hop's unit FSO and RF SNRs G_j and R_j, up to
 the deepest chain's last hop; a shallower chain's draws are a prefix of
 these.  For each distinct ratio rho = gamma_bar_rf / gamma_bar_fso among
-the levels it folds each hop's pair, as soon as it is drawn, into the
-gamma-bar-free minimum H = min_j max(G_j, rho R_j), and it scores each
-chain once its last hop is folded in.  A level only scales: its chain
-minimum is gamma_bar_fso min(H, rho U, F) ("min"), or the smaller of
+the levels it folds each hop's pair into the gamma-bar-free minimum of
+each depth d, H_d = min_{j<=d} max(G_j, rho R_j), and once every hop is
+drawn it scores level by level.  A level only scales: a d-hop chain's
+minimum is gamma_bar_fso min(rho U, F, H_d) ("min"), or the smaller of
 the relay cascade of gamma_bar_rf U and gamma_bar_fso F and
-gamma_bar_fso H ("exact").  A correctly rounded product with a positive
-factor is monotone, so it commutes exactly with min and max: each
-level's chain minimum is bit for bit the column minimum of
-sample_chain_stage_snrs at that level alone, and simulate_outage and
-simulate_ber_snr_level are the one-chain, one-level case.  Every pool
-thread of a call keeps one workspace of 1 + max(N, 4 + #rho) rows for
-the call's life (_curve has the layout), so no batch after a thread's
-first allocates an array of batch size.
+gamma_bar_fso H_d ("exact").  So each batch forms one cascade per (gain
+mode, level), which every relay count shares, and one min(rho U, F,
+H_d) per (depth, run of levels of one rho).  A correctly rounded
+product with a positive factor is monotone, so it commutes exactly with
+min and max: each level's chain minimum is bit for bit the column
+minimum of sample_chain_stage_snrs at that level alone, and
+simulate_outage and simulate_ber_snr_level are the one-chain, one-level
+case.  Every pool thread of a call keeps one workspace of max(1 + N,
+5 + D #rho) rows for the call's life, D being the deepest chain's hop
+count (_curve has the layout), so no batch after a thread's first
+allocates an array of batch size.
 
 One batch runner, _batches, holds the reproducibility contract: work is
 cut into fixed-size batches run by one pool of `workers` threads, batch
@@ -40,6 +43,7 @@ the worker count, so a given (seed, config) gives byte-identical
 estimates on a pool of any size.
 """
 
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -216,8 +220,9 @@ def _rho(params):
     return params.gamma_bar_rf / params.gamma_bar_fso
 
 
-def _exact_first(topology, params, users, first, out=(None, None, None)):
-    """The relay cascade SNR of the first segment at params.
+def _exact_first(mode, params, users, first, out=(None, None, None)):
+    """The relay cascade SNR of the first segment at params, in gain mode
+    mode.
 
     users and first are the unit SNRs U and F.  out, three float rows,
     takes the place of new arrays: gamma_bar_rf U, gamma_bar_fso F and
@@ -225,9 +230,15 @@ def _exact_first(topology, params, users, first, out=(None, None, None)):
     """
     g1 = np.multiply(params.gamma_bar_rf, users, out=out[0])
     g2 = np.multiply(params.gamma_bar_fso, first, out=out[1])
-    if topology.first_segment_mode is GainMode.ADAPTIVE:
+    if mode is GainMode.ADAPTIVE:
         return af_adaptive_snr(g1, g2, out=out[2])
     return af_fixed_snr(g1, g2, params.c_gain, out=out[2])
+
+
+def _unit_min(rho, users, first, out=None):
+    """min(rho U, F), the "min" first segment over gamma_bar_fso."""
+    low = np.multiply(rho, users, out=out)
+    return np.minimum(low, first, out=low)
 
 
 def _check_first_segment(first_segment):
@@ -256,9 +267,10 @@ def sample_chain_stage_snrs(topology, params, rng, size,
     rho = _rho(params)
     stages = np.empty((topology.m_relays, size))
     if first_segment == "min":
-        stages[0] = params.gamma_bar_fso * np.minimum(rho * users, first)
+        stages[0] = params.gamma_bar_fso * _unit_min(rho, users, first)
     else:
-        stages[0] = _exact_first(topology, params, users, first)
+        stages[0] = _exact_first(topology.first_segment_mode, params,
+                                 users, first)
     for j, (gain, rf) in enumerate(hops, start=1):
         stages[j] = params.gamma_bar_fso * np.maximum(gain, rho * rf)
     return stages
@@ -282,32 +294,41 @@ def _curve(chains, levels, cfg, score, estimate):
     chains holds (topology, first_segment) pairs of one user count; the
     result holds, per chain, one estimate per level.  score(low, params,
     out, scratch) returns the scores of the chain minimum `low` at level
-    params, written into the float row out or a view of it in another
-    dtype, and may overwrite the float row scratch.  s1 and s2 are the
-    sums of the score and of its square over cfg.trials_or_bits trials.
-    A (chain, level) slot that raises in a batch gets, in place of its
-    estimate, its first exception in batch order.  A chain is scored as
-    soon as its last hop is in, so an exception of a draw counts for the
-    chains that reach that draw, and one of a hop's fold at a ratio rho
-    for that ratio's levels of the chains that reach that hop.
+    params; out is low's own row, so the scores may replace the minimum
+    in place, and scratch is a float row it may overwrite.  The scores
+    are written into out or scratch, or a view of either in another
+    dtype, and their squares replace them once they are summed.  s1 and
+    s2 are the sums of the score and of its square over
+    cfg.trials_or_bits trials.  A (chain, level) slot that raises in a
+    batch gets, in place of its estimate, its first exception in batch
+    order.  An exception of a draw counts for the chains that reach that
+    draw, and one of a hop's fold at a ratio rho for that ratio's levels
+    of the chains that reach that hop.
 
     Each pool thread keeps one workspace in a threading.local: it takes
     one of those the call makes at its first batch, and all die with
-    the pool.  A batch writes every array into its workspace's rows, k
-    being the number of distinct rho (0 when no chain has a hop):
+    the pool.  A batch writes every array into its workspace's rows, D
+    being the deepest chain's hop count and R the number of distinct rho
+    (H rows only when D > 0):
 
-        row 0            U
-        rows 1 to N      the users' (N, size) draw, until U is formed
-        row 1            F
-        row 2            scratch
-        rows 3 to 2+k    H at each rho
-        rows 3+k, 4+k    the hop draws G_j and R_j, then the level rows
+        row 0                    U
+        rows 1 to N              the users' (N, size) draw, until U is formed
+        row 1                    F
+        rows 2 to 1+D R          H_d at each rho, depth-major
+        rows 2+D R to 4+D R      the rows A, B and C
 
-    Each hop's (G_j, R_j) is folded into every H = min_j max(G_j,
-    rho R_j) as it is drawn, so no hop list is kept.  Level by level,
-    the chain minimum is formed in the level rows ("min" forms min(rho U,
-    F) there), scored and reduced.  The draws and every float operation
-    are those of sample_chain_stage_snrs, in its order.
+    A batch first draws every hop into A (G_j, with B as the draw's
+    scratch) and B (R_j), and folds each into H_j = min(H_{j-1},
+    max(G_j, rho R_j)) at every rho.  Then it scores.  Per gain mode with
+    an "exact" chain, level by level: the relay cascade of gamma_bar_rf U
+    (in A) and gamma_bar_fso F (in B) lands in C once, each deeper chain
+    scores min(C, gamma_bar_fso H_d) in A, and a one-relay chain scores C
+    itself, last.  Per depth with a "min" chain, once per run of levels
+    of one rho: min(rho U, F, H_d) lands in C, and each level of the run
+    scores gamma_bar_fso times it in A.  So score meets each chain's
+    levels in order.  Scaling by a positive level mean commutes exactly
+    with min and max, and the float operations of each lane are those of
+    sample_chain_stage_snrs, in its order.
     """
     for _, first_segment in chains:
         _check_first_segment(first_segment)
@@ -322,8 +343,21 @@ def _curve(chains, levels, cfg, score, estimate):
     depth = max(t.m_relays for t, _ in chains) - 1
     rhos = list(dict.fromkeys(_rho(p) for p in levels))
     slots = [rhos.index(_rho(p)) for p in levels]
-    hop_row = 3 + (len(rhos) if depth else 0)
-    n_rows = max(1 + n_users, hop_row + 2)
+    free = 2 + depth * len(rhos)           # row A; B and C follow
+    n_rows = max(1 + n_users, free + 3)
+    # the scoring plan: the chains of each depth, per gain mode for
+    # "exact" and of any mode for "min", as such chains have one minimum
+    # and share its scores; and the runs of levels of one rho
+    exact, least = {}, {}
+    for c, (topology, first_segment) in enumerate(chains):
+        group = least if first_segment == "min" else exact.setdefault(
+            topology.first_segment_mode, {})
+        group.setdefault(topology.m_relays - 1, []).append(c)
+    exact = {mode: sorted(depths.items(), reverse=True)
+             for mode, depths in exact.items()}
+    runs = [(slot, [k for k, _ in run])
+            for slot, run in itertools.groupby(enumerate(slots),
+                                               key=lambda ks: ks[1])]
     width = min(_BATCH, cfg.trials_or_bits)
     # one workspace per pool thread, made here on the calling thread: a
     # block a pool thread allocates lands in that thread's malloc arena,
@@ -335,6 +369,7 @@ def _curve(chains, levels, cfg, score, estimate):
     spares = [np.empty(n_rows * width) for _ in range(threads)]
     local = threading.local()
     unit = replace(levels[0], gamma_bar_rf=1.0, gamma_bar_fso=1.0)
+    n_levels = len(levels)
 
     def one_batch(rng, size):
         try:
@@ -346,74 +381,104 @@ def _curve(chains, levels, cfg, score, estimate):
                 workspace = np.empty(n_rows * width)
             local.workspace = workspace
         rows = workspace[:n_rows * size].reshape(n_rows, size)
-        best, first, scratch = rows[0], rows[1], rows[2]
-        gain, rf = rows[hop_row], rows[hop_row + 1]
-        failed = {}         # rho -> the exception its fold raised
-        sums = [None] * (len(chains) * len(levels))     # chain-major
+        best, first = rows[0], rows[1]
+        row_a, row_b, row_c = rows[free:free + 3]
+        sums = [None] * (len(chains) * n_levels)       # chain-major
+        folds = {}          # slot -> (hop, exception) of its failed fold
 
-        def hop(j):
-            for low, rho in zip(rows[3:hop_row], rhos):
-                if rho in failed:
+        def h_row(d, slot):
+            return rows[2 + (d - 1) * len(rhos) + slot]
+
+        def fold(j):
+            for slot, rho in enumerate(rhos):
+                if slot in folds:
                     continue
                 try:
-                    stage = np.multiply(rho, rf, out=scratch if j else low)
-                    np.maximum(gain, stage, out=stage)
-                    if j:
-                        np.minimum(low, stage, out=low)
+                    stage = np.multiply(rho, row_b, out=h_row(j, slot))
+                    np.maximum(row_a, stage, out=stage)
+                    if j > 1:
+                        np.minimum(h_row(j - 1, slot), stage, out=stage)
                 except Exception as exc:
-                    failed[rho] = exc
+                    folds[slot] = j, exc
 
-        def score_chains(hops):
-            # every level of each chain of `hops` hops, once they are in
-            for c, (topology, first_segment) in enumerate(chains):
-                if topology.m_relays - 1 == hops:
-                    for k, (params, slot) in enumerate(zip(levels, slots),
-                                                       c * len(levels)):
-                        sums[k] = failed.get(rhos[slot]) or score_level(
-                            topology, first_segment, hops, params, slot)
-
-        def score_level(topology, first_segment, hops, params, slot):
-            try:
-                if first_segment == "min":
-                    low = np.multiply(rhos[slot], best, out=gain)
-                    np.minimum(low, first, out=low)
-                    if hops:
-                        np.minimum(rows[3 + slot], low, out=low)
-                    np.multiply(params.gamma_bar_fso, low, out=low)
-                    out, spare = rf, scratch
-                else:
-                    low = _exact_first(topology, params, best, first,
-                                       out=(gain, rf, scratch))
-                    if hops:
-                        np.minimum(low, np.multiply(
-                            params.gamma_bar_fso, rows[3 + slot], out=rf),
-                            out=low)
-                    out, spare = gain, rf
-                vals = score(low, params, out, spare)
-                return _sums(vals, spare.view(vals.dtype)[:size])
-            except Exception as exc:
-                return exc
-
+        reached, drawn = -1, None       # hops drawn, and a draw's exception
         try:
             users = sample_rf_snr(1.0, rng, (n_users, size),
                                   out=rows[1:1 + n_users])
             np.max(users, axis=0, out=best)
             sample_fso_snr(unit, rng, size, out=rows[1:3])
-            score_chains(0)
-            for j in range(depth):
-                sample_fso_snr(unit, rng, size,
-                               out=rows[hop_row:hop_row + 2])
-                sample_rf_snr(1.0, rng, size, out=rf)
-                hop(j)
-                score_chains(j + 1)
-        except Exception as exc:    # a draw: every chain not yet scored
-            return [exc if cell is None else cell for cell in sums]
+            reached = 0
+            for j in range(1, depth + 1):
+                sample_fso_snr(unit, rng, size, out=rows[free:free + 2])
+                sample_rf_snr(1.0, rng, size, out=row_b)
+                fold(j)
+                reached = j
+        except Exception as exc:
+            drawn = exc
+
+        def failure(d, slot):
+            # the draw or fold exception that chains of d hops meet at slot
+            if d > reached:
+                return drawn
+            hop, exc = folds.get(slot, (d + 1, None))
+            return exc if hop <= d else None
+
+        def scored(params, form, scratch):
+            # the _sums pair of the scores of the chain minimum form()
+            # leaves in its row, or the exception forming or scoring raised
+            try:
+                low = form()
+                vals = score(low, params, low, scratch)
+                return _sums(vals, vals)
+            except Exception as exc:
+                return exc
+
+        def put(members, k, cell):
+            for c in members:
+                sums[c * n_levels + k] = cell
+
+        for mode, depths in exact.items():
+            for k, (params, slot) in enumerate(zip(levels, slots)):
+                cascade = None      # formed for the first chain to score
+                for d, members in depths:       # deepest first
+                    cell = failure(d, slot)
+                    if cell is None and cascade is None:
+                        try:
+                            cascade = _exact_first(mode, params, best, first,
+                                                   out=(row_a, row_b, row_c))
+                        except Exception as exc:
+                            cascade = exc
+                    if cell is None and isinstance(cascade, Exception):
+                        cell = cascade
+                    elif cell is None and d:
+                        cell = scored(params, lambda: np.minimum(
+                            cascade, np.multiply(params.gamma_bar_fso,
+                                                 h_row(d, slot), out=row_a),
+                            out=row_a), row_b)
+                    elif cell is None:      # in place, as nothing follows
+                        cell = scored(params, lambda: cascade, row_a)
+                    put(members, k, cell)
+        for d, members in least.items():
+            for slot, run in runs:
+                cell = failure(d, slot)
+                if cell is None:
+                    try:
+                        _unit_min(rhos[slot], best, first, out=row_c)
+                        if d:
+                            np.minimum(h_row(d, slot), row_c, out=row_c)
+                    except Exception as exc:
+                        cell = exc
+                for k in run:
+                    params = levels[k]
+                    put(members, k, cell or scored(
+                        params, lambda: np.multiply(params.gamma_bar_fso,
+                                                    row_c, out=row_a), row_b))
         return sums
 
     cells = [t if isinstance(t, Exception) else estimate(*t)
              for t in _batches(cfg, cfg.trials_or_bits, _BATCH, one_batch)]
-    return [cells[k:k + len(levels)]
-            for k in range(0, len(cells), len(levels))]
+    return [cells[k:k + n_levels]
+            for k in range(0, len(cells), n_levels)]
 
 
 def _one_level(curves):
@@ -438,8 +503,8 @@ def simulate_outage_curves(chains, levels, cfg):
     """
     n = cfg.trials_or_bits
     return _curve(chains, levels, cfg,
-                  lambda low, p, out, _: np.less(
-                      low, p.gamma_th, out=out.view(bool)[:low.size]),
+                  lambda low, p, out, scratch: np.less(
+                      low, p.gamma_th, out=scratch.view(bool)[:low.size]),
                   lambda hits, _: _wilson_estimate(hits, n))
 
 
@@ -463,24 +528,29 @@ def _dbpsk_error(snr, out=None, scratch=None):
     subnormal or zero result, which most blocks do at high mean SNR.  So
     exp runs on min(snr, _EXP_FAST), where every result is normal; lanes
     past _EXP_ZERO are then 0, as exp gives them, and the few lanes
-    between the two bounds are evaluated alone.  The result goes into
-    out and the lane flags into scratch, a float row of snr's size, when
-    they are given; in a curve both are rows of the batch workspace.
+    between the two bounds are evaluated alone, before out is written.
+    The result goes into out, which may be snr itself, and the lane flags
+    into scratch, a float row of snr's size, when they are given; in a
+    curve out is the chain minimum's row and scratch another row of the
+    batch workspace.
     """
     n = snr.size
+    flags = (np.empty(2 * n, dtype=bool) if scratch is None
+             else scratch.view(bool))
+    far = np.greater(snr, _EXP_FAST, out=flags[:n])
+    band = None
+    if far.any():
+        band = np.less(snr, _EXP_ZERO, out=flags[n:2 * n])
+        band &= far
+        band = np.flatnonzero(band)
+        tail = 0.5 * np.exp(-snr[band])
     out = np.minimum(snr, _EXP_FAST, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out *= 0.5
-    flags = (np.empty(2 * n, dtype=bool) if scratch is None
-             else scratch.view(bool))
-    far = np.greater(snr, _EXP_FAST, out=flags[:n])
-    if far.any():
-        band = np.less(snr, _EXP_ZERO, out=flags[n:2 * n])
-        band &= far
+    if band is not None:
         out *= np.logical_not(far, out=far)
-        band = np.flatnonzero(band)
-        out[band] = 0.5 * np.exp(-snr[band])
+        out[band] = tail
     return out
 
 

@@ -807,10 +807,10 @@ def test_fixed_gain_closed_form_reads_its_limit_at_3000_db(tmp_path, metric):
     # match the quadrature up to 1200 dB; from about 1470 dB the
     # fixed-gain kernel's prefactor, and from about 1540 dB its Meijer-G
     # argument, fall below the least normal double, and the cells fail
-    # naming the underflow.  Error rate: the fixed-gain kernels' Meijer-G
-    # argument underflows to 0.0 from about 1800 dB, where their limit
-    # is 0, and the closed-form sum 1/2 + sum of terms reads 0.0 from
-    # 600 dB, although the true error rate is not 0
+    # naming the underflow.  Error rate: the closed-form sum 1/2 + sum of
+    # terms cancels to 8.3e-16 or 0.0 from 300 dB, below a millionfold its
+    # rounding floor, although the true error rate is not 0; every cell
+    # fails naming the floor
     outage = metric == "outage"
     zeta = 1.45 ** 2
     for users, relays, db in (("1", "1", "3000"), ("4", "3", "300:300:3000")):
@@ -819,14 +819,15 @@ def test_fixed_gain_closed_form_reads_its_limit_at_3000_db(tmp_path, metric):
             "--users", users, "--relays", relays, f"--gamma-avg-db={db}",
             "--metric", metric, "--methods",
             "closed-form,quadrature" if outage else "closed-form",
-            "--out", str(out)]) == (2 if outage else 0)
+            "--out", str(out)]) == 2
         points = read_csv(str(out))
         assert {p.mode for p in points} == set(GainMode)
         for point in points:
             if not outage:
-                assert point.error is None, point
-                if point.gamma_avg_db >= 600.0:
-                    assert point.closed_form == 0.0, point
+                assert point.closed_form is None, point
+                assert "closed-form: closed-form error rate" \
+                    in point.error, point
+                assert "times its rounding floor" in point.error, point
             elif point.mode is GainMode.ADAPTIVE:
                 assert point.error is None, point
                 anchor = zeta / (zeta - 1.0) * math.sqrt(

@@ -520,6 +520,20 @@ def test_ber_kernels_outside_their_range_raise(monkeypatch):
         _ber_with_fixed_kernels(monkeypatch, 1.0 + 1e-4)
 
 
+def test_ber_within_a_millionfold_of_its_rounding_floor_raises():
+    # N=8, M=3 in fixed gain: at 60 dB the sum passes, 1.5e-8 from the
+    # quadrature; at 70 dB it reads 5.53e-8, less than 1e6 times its
+    # rounding floor 1.14e-13; at 300 dB both modes cancel to 1e-15 or 0
+    t = topo(8, 3, GainMode.FIXED)
+    ber_closed_form(t, make_params(60.0))
+    for t, db in ((t, 70.0), (topo(1, 1, GainMode.ADAPTIVE), 300.0),
+                  (topo(1, 1, GainMode.FIXED), 300.0)):
+        with pytest.raises(ConvergenceError,
+                           match=r"closed-form error rate .* is less than "
+                                 r"1e\+06 times its rounding floor"):
+            ber_closed_form(t, make_params(db))
+
+
 # -------------------------------------------------------- expansions
 
 @pytest.mark.parametrize("t_power", [0, 1, 2, 3])

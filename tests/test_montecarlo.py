@@ -255,13 +255,17 @@ def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
 
 def test_dbpsk_kernel_is_half_exp_bit_for_bit():
     # the kernel skips exp where it underflows; around both bounds and
-    # across the SNR decades of a sweep it returns 0.5 * exp(-g) exactly
+    # across the SNR decades of a sweep it returns 0.5 * exp(-g) exactly,
+    # also run in place on its input with its flags in a float row
     rng = _stream(11, 0)
     edges = np.array([0.0, 699.9, 700.0, np.nextafter(700.0, 800.0), 708.4,
                       745.13, 745.14, 746.0, 1e308])
     for scale in (1e-3, 1.0, 1e2, 1e3, 1e4, 1e300):
         g = np.concatenate([edges, scale * rng.standard_exponential(5000)])
         assert np.array_equal(_dbpsk_error(g), 0.5 * np.exp(-g)), scale
+        row = g.copy()
+        assert _dbpsk_error(row, row, np.empty_like(row)) is row
+        assert np.array_equal(row, 0.5 * np.exp(-g)), scale
 
 
 def test_curve_levels_must_share_the_fso_law():
@@ -366,6 +370,35 @@ def test_group_draws_its_deepest_chain_once(monkeypatch):
     # two batches of one users' call, two F calls and 3 calls per hop
     assert len(drawn) == 2 * (1 + 2 + 3 * 2)
     assert sum(drawn) == 70000 * (2 + 2 + 3 * 2)
+
+
+def test_group_shares_cascades_and_unit_minima(monkeypatch):
+    # a fig3-shaped group at levels of one ratio: each batch forms the
+    # fixed-gain cascade once per level, not once per (relay count,
+    # level), and the unit minimum min(rho U, F) of the "min" chains
+    # once per depth; the estimates do not depend on who counts
+    chains = [(topo(2, m, mode),
+               "min" if mode is GainMode.ADAPTIVE else "exact")
+              for mode in GainMode for m in (1, 2, 3)]
+    levels = [make_params(db) for db in range(0, 41, 5)]
+    cfg = SimConfig(trials_or_bits=70000, seed=5, workers=2)
+    want = simulate_ber_snr_level_curves(chains, levels, cfg)
+    calls = []
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls.append(name)      # list.append is atomic
+            return real(*args, **kwargs)
+        return spy
+
+    for name in ("af_fixed_snr", "af_adaptive_snr", "_unit_min"):
+        monkeypatch.setattr(montecarlo, name,
+                            counting(name, getattr(montecarlo, name)))
+    assert simulate_ber_snr_level_curves(chains, levels, cfg) == want
+    # two batches: 9 levels of cascades, and depths 0, 1 and 2
+    assert calls.count("af_fixed_snr") == 2 * len(levels)
+    assert calls.count("_unit_min") == 2 * 3
+    assert "af_adaptive_snr" not in calls
 
 
 def test_group_failures_stay_with_the_chains_that_reach_them(monkeypatch):
@@ -539,9 +572,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_curve_batches_fault_in_only_their_workspace():
     # batch arrays allocated and freed batch by batch are faulted in again
     # every batch: some 30,000 faults over this curve.  The one workspace
-    # is faulted in once; it has 6 rows here: U, F, scratch, H at the one
-    # ratio, G and R.  A fresh interpreter, as the allocator's state after
-    # other tests may hide the refaults
+    # is faulted in once; it has 6 rows here: U, F, H_1 at the one ratio,
+    # and the rows A, B and C.  A fresh interpreter, as the allocator's
+    # state after other tests may hide the refaults
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
