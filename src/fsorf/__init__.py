@@ -11,12 +11,7 @@ for example fsorf.channels or fsorf.experiments.
 from .channels import LinkParams, db_to_linear
 from .composition import GainMode, Topology, end_to_end_outage_semianalytic
 from .metrics import ber_closed_form, ber_quadrature, outage_closed_form
-from .montecarlo import (
-    SimConfig,
-    simulate_ber_signal_level,
-    simulate_ber_snr_level,
-    simulate_outage,
-)
+from .montecarlo import SimConfig, simulate_ber_snr_level, simulate_outage
 from .special import ConvergenceError
 
 __version__ = "0.1.0"
@@ -32,7 +27,6 @@ __all__ = [
     "db_to_linear",
     "end_to_end_outage_semianalytic",
     "outage_closed_form",
-    "simulate_ber_signal_level",
     "simulate_ber_snr_level",
     "simulate_outage",
 ]

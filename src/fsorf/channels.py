@@ -112,16 +112,6 @@ def rayleigh_snr_cdf(gamma, gamma_bar):
     return float(out) if np.isscalar(gamma) else out
 
 
-def rayleigh_snr_pdf(gamma, gamma_bar):
-    if gamma_bar <= 0:
-        raise ValueError("gamma_bar must be positive")
-    g = _as_float_array(gamma, "gamma")
-    if np.any(g < 0):
-        raise ValueError("gamma must be non-negative")
-    out = np.exp(-g / gamma_bar) / gamma_bar
-    return float(out) if np.isscalar(gamma) else out
-
-
 def sample_rf_snr(gamma_bar, rng, size=None, *, out=None):
     """Draw exponential SNR with mean gamma_bar.
 
@@ -135,35 +125,6 @@ def sample_rf_snr(gamma_bar, rng, size=None, *, out=None):
 
 
 # ----------------------------------------------------------------- FSO link
-
-def ne_pe_joint_pdf(h, params):
-    """Density of the composite gain I = h_a * h_p.
-
-    h_a is the turbulence gain, exponential with rate lam; h_p is the
-    pointing-error gain on (0, a0].  The upper incomplete gamma carries a
-    negative first argument whenever xi^2 > 1.
-    """
-    z2 = params.zeta
-    hv = _as_float_array(h, "h")
-    if np.any(hv <= 0):
-        raise ValueError("h must be positive")
-    x = params.lam * hv / params.a0
-    out = (z2 * params.lam ** z2 / params.a0 ** z2
-           * hv ** (z2 - 1.0) * gamma_upper(1.0 - z2, x))
-    return float(out) if np.isscalar(h) else out
-
-
-def ne_pe_snr_pdf(gamma, params):
-    """Density of the FSO SNR gamma = gamma_bar_fso * I^2."""
-    z2 = params.zeta
-    g = _as_float_array(gamma, "gamma")
-    if np.any(g <= 0):
-        raise ValueError("gamma must be positive")
-    x = params.c * np.sqrt(g)
-    out = (params.lam * params.w * g ** (z2 / 2.0 - 1.0)
-           * gamma_upper(1.0 - z2, x))
-    return float(out) if np.isscalar(gamma) else out
-
 
 def ne_pe_snr_cdf(gamma, params):
     """CDF of the FSO SNR; exactly 0 at gamma = 0 and 1 from X = _X_ONE.
@@ -228,23 +189,3 @@ def sample_fso_snr(params, rng, size=None, *, out=None):
     return np.multiply(params.gamma_bar_fso, np.multiply(i, i, out=dest),
                        out=dest)
 
-
-def sample_fso_snr_displacement(params, beam_width, rng, size=None):
-    """FSO SNR sampler that builds the pointing gain geometrically.
-
-    Radial displacement r comes from two independent Gaussians with
-    sigma_s = beam_width / (2 xi); the gain is a0 exp(-2 r^2 / w^2).
-    Same law as sample_fso_snr, kept as an independent construction for
-    physical validation.
-    """
-    if beam_width <= 0:
-        raise ValueError("beam_width must be positive")
-    sigma_s = beam_width / (2.0 * params.xi)
-    gx = rng.standard_normal(size=size)
-    gy = rng.standard_normal(size=size)
-    r2 = sigma_s * sigma_s * (gx * gx + gy * gy)
-    h_p = params.a0 * np.exp(-2.0 * r2 / (beam_width * beam_width))
-    u1 = rng.random(size=size)
-    h_a = -np.log1p(-u1) / params.lam
-    i = h_a * h_p
-    return params.gamma_bar_fso * i * i

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ne_pe_snr_cdf, rayleigh_snr_cdf, rayleigh_snr_pdf
+from .channels import ne_pe_snr_cdf, rayleigh_snr_cdf
 from .special import (_CLAMP_ULPS, _ROW_PLANS, ConvergenceError,
                       MeijerParams, _clamped, meijer_g, trapezoid)
 
@@ -83,19 +83,6 @@ def multiuser_select_cdf(gamma, n, gamma_bar_rf):
     if n < 1:
         raise ValueError("n must be >= 1")
     return rayleigh_snr_cdf(gamma, gamma_bar_rf) ** n
-
-
-def multiuser_select_pdf(gamma, n, gamma_bar_rf):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    f = rayleigh_snr_cdf(gamma, gamma_bar_rf)
-    return n * f ** (n - 1) * rayleigh_snr_pdf(gamma, gamma_bar_rf)
-
-
-def hybrid_hop_cdf(gamma, params):
-    """CDF of max(FSO SNR, RF SNR) on one decode-and-forward hop."""
-    return ne_pe_snr_cdf(gamma, params) * rayleigh_snr_cdf(
-        gamma, params.gamma_bar_rf)
 
 
 # ------------------------------------------------------------ AF algebra
@@ -172,19 +159,12 @@ def _nodes_key(gamma):
 
 # ------------------------------------------------- first-segment CDFs
 
-def second_relay_cdf_adaptive(gamma, n, params):
-    """First-segment SNR CDF under the adaptive gain's min model.
-
-    1 - (1 - F_sel(g))(1 - F_FSO(g)), formed as F_sel + (1 - F_sel) F_FSO:
-    the selected-user RF SNR and the FSO SNR both have to clear g.
-    """
-    return _min_model_cdf(gamma, n, params,
-                          functools.partial(ne_pe_snr_cdf, gamma, params))
-
-
 def _min_model_cdf(gamma, n, params, fso):
-    # fso() gives F_FSO at gamma; it is asked for after the RF side, so a
-    # failure of either surfaces in the same order whoever supplies it
+    # the adaptive gain's min-model first-segment CDF, F_sel + (1 - F_sel)
+    # F_FSO: the selected-user RF SNR and the FSO SNR both have to clear
+    # gamma.  fso() gives F_FSO at gamma; it is asked for after the RF
+    # side, so a failure of either surfaces in the same order whoever
+    # supplies it
     f1 = multiuser_select_cdf(gamma, n, params.gamma_bar_rf)
     return f1 + (1.0 - f1) * fso()
 

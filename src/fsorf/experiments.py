@@ -68,7 +68,7 @@ _CONFIG_KEYS = {
                      "average SNR axis in dB (or one value)"),
     "methods": ("closed-form,quadrature,monte-carlo", "LIST",
                 "comma subset of closed-form, quadrature, monte-carlo"),
-    "trials": ("1000000", "COUNT", "Monte-Carlo trials (or bits)"),
+    "trials": ("1000000", "COUNT", "Monte-Carlo trials"),
     "seed": ("42", "SEED", None),
     "workers": ("1", "COUNT", None),
     "out": (None, "PATH", "CSV destination (stdout when omitted)"),

@@ -218,8 +218,9 @@ def ber_closed_form(topology, params, *, memo=None):
     [0, 1], so it lies in [0, Gamma(1+H) sigma^{-1-H}].  The weighted
     distance of the evaluated kernels outside that range bounds the
     result's error from below; past _KERNEL_TOL the call raises
-    ConvergenceError instead of returning a silently wrong value.  So
-    does a sum outside [0, 1/2] by more than its rounding floor; inside
+    ConvergenceError instead of returning a silently wrong value, and a
+    kernel that is not finite raises it at once, naming its H, k and
+    shift.  So does a sum outside [0, 1/2] by more than its rounding floor; inside
     it, the value is clamped to [0, 1/2].  The floor, 4 eps times half
     the sum of the terms' magnitudes, bounds the value's rounding error,
     so a value that the floor exceeds by more than _FLOOR_RTOL of it
@@ -251,6 +252,10 @@ def ber_closed_form(topology, params, *, memo=None):
                 _ber_kernel_adaptive(h_exp, sigma, params) if adaptive else
                 _ber_kernel_fixed(h_exp, sigma, (k + 1.0) / gr, params,
                                   g_values))
+            if not math.isfinite(value):
+                raise ConvergenceError(
+                    f"BER Laplace kernel is {value} at H={h_exp:g}, k={k}, "
+                    f"shift={shift:g} (gamma_bar={gr:g})")
             kernels[key] = value, max(-value, value - bound, 0.0)
         return kernels[key]
 

@@ -1,12 +1,8 @@
-"""Monte-Carlo simulation of the relay chain: four estimators.
+"""Monte-Carlo simulation of the relay chain: two estimators.
 
 simulate_outage and simulate_ber_snr_level apply the threshold test or
-the DBPSK conditional error kernel to the chain minimum of each trial;
-simulate_ber_cascade_xor draws the (m_relays, size) stage SNRs of each
-batch and XORs one bit flip per detection stage.
-simulate_ber_signal_level pushes complex-baseband DBPSK symbols through
-the sampled channel gains and counts the bit errors of differential
-detection.  Each ends in a Wilson or normal interval builder.
+the DBPSK conditional error kernel to the chain minimum of each trial,
+and end in a Wilson or normal interval builder.
 
 Common random numbers, drawn once per chain group (random stream v2):
 simulate_outage_curves and simulate_ber_snr_level_curves score every
@@ -55,8 +51,6 @@ from .channels import sample_fso_snr, sample_rf_snr
 from .composition import GainMode, af_adaptive_snr, af_fixed_snr
 
 _BATCH = 1 << 16
-_FRAME_BITS = 250           # bits per fading frame at signal level
-_FRAMES_PER_BATCH = 200
 _Z95 = 1.959963984540054    # two-sided 95% normal quantile
 # exp(-g) is a normal double up to g = 708.39, and rounds to 0 past 745.14;
 # a vector exp meets a subnormal result only past _EXP_FAST
@@ -68,9 +62,8 @@ _EXP_ZERO = 746.0
 class SimConfig:
     """Simulation knobs shared by every estimator.
 
-    trials_or_bits counts chain trials for SNR-level runs and
-    transmitted data bits for signal-level runs (rounded up to whole
-    fading frames there).  seed keys the per-batch random streams, and
+    trials_or_bits counts chain trials (a signal-level simulator reads
+    it as data bits).  seed keys the per-batch random streams, and
     workers threads the batches without changing any estimate.
     """
 
@@ -575,98 +568,3 @@ def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):
     return _one_level(simulate_ber_snr_level_curves(
         [(topology, first_segment)], [params], cfg))
 
-
-def simulate_ber_cascade_xor(topology, params, cfg):
-    """DBPSK bit error rate of per-hop detect/regenerate, Wilson 95%.
-
-    Flips a bit at every detection stage with its conditional
-    probability exp(-g)/2 and XORs the flips down the chain: the
-    SNR-level reference for simulate_ber_signal_level.
-    """
-    def draw(rng, size):
-        flips = np.zeros(size, dtype=bool)
-        for stage in sample_chain_stage_snrs(topology, params, rng, size):
-            flips ^= rng.random(size) < _dbpsk_error(stage)
-        return flips
-
-    ((errors, _),) = _batches(cfg, cfg.trials_or_bits, _BATCH,
-                              lambda rng, size: [_sums(draw(rng, size))])
-    return _wilson_estimate(errors, cfg.trials_or_bits)
-
-
-# ---------------------------------------------------- signal-level BER
-
-def differential_encode(bits):
-    """Map bits to DBPSK symbols with a leading +1 reference.
-
-    bits has shape (..., F); the result has shape (..., F + 1) and
-    satisfies d[k] = d[k-1] * (1 - 2 b[k]).
-    """
-    s = 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
-    out = np.ones(s.shape[:-1] + (s.shape[-1] + 1,))
-    np.cumprod(s, axis=-1, out=out[..., 1:])
-    return out
-
-
-def differential_detect(symbols):
-    """Recover bits by comparing consecutive received symbols."""
-    y = np.asarray(symbols)
-    z = y[..., 1:] * np.conj(y[..., :-1])
-    return z.real < 0.0
-
-
-def _complex_gaussian(rng, power, shape):
-    # circular complex Gaussian with E|z|^2 = power
-    z = rng.normal(scale=math.sqrt(power / 2.0), size=(2,) + shape)
-    return z[0] + 1j * z[1]
-
-
-def simulate_ber_signal_level(topology, params, cfg):
-    """Complex-baseband DBPSK simulation of the whole chain.
-
-    Channels stay constant over a frame of _FRAME_BITS bits (plus one
-    reference symbol) and are redrawn per frame; trials_or_bits is
-    rounded up to whole frames.  Per frame and in fixed order: data
-    bits, the N user RF gains (best selected), the first-segment FSO
-    gain, transmit noise draws, then per remaining hop an FSO gain, an
-    RF gain (better branch selected), and that hop's noise.  The
-    confidence interval treats frames, not bits, as the independent
-    unit, since errors within a frame share the fading state.
-    """
-    frame = _FRAME_BITS
-    n_frames = -(-cfg.trials_or_bits // frame)
-
-    def draw(rng, fb):
-        sym = (fb, frame + 1)
-        bits = rng.integers(0, 2, size=(fb, frame)).astype(bool)
-
-        users = _complex_gaussian(rng, params.gamma_bar_rf,
-                                  (topology.n_users, fb))
-        best = np.take_along_axis(
-            users, np.abs(users).argmax(axis=0)[None, :], axis=0)[0]
-        fso_amp = np.sqrt(sample_fso_snr(params, rng, size=fb))
-
-        d = differential_encode(bits)
-        y1 = best[:, None] * d + _complex_gaussian(rng, 1.0, sym)
-        if topology.first_segment_mode is GainMode.ADAPTIVE:
-            gain = 1.0 / np.sqrt(np.abs(best) ** 2 + 1.0)
-        else:
-            gain = np.full(fb, 1.0 / math.sqrt(params.c_gain))
-        y2 = fso_amp[:, None] * (gain[:, None] * y1) \
-            + _complex_gaussian(rng, 1.0, sym)
-        decided = differential_detect(y2)
-
-        for _ in range(topology.m_relays - 1):
-            hop_fso_snr = sample_fso_snr(params, rng, size=fb)
-            hop_rf = _complex_gaussian(rng, params.gamma_bar_rf, (fb,))
-            use_fso = hop_fso_snr >= np.abs(hop_rf) ** 2
-            hop_gain = np.where(use_fso, np.sqrt(hop_fso_snr) + 0j, hop_rf)
-            d = differential_encode(decided)
-            y = hop_gain[:, None] * d + _complex_gaussian(rng, 1.0, sym)
-            decided = differential_detect(y)
-
-        return (decided != bits).sum(axis=1)    # bit errors per frame
-
-    ((s1, s2),) = _batches(cfg, n_frames, _FRAMES_PER_BATCH,
-                           lambda rng, fb: [_sums(draw(rng, fb))])
-    return _normal_estimate(s1, s2, n_frames, per_unit=frame)

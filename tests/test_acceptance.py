@@ -23,7 +23,6 @@ from fsorf.channels import (
     LinkParams,
     db_to_linear,
     ne_pe_snr_cdf,
-    ne_pe_snr_pdf,
     rayleigh_snr_cdf,
     sample_fso_snr,
     sample_rf_snr,
@@ -36,6 +35,7 @@ from fsorf.series import ne_pe_snr_cdf_series, series_coeffs, series_power_coeff
 from fsorf.special import MeijerParams, gamma_upper, meijer_g
 
 from meijer_contour import meijer_g_contour
+from reference_models import ne_pe_snr_pdf
 
 XI = 1.45
 Z2 = XI * XI

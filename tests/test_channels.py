@@ -11,17 +11,20 @@ import scipy.stats as st
 from fsorf.channels import (
     LinkParams,
     db_to_linear,
-    ne_pe_joint_pdf,
     ne_pe_snr_cdf,
-    ne_pe_snr_pdf,
     rayleigh_snr_cdf,
-    rayleigh_snr_pdf,
     sample_fso_gain,
     sample_fso_snr,
-    sample_fso_snr_displacement,
     sample_rf_snr,
 )
 from fsorf.special import ConvergenceError
+
+from reference_models import (
+    ne_pe_joint_pdf,
+    ne_pe_snr_pdf,
+    rayleigh_snr_pdf,
+    sample_fso_snr_displacement,
+)
 
 
 def default_params(**kw):

@@ -25,15 +25,14 @@ from fsorf.composition import (
     af_fixed_snr,
     end_to_end_outage_semianalytic,
     fixed_segment_kernel,
-    hybrid_hop_cdf,
     multiuser_select_cdf,
-    multiuser_select_pdf,
-    second_relay_cdf_adaptive,
     second_relay_cdf_fixed_numeric,
 )
 from fsorf.metrics import outage_closed_form
 from fsorf.montecarlo import SimConfig, simulate_outage
 from fsorf.special import _CLAMP_ULPS, ConvergenceError
+
+from reference_models import hybrid_hop_cdf, multiuser_select_pdf
 
 
 def params(gamma_db=20.0, **kw):
@@ -188,15 +187,22 @@ def test_af_fixed_monotone():
 
 # ------------------------------------------- first segment, adaptive mode
 
+def adaptive_segment(gamma, n, p):
+    # with one relay the chain's outage is the first segment
+    return end_to_end_outage_semianalytic(
+        Topology(n_users=n, m_relays=1, first_segment_mode=GainMode.ADAPTIVE),
+        p, gamma)
+
+
 def test_adaptive_segment_cdf_product_identity():
     p = params(gamma_db=15.0)
     from fsorf.channels import ne_pe_snr_cdf
     for g in [0.5, 10.0, 200.0]:
         f1 = multiuser_select_cdf(g, 3, p.gamma_bar_rf)
         f2 = ne_pe_snr_cdf(g, p)
-        assert second_relay_cdf_adaptive(g, 3, p) == pytest.approx(
+        assert adaptive_segment(g, 3, p) == pytest.approx(
             1.0 - (1.0 - f1) * (1.0 - f2), rel=1e-14)
-    assert second_relay_cdf_adaptive(0.0, 2, p) == 0.0
+    assert adaptive_segment(0.0, 2, p) == 0.0
 
 
 def test_adaptive_segment_binomial_expansion_identity():
@@ -210,7 +216,7 @@ def test_adaptive_segment_binomial_expansion_identity():
         for k in range(1, n + 1):
             total += (math.comb(n, k) * (-1.0) ** k
                       * math.exp(-k * g / p.gamma_bar_rf) * (1.0 - ff))
-        assert second_relay_cdf_adaptive(g, n, p) == pytest.approx(
+        assert adaptive_segment(g, n, p) == pytest.approx(
             total, rel=1e-12)
 
 
@@ -221,7 +227,7 @@ def test_adaptive_segment_vs_sampled_min():
     g1 = sample_rf_snr(p.gamma_bar_rf, rng, size=(trials, 2)).max(axis=1)
     g2 = sample_fso_snr(p, rng, size=trials)
     p_hat = np.mean(np.minimum(g1, g2) <= 10.0)
-    pv = second_relay_cdf_adaptive(10.0, 2, p)
+    pv = adaptive_segment(10.0, 2, p)
     se = math.sqrt(pv * (1 - pv) / trials)
     assert abs(p_hat - pv) < 3 * se
 
@@ -237,7 +243,7 @@ def test_adaptive_exact_cdf_dominates_min_model():
         p, SimConfig(trials_or_bits=trials, seed=42), first_segment="exact")
     p_exact = exact.mean
     se = math.sqrt(p_exact * (1.0 - p_exact) / trials)
-    p_min = second_relay_cdf_adaptive(10.0, 2, p)
+    p_min = adaptive_segment(10.0, 2, p)
     assert p_exact > p_min - 3 * se
     assert p_exact - p_min > 0.01     # the gap is real at this SNR
 
@@ -387,8 +393,9 @@ def test_e2e_zero_threshold():
 def test_e2e_single_relay_is_first_segment():
     p = params(gamma_db=18.0)
     t = Topology(n_users=3, m_relays=1)
+    f1 = multiuser_select_cdf(p.gamma_th, 3, p.gamma_bar_rf)
     assert end_to_end_outage_semianalytic(t, p) == pytest.approx(
-        second_relay_cdf_adaptive(p.gamma_th, 3, p), rel=1e-14)
+        f1 + (1.0 - f1) * ne_pe_snr_cdf(p.gamma_th, p), rel=1e-14)
 
 
 def test_e2e_composition_keeps_relative_precision_of_a_small_outage():

@@ -26,7 +26,6 @@ from fsorf.composition import (
     Topology,
     end_to_end_outage_semianalytic,
     fixed_segment_kernel,
-    second_relay_cdf_adaptive,
     second_relay_cdf_fixed_numeric,
 )
 from fsorf.metrics import (
@@ -149,6 +148,31 @@ def test_fixed_ber_quadrature_matches_40_digit_reference(gdb, ref):
     assert ber_quadrature(curve) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 3)])
+def test_known_csi_ber_reaches_its_high_snr_anchor(n, m):
+    # BER sqrt(gamma_bar) -> (1/2) Gamma(3/2) f_I(0) with f_I(0) = zeta /
+    # (zeta - 1) lam / a0, whatever N and M: the FSO CDF's sqrt(gamma)
+    # term governs every stage.  The ratio reads 1 - 4.1e-6 at N = M = 1
+    # and 1 - 4.7e-6 at the other two, at 120 dB
+    p = make_params(120.0)
+    anchor = 0.5 * math.gamma(1.5) * p.zeta / (p.zeta - 1.0) * p.lam / p.a0
+    ber = ber_quadrature(_outage_curve(topo(n, m, GainMode.ADAPTIVE), p))
+    assert ber * math.sqrt(p.gamma_bar_fso) == pytest.approx(anchor,
+                                                            rel=1e-5)
+
+
+def test_unknown_csi_ber_reaches_its_high_snr_anchor():
+    # at N = M = 1 and gamma_bar_rf = gamma_bar_fso the fixed gain's BER
+    # gamma_bar -> (1/2) [1 + (pi/2) f_I(0) sqrt(c_gain)]: the RF leg
+    # and the FSO leg scaled by the relay each fail like 1 / gamma_bar.
+    # The ratio reads 1 - 9.8e-11 at 120 dB
+    p = make_params(120.0)
+    anchor = 0.5 * (1.0 + 0.5 * math.pi * p.zeta / (p.zeta - 1.0)
+                    * p.lam / p.a0 * math.sqrt(p.c_gain))
+    ber = ber_quadrature(_outage_curve(topo(1, 1, GainMode.FIXED), p))
+    assert ber * p.gamma_bar_rf == pytest.approx(anchor, rel=1e-9)
+
+
 @pytest.mark.parametrize("n,m,gdb", [(2, 2, 10.0), (4, 3, 25.0), (1, 1, 0.0)])
 def test_outage_adaptive_matches_composition(n, m, gdb):
     # both routes compose the min model's product form the same way
@@ -192,7 +216,8 @@ def test_single_hop_outage_is_second_relay_cdf():
     # m_relays = 1 leaves no decode-and-forward hops after the relay
     p = make_params(12.0)
     adaptive = outage_closed_form(topo(3, 1, GainMode.ADAPTIVE), p)
-    assert adaptive == second_relay_cdf_adaptive(p.gamma_th, 3, p)
+    assert adaptive == end_to_end_outage_semianalytic(
+        topo(3, 1, GainMode.ADAPTIVE), p, p.gamma_th)
     fixed = outage_closed_form(topo(3, 1, GainMode.FIXED), p)
     assert fixed == pytest.approx(
         second_relay_cdf_fixed_numeric(p.gamma_th, 3, p), rel=1e-9)
@@ -518,6 +543,19 @@ def test_ber_kernels_outside_their_range_raise(monkeypatch):
                        match=r"BER Laplace kernels lie .* outside \[0, "
                              r"Gamma\(1\+H\) sigma\^\(-1-H\)\]"):
         _ber_with_fixed_kernels(monkeypatch, 1.0 + 1e-4)
+
+
+def test_ber_non_finite_kernel_raises_naming_it():
+    # xi = 0.8, lambda = 10, N = M = 2 at -30 dB: the fixed-gain kernel's
+    # Meijer-G overflows at H = 80, and the sum met inf - inf, which the
+    # sweep's error state reported only as numpy's "invalid value
+    # encountered in scalar add"
+    p = dataclasses.replace(make_params(-30.0), xi=0.8, lam=10.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(ConvergenceError,
+                           match=r"BER Laplace kernel is -inf at H=80, k=0, "
+                                 r"shift=1 \(gamma_bar=0.001\)"):
+            ber_closed_form(topo(2, 2, GainMode.FIXED), p)
 
 
 def test_ber_within_a_millionfold_of_its_rounding_floor_raises():

@@ -41,17 +41,20 @@ from fsorf.montecarlo import (
     _stream,
     _sums,
     _wilson_estimate,
-    differential_encode,
-    differential_detect,
     sample_chain_min_snr,
     sample_chain_stage_snrs,
-    simulate_ber_cascade_xor,
-    simulate_ber_signal_level,
     simulate_ber_snr_level,
     simulate_ber_snr_level_curves,
     simulate_outage,
     simulate_outage_curves,
     wilson_interval,
+)
+
+from reference_models import (
+    differential_detect,
+    differential_encode,
+    simulate_ber_cascade_xor,
+    simulate_ber_signal_level,
 )
 
 XI = 1.45
