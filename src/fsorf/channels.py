@@ -83,13 +83,6 @@ class LinkParams:
         return self.xi * self.xi
 
     @property
-    def w(self):
-        """Prefactor of the FSO SNR density family (recomputed on access)."""
-        z2 = self.zeta
-        return (z2 * self.lam ** (z2 - 1.0)
-                / (2.0 * self.a0 ** z2 * self.gamma_bar_fso ** (z2 / 2.0)))
-
-    @property
     def c(self):
         """Scale of the CDF argument: X = c sqrt(gamma)."""
         return self.lam / (self.a0 * math.sqrt(self.gamma_bar_fso))

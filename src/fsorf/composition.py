@@ -18,9 +18,9 @@ chain.
 
 Everything here is expressed over CDFs.  The closed form and the
 quadrature compose the chain alike, through _compose_hops; Monte Carlo
-through the chain minima that montecarlo._curve forms from each depth's
-folded hops once a batch's hops are drawn, bit for bit the column
-minimum of the per-stage SNRs that montecarlo.sample_chain_stage_snrs
+through the chain minima that montecarlo._chain_batch forms from each
+depth's folded hops once a batch's hops are drawn, bit for bit the
+column minimum of the per-stage SNRs that the tests' reference sampler
 draws.  The quadrature route never subtracts a sum from 1: the
 fixed-gain oracle adds nonnegative terms only, and each composition
 step forms p + (1 - p) q, in [0, 1] also when rounded, so a small

@@ -21,12 +21,14 @@ gamma_bar_fso H_d ("exact").  So each batch forms one cascade per (gain
 mode, level), which every relay count shares, and one min(rho U, F,
 H_d) per (depth, run of levels of one rho).  A correctly rounded
 product with a positive factor is monotone, so it commutes exactly with
-min and max: each level's chain minimum is bit for bit the column
-minimum of sample_chain_stage_snrs at that level alone, and
-simulate_outage and simulate_ber_snr_level are the one-chain, one-level
-case.  Every pool thread of a call keeps one workspace of max(1 + N,
-5 + D #rho) rows for the call's life, D being the deepest chain's hop
-count (_curve has the layout), so no batch after a thread's first
+min and max: each level's chain minimum is bit for bit the smallest
+stage SNR drawn at that level alone, which the tests check against a
+per-stage sampler of their own.  simulate_outage and
+simulate_ber_snr_level are the one-chain, one-level case, and
+sample_chain_min_snr is one batch of it that returns the chain minimum.
+Every pool thread of a call keeps one workspace of max(1 + N, 5 + D
+#rho) rows for the call's life, D being the deepest chain's hop count
+(_chain_batch has the layout), so no batch after a thread's first
 allocates an array of batch size.
 
 One batch runner, _batches, holds the reproducibility contract: work is
@@ -62,9 +64,10 @@ _EXP_ZERO = 746.0
 class SimConfig:
     """Simulation knobs shared by every estimator.
 
-    trials_or_bits counts chain trials (a signal-level simulator reads
-    it as data bits).  seed keys the per-batch random streams, and
-    workers threads the batches without changing any estimate.
+    trials_or_bits counts chain trials (the signal-level reference
+    simulator of the tests reads it as data bits).  seed keys the
+    per-batch random streams, and workers threads the batches without
+    changing any estimate.
     """
 
     trials_or_bits: int = 1_000_000
@@ -163,10 +166,10 @@ def _batches(cfg, total, batch, work):
     return totals
 
 
-def _sums(vals, out=None):
+def _sums(vals, out):
     """numpy's sums of vals and of its squares, as Python scalars: exact
     ints for 0/1 flags and integer counts, and no BLAS call to fight the
-    pool for the cores.  The squares go into out when it is given."""
+    pool for the cores.  The squares go into out, which may be vals."""
     return vals.sum().item(), np.multiply(vals, vals, out=out).sum().item()
 
 
@@ -176,44 +179,19 @@ def _wilson_estimate(hits, n):
     return MetricEstimate(mean=hits / n, ci_low=low, ci_high=high, n=n)
 
 
-def _normal_estimate(s1, s2, units, per_unit=1):
-    """Per-bit mean and normal 95% interval from the sums s1, s2 of a
-    per-unit value and its square over `units` units of per_unit bits."""
-    unit_mean = s1 / units
-    var = max(s2 / units - unit_mean * unit_mean, 0.0)
-    half = _Z95 * math.sqrt(var / units) / per_unit
-    n = units * per_unit
+def _normal_estimate(s1, s2, n):
+    """Mean and normal 95% interval from the sums s1, s2 of n values and
+    of their squares."""
     mean = s1 / n
+    var = max(s2 / n - mean * mean, 0.0)
+    half = _Z95 * math.sqrt(var / n)
     return MetricEstimate(mean=mean, ci_low=max(mean - half, 0.0),
                           ci_high=min(mean + half, 1.0), n=n)
 
 
-# ---------------------------------------------------------- chain draws
+# ---------------------------------------------------------------- curves
 
-def _unit_draws(topology, params, rng, size):
-    """The SNR-free draws of `size` chain realizations, in draw order.
-
-    Returns (users, first, hops): the best of the N users' unit-mean RF
-    SNRs U, the first-segment unit FSO SNR F = I^2, and one (G_j, R_j)
-    pair of unit FSO and unit RF SNRs per remaining hop.  The draws are
-    those of the samplers at unit mean: the N user RF branches, the
-    first-segment FSO link, then one FSO and one RF draw per hop in hop
-    order.  Only lam, a0 and xi of params are read.
-    """
-    unit = replace(params, gamma_bar_rf=1.0, gamma_bar_fso=1.0)
-    users = sample_rf_snr(1.0, rng, size=(topology.n_users, size))
-    first = sample_fso_snr(unit, rng, size=size)
-    hops = [(sample_fso_snr(unit, rng, size=size),
-             sample_rf_snr(1.0, rng, size=size))
-            for _ in range(1, topology.m_relays)]
-    return users.max(axis=0), first, hops
-
-
-def _rho(params):
-    return params.gamma_bar_rf / params.gamma_bar_fso
-
-
-def _exact_first(mode, params, users, first, out=(None, None, None)):
+def _exact_first(mode, params, users, first, out):
     """The relay cascade SNR of the first segment at params, in gain mode
     mode.
 
@@ -228,81 +206,34 @@ def _exact_first(mode, params, users, first, out=(None, None, None)):
     return af_fixed_snr(g1, g2, params.c_gain, out=out[2])
 
 
-def _unit_min(rho, users, first, out=None):
+def _unit_min(rho, users, first, out):
     """min(rho U, F), the "min" first segment over gamma_bar_fso."""
     low = np.multiply(rho, users, out=out)
     return np.minimum(low, first, out=low)
 
 
-def _check_first_segment(first_segment):
-    if first_segment not in ("exact", "min"):
-        raise ValueError("first_segment must be 'exact' or 'min'")
+def _chain_batch(chains, levels, score, width, threads):
+    """The batch body of a curve: one_batch(rng, size), size <= width.
 
+    chains holds (topology, first_segment) pairs of one user count.
+    one_batch draws `size` trials from rng and returns, chain-major, one
+    slot per (chain, level): the _sums pair of the scores of that
+    chain's minimum at that level, or the exception its draws or scores
+    raised.  score(low, params, out, scratch) returns the scores of the
+    chain minimum `low` at level params; out is low's own row, so the
+    scores may replace the minimum in place, and scratch is a float row
+    it may overwrite.  The scores are written into out or scratch, or a
+    view of either in another dtype, and their squares replace them once
+    they are summed.  An exception of a draw counts for the chains that
+    reach that draw, and one of a hop's fold at a ratio rho for that
+    ratio's levels of the chains that reach that hop.
 
-def sample_chain_stage_snrs(topology, params, rng, size,
-                            first_segment="exact"):
-    """Draw per-stage SNRs for `size` independent chain realizations.
-
-    Returns an (m_relays, size) array: row 0 the first segment, row j
-    the j-th remaining hop.  Draw order is fixed: the N user RF branches,
-    the first-segment FSO link, then one FSO and one RF draw per hop in
-    hop order.  first_segment selects the exact relay cascade ("exact",
-    the default) or the min of the two segment SNRs ("min", the
-    approximation the closed adaptive-gain forms use).  From the unit
-    draws of _unit_draws and rho = gamma_bar_rf / gamma_bar_fso, row 0 is
-    the relay cascade of gamma_bar_rf U and gamma_bar_fso F, or
-    gamma_bar_fso min(rho U, F), and row j is gamma_bar_fso max(G_j,
-    rho R_j).
-    """
-    _check_first_segment(first_segment)
-    unit = _unit_draws(topology, params, rng, size)
-    users, first, hops = unit
-    rho = _rho(params)
-    stages = np.empty((topology.m_relays, size))
-    if first_segment == "min":
-        stages[0] = params.gamma_bar_fso * _unit_min(rho, users, first)
-    else:
-        stages[0] = _exact_first(topology.first_segment_mode, params,
-                                 users, first)
-    for j, (gain, rf) in enumerate(hops, start=1):
-        stages[j] = params.gamma_bar_fso * np.maximum(gain, rho * rf)
-    return stages
-
-
-def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
-    """Minimum stage SNR over `size` chain realizations.
-
-    The column minimum of sample_chain_stage_snrs from the same stream,
-    and bit for bit the chain minimum the estimators score.
-    """
-    return sample_chain_stage_snrs(topology, params, rng, size,
-                                   first_segment).min(axis=0)
-
-
-# ---------------------------------------------------------------- curves
-
-def _curve(chains, levels, cfg, score, estimate):
-    """estimate(s1, s2) of the scores of each chain minimum at every level.
-
-    chains holds (topology, first_segment) pairs of one user count; the
-    result holds, per chain, one estimate per level.  score(low, params,
-    out, scratch) returns the scores of the chain minimum `low` at level
-    params; out is low's own row, so the scores may replace the minimum
-    in place, and scratch is a float row it may overwrite.  The scores
-    are written into out or scratch, or a view of either in another
-    dtype, and their squares replace them once they are summed.  s1 and
-    s2 are the sums of the score and of its square over
-    cfg.trials_or_bits trials.  A (chain, level) slot that raises in a
-    batch gets, in place of its estimate, its first exception in batch
-    order.  An exception of a draw counts for the chains that reach that
-    draw, and one of a hop's fold at a ratio rho for that ratio's levels
-    of the chains that reach that hop.
-
-    Each pool thread keeps one workspace in a threading.local: it takes
-    one of those the call makes at its first batch, and all die with
-    the pool.  A batch writes every array into its workspace's rows, D
-    being the deepest chain's hop count and R the number of distinct rho
-    (H rows only when D > 0):
+    Each thread that runs one_batch keeps one workspace, width wide, in
+    a threading.local: it takes one of the `threads` made here at its
+    first batch, or makes its own, and all die with one_batch.  A batch
+    writes every array into its workspace's rows, D being the deepest
+    chain's hop count and R the number of distinct rho (H rows only when
+    D > 0):
 
         row 0                    U
         rows 1 to N              the users' (N, size) draw, until U is formed
@@ -320,11 +251,12 @@ def _curve(chains, levels, cfg, score, estimate):
     of one rho: min(rho U, F, H_d) lands in C, and each level of the run
     scores gamma_bar_fso times it in A.  So score meets each chain's
     levels in order.  Scaling by a positive level mean commutes exactly
-    with min and max, and the float operations of each lane are those of
-    sample_chain_stage_snrs, in its order.
+    with min and max, so each lane's minimum is bit for bit the smallest
+    stage SNR drawn at its level alone (tests/reference_models.py has
+    that per-stage sampler).
     """
-    for _, first_segment in chains:
-        _check_first_segment(first_segment)
+    if any(segment not in ("exact", "min") for _, segment in chains):
+        raise ValueError("first_segment must be 'exact' or 'min'")
     law = (levels[0].lam, levels[0].a0, levels[0].xi)
     if any((p.lam, p.a0, p.xi) != law for p in levels):
         raise ValueError("the levels of a curve share their draws, so they "
@@ -334,8 +266,9 @@ def _curve(chains, levels, cfg, score, estimate):
                          "must be one or more of equal n_users")
     n_users = chains[0][0].n_users
     depth = max(t.m_relays for t, _ in chains) - 1
-    rhos = list(dict.fromkeys(_rho(p) for p in levels))
-    slots = [rhos.index(_rho(p)) for p in levels]
+    ratios = [p.gamma_bar_rf / p.gamma_bar_fso for p in levels]
+    rhos = list(dict.fromkeys(ratios))
+    slots = [rhos.index(rho) for rho in ratios]
     free = 2 + depth * len(rhos)           # row A; B and C follow
     n_rows = max(1 + n_users, free + 3)
     # the scoring plan: the chains of each depth, per gain mode for
@@ -351,14 +284,6 @@ def _curve(chains, levels, cfg, score, estimate):
     runs = [(slot, [k for k, _ in run])
             for slot, run in itertools.groupby(enumerate(slots),
                                                key=lambda ks: ks[1])]
-    width = min(_BATCH, cfg.trials_or_bits)
-    # one workspace per pool thread, made here on the calling thread: a
-    # block a pool thread allocates lands in that thread's malloc arena,
-    # which keeps it when freed, and the pools of later calls may get
-    # fresh arenas.  The pool starts a thread only for a batch no idle
-    # thread takes, so it has at most one per batch; np.empty touches no
-    # page, so an unused workspace costs none
-    threads = min(cfg.workers, -(-cfg.trials_or_bits // _BATCH))
     spares = [np.empty(n_rows * width) for _ in range(threads)]
     local = threading.local()
     unit = replace(levels[0], gamma_bar_rf=1.0, gamma_bar_fso=1.0)
@@ -468,10 +393,51 @@ def _curve(chains, levels, cfg, score, estimate):
                                                     row_c, out=row_a), row_b))
         return sums
 
+    return one_batch
+
+
+def _curve(chains, levels, cfg, score, estimate):
+    """estimate(s1, s2) of the scores of each chain minimum at every level.
+
+    chains, levels and score are as in _chain_batch; the result holds,
+    per chain, one estimate per level.  s1 and s2 are the sums of the
+    score and of its square over cfg.trials_or_bits trials.  A (chain,
+    level) slot that raises in a batch gets, in place of its estimate,
+    its first exception in batch order.
+    """
+    # one workspace per pool thread, made here on the calling thread: a
+    # block a pool thread allocates lands in that thread's malloc arena,
+    # which keeps it when freed, and the pools of later calls may get
+    # fresh arenas.  The pool starts a thread only for a batch no idle
+    # thread takes, so it has at most one per batch; np.empty touches no
+    # page, so an unused workspace costs none
+    threads = min(cfg.workers, -(-cfg.trials_or_bits // _BATCH))
+    one_batch = _chain_batch(chains, levels, score,
+                             min(_BATCH, cfg.trials_or_bits), threads)
     cells = [t if isinstance(t, Exception) else estimate(*t)
              for t in _batches(cfg, cfg.trials_or_bits, _BATCH, one_batch)]
-    return [cells[k:k + n_levels]
-            for k in range(0, len(cells), n_levels)]
+    return [cells[k:k + len(levels)]
+            for k in range(0, len(cells), len(levels))]
+
+
+def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
+    """Minimum stage SNR over `size` chain realizations drawn from rng.
+
+    One batch of the one-chain curve at params alone, on a workspace
+    `size` wide: the chain minimum that curve scores, or the exception
+    it records, raised.
+    """
+    lows = []
+
+    def keep(low, p, out, scratch):
+        lows.append(low.copy())     # not a view that keeps the workspace
+        return low[:0]      # no scores, so no sum can overflow
+
+    (cell,) = _chain_batch([(topology, first_segment)], [params], keep,
+                           size, 1)(rng, size)
+    if isinstance(cell, Exception):
+        raise cell
+    return lows[0]
 
 
 def _one_level(curves):

@@ -1,28 +1,28 @@
 """Reference models that only the tests use.
 
 Independent constructions that check the package's routes: the
-complex-baseband DBPSK simulator and its SNR-level cascade-XOR twin,
-the Rayleigh, selection and FSO link densities, the geometric pointing
-sampler, and the one-hop CDF of a decode-and-forward hop.  No CLI sweep
-calls them, so they live here and not in fsorf.  The simulators run on
-fsorf.montecarlo's batch runner, so they keep its reproducibility
-contract: a given (seed, config) gives byte-identical estimates on a
-pool of any size.
+per-stage chain sampler, the complex-baseband DBPSK simulator and its
+SNR-level cascade-XOR twin, the Rayleigh, selection and FSO link
+densities, the geometric pointing sampler, and the one-hop CDF of a
+decode-and-forward hop.  No CLI sweep calls them, so they live here and
+not in fsorf.  The simulators run on fsorf.montecarlo's batch runner,
+so they keep its reproducibility contract: a given (seed, config)
+gives byte-identical estimates on a pool of any size.
 
 The file has no test_ prefix, so pytest does not collect it; the tests
 import it as a sibling module.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from fsorf.channels import (_as_float_array, ne_pe_snr_cdf,
-                            rayleigh_snr_cdf, sample_fso_snr)
-from fsorf.composition import GainMode
-from fsorf.montecarlo import (_BATCH, _batches, _dbpsk_error,
-                              _normal_estimate, _sums, _wilson_estimate,
-                              sample_chain_stage_snrs)
+                            rayleigh_snr_cdf, sample_fso_snr, sample_rf_snr)
+from fsorf.composition import GainMode, af_adaptive_snr, af_fixed_snr
+from fsorf.montecarlo import (_BATCH, _Z95, MetricEstimate, _batches,
+                              _dbpsk_error, _wilson_estimate)
 from fsorf.special import gamma_upper
 
 _FRAME_BITS = 250           # bits per fading frame at signal level
@@ -58,6 +58,13 @@ def ne_pe_joint_pdf(h, params):
     return float(out) if np.isscalar(h) else out
 
 
+def snr_pdf_w(params):
+    """W, the prefactor of the FSO SNR density (fsorf.channels)."""
+    z2 = params.zeta
+    return (z2 * params.lam ** (z2 - 1.0)
+            / (2.0 * params.a0 ** z2 * params.gamma_bar_fso ** (z2 / 2.0)))
+
+
 def ne_pe_snr_pdf(gamma, params):
     """Density of the FSO SNR gamma = gamma_bar_fso * I^2."""
     z2 = params.zeta
@@ -65,7 +72,7 @@ def ne_pe_snr_pdf(gamma, params):
     if np.any(g <= 0):
         raise ValueError("gamma must be positive")
     x = params.c * np.sqrt(g)
-    out = (params.lam * params.w * g ** (z2 / 2.0 - 1.0)
+    out = (params.lam * snr_pdf_w(params) * g ** (z2 / 2.0 - 1.0)
            * gamma_upper(1.0 - z2, x))
     return float(out) if np.isscalar(gamma) else out
 
@@ -106,6 +113,65 @@ def hybrid_hop_cdf(gamma, params):
         gamma, params.gamma_bar_rf)
 
 
+# -------------------------------------------------- chain sampler
+
+def _unit_draws(topology, params, rng, size):
+    """The SNR-free draws of `size` chain realizations, in draw order.
+
+    Returns (users, first, hops): the best of the N users' unit-mean RF
+    SNRs U, the first-segment unit FSO SNR F = I^2, and one (G_j, R_j)
+    pair of unit FSO and unit RF SNRs per remaining hop.  The draws are
+    those of the samplers at unit mean: the N user RF branches, the
+    first-segment FSO link, then one FSO and one RF draw per hop in hop
+    order.  Only lam, a0 and xi of params are read.
+    """
+    unit = replace(params, gamma_bar_rf=1.0, gamma_bar_fso=1.0)
+    users = sample_rf_snr(1.0, rng, size=(topology.n_users, size))
+    first = sample_fso_snr(unit, rng, size=size)
+    hops = [(sample_fso_snr(unit, rng, size=size),
+             sample_rf_snr(1.0, rng, size=size))
+            for _ in range(1, topology.m_relays)]
+    return users.max(axis=0), first, hops
+
+
+def sample_chain_stage_snrs(topology, params, rng, size,
+                            first_segment="exact"):
+    """Draw per-stage SNRs for `size` independent chain realizations.
+
+    Returns an (m_relays, size) array: row 0 the first segment, row j
+    the j-th remaining hop, from the unit draws of _unit_draws and
+    rho = gamma_bar_rf / gamma_bar_fso.  Row 0 is the relay cascade of
+    gamma_bar_rf U and gamma_bar_fso F ("exact", the default), or
+    gamma_bar_fso min(rho U, F) ("min", the approximation the closed
+    adaptive-gain forms use); row j is gamma_bar_fso max(G_j, rho R_j).
+    Its column minimum is, bit for bit, the chain minimum that
+    fsorf.montecarlo's curves score, which forms it another way: from
+    minima over the unit draws, scaled once per level.
+    """
+    if first_segment not in ("exact", "min"):
+        raise ValueError("first_segment must be 'exact' or 'min'")
+    users, first, hops = _unit_draws(topology, params, rng, size)
+    rho = params.gamma_bar_rf / params.gamma_bar_fso
+    stages = np.empty((topology.m_relays, size))
+    if first_segment == "min":
+        stages[0] = params.gamma_bar_fso * np.minimum(rho * users, first)
+    elif topology.first_segment_mode is GainMode.ADAPTIVE:
+        stages[0] = af_adaptive_snr(params.gamma_bar_rf * users,
+                                    params.gamma_bar_fso * first)
+    else:
+        stages[0] = af_fixed_snr(params.gamma_bar_rf * users,
+                                 params.gamma_bar_fso * first, params.c_gain)
+    for j, (gain, rf) in enumerate(hops, start=1):
+        stages[j] = params.gamma_bar_fso * np.maximum(gain, rho * rf)
+    return stages
+
+
+def _plain_sums(vals):
+    # the sums of vals and of its squares, as fsorf.montecarlo reduces a
+    # batch
+    return vals.sum().item(), (vals * vals).sum().item()
+
+
 # ------------------------------------------------- cascade-XOR BER
 
 def simulate_ber_cascade_xor(topology, params, cfg):
@@ -121,8 +187,9 @@ def simulate_ber_cascade_xor(topology, params, cfg):
             flips ^= rng.random(size) < _dbpsk_error(stage)
         return flips
 
-    ((errors, _),) = _batches(cfg, cfg.trials_or_bits, _BATCH,
-                              lambda rng, size: [_sums(draw(rng, size))])
+    ((errors, _),) = _batches(
+        cfg, cfg.trials_or_bits, _BATCH,
+        lambda rng, size: [_plain_sums(draw(rng, size))])
     return _wilson_estimate(errors, cfg.trials_or_bits)
 
 
@@ -200,5 +267,12 @@ def simulate_ber_signal_level(topology, params, cfg):
         return (decided != bits).sum(axis=1)    # bit errors per frame
 
     ((s1, s2),) = _batches(cfg, n_frames, _FRAMES_PER_BATCH,
-                           lambda rng, fb: [_sums(draw(rng, fb))])
-    return _normal_estimate(s1, s2, n_frames, per_unit=frame)
+                           lambda rng, fb: [_plain_sums(draw(rng, fb))])
+    # a normal interval over frames, scaled to a per-bit rate
+    frame_mean = s1 / n_frames
+    var = max(s2 / n_frames - frame_mean * frame_mean, 0.0)
+    half = _Z95 * math.sqrt(var / n_frames) / frame
+    n = n_frames * frame
+    mean = s1 / n
+    return MetricEstimate(mean=mean, ci_low=max(mean - half, 0.0),
+                          ci_high=min(mean + half, 1.0), n=n)

@@ -24,6 +24,7 @@ from reference_models import (
     ne_pe_snr_pdf,
     rayleigh_snr_pdf,
     sample_fso_snr_displacement,
+    snr_pdf_w,
 )
 
 
@@ -62,7 +63,8 @@ def test_derived_constants():
     p = default_params()
     z2 = 1.45 ** 2
     assert p.zeta == pytest.approx(z2, rel=1e-15)
-    assert p.w == pytest.approx(z2 / (2.0 * 100.0 ** (z2 / 2)), rel=1e-13)
+    assert snr_pdf_w(p) == pytest.approx(z2 / (2.0 * 100.0 ** (z2 / 2)),
+                                         rel=1e-13)
     assert p.c == pytest.approx(0.1, rel=1e-15)
 
 

@@ -42,7 +42,6 @@ from fsorf.montecarlo import (
     _sums,
     _wilson_estimate,
     sample_chain_min_snr,
-    sample_chain_stage_snrs,
     simulate_ber_snr_level,
     simulate_ber_snr_level_curves,
     simulate_outage,
@@ -53,6 +52,7 @@ from fsorf.montecarlo import (
 from reference_models import (
     differential_detect,
     differential_encode,
+    sample_chain_stage_snrs,
     simulate_ber_cascade_xor,
     simulate_ber_signal_level,
 )
@@ -188,18 +188,18 @@ CURVE_CASES = {
 
 
 def _reference_estimate(name, t, p, cfg, first):
-    # the point estimate rebuilt from the public chain sampler, with the
-    # DBPSK kernel written out
+    # the point estimate rebuilt from the reference per-stage sampler,
+    # with the DBPSK kernel written out
     def low(rng, size):
-        return sample_chain_min_snr(t, p, rng, size, first)
+        return sample_chain_stage_snrs(t, p, rng, size, first).min(axis=0)
 
     n = cfg.trials_or_bits
     if name.startswith("outage"):
         ((hits, _),) = _batches(cfg, n, _BATCH, lambda rng, size: [
-            _sums(low(rng, size) < p.gamma_th)])
+            _sums(low(rng, size) < p.gamma_th, None)])
         return _wilson_estimate(hits, n)
     ((s1, s2),) = _batches(cfg, n, _BATCH, lambda rng, size: [
-        _sums(0.5 * np.exp(-low(rng, size)))])
+        _sums(0.5 * np.exp(-low(rng, size)), None)])
     return _normal_estimate(s1, s2, n)
 
 
@@ -256,6 +256,21 @@ def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
             t, p, _stream(5, batch), size, first)), (batch, level)
 
 
+@pytest.mark.parametrize("first", ["exact", "min"])
+@pytest.mark.parametrize("mode", list(GainMode))
+def test_chain_min_snr_is_the_reference_column_minimum(mode, first):
+    # one batch of the curve's body on a workspace of the caller's size,
+    # bit for bit the reference sampler's column minimum from the same
+    # stream; at an RF/FSO ratio other than 1 and a fixed gain other than 1
+    t = topo(2, 3, mode)
+    p = CURVE_LEVELS[1]
+    for size in (1, 1000, _BATCH + 3):
+        low = sample_chain_min_snr(t, p, _stream(7, size), size, first)
+        stages = sample_chain_stage_snrs(t, p, _stream(7, size), size, first)
+        assert low.shape == (size,)
+        assert np.array_equal(low, stages.min(axis=0)), size
+
+
 def test_dbpsk_kernel_is_half_exp_bit_for_bit():
     # the kernel skips exp where it underflows; around both bounds and
     # across the SNR decades of a sweep it returns 0.5 * exp(-g) exactly,
@@ -296,7 +311,9 @@ def test_failed_shared_draws_fail_every_level():
         assert isinstance(curve[0], FloatingPointError), curve
         assert "overflow encountered in divide" in str(curve[0])
         assert all(level is curve[0] for level in curve)
-        for point_fn in (simulate_outage, simulate_ber_snr_level):
+        for point_fn in (simulate_outage, simulate_ber_snr_level,
+                         lambda t, p, cfg: sample_chain_min_snr(
+                             t, p, _stream(cfg.seed, 0), 1000)):
             with np.errstate(over="raise"), pytest.raises(
                     FloatingPointError, match="overflow encountered in divide"):
                 point_fn(t, levels[0], cfg)
@@ -320,6 +337,13 @@ def test_failed_fold_fails_its_ratio_alone():
             assert str(curve[1]) == str(alone[1]) \
                 == "overflow encountered in multiply"
             assert (curve[0], curve[2]) == (alone[0], alone[2]), (first, w)
+        for point_fn in (simulate_outage, simulate_ber_snr_level,
+                         lambda t, p, cfg, first: sample_chain_min_snr(
+                             t, p, _stream(cfg.seed, 0), 1000, first)):
+            with np.errstate(over="raise"), pytest.raises(
+                    FloatingPointError,
+                    match="overflow encountered in multiply"):
+                point_fn(t, huge, cfg, first)
 
 
 # the chains of one group: both gain modes and first segments at M = 1..3,
@@ -624,8 +648,8 @@ def test_moments_reduce_every_draw_one_way():
         got = []
         for w in (1, 3):
             cfg = SimConfig(trials_or_bits=2500, seed=7, workers=w)
-            (total,) = _batches(cfg, 2500, 1000,
-                                lambda rng, size: [_sums(draw(rng, size))])
+            (total,) = _batches(cfg, 2500, 1000, lambda rng, size: [
+                _sums(draw(rng, size), None)])
             got.append(total)
         assert got[0] == got[1] == (want1, want2), name
         if name != "float":

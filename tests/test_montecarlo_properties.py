@@ -18,12 +18,12 @@ from fsorf.montecarlo import (
     _curve,
     _stream,
     sample_chain_min_snr,
-    sample_chain_stage_snrs,
     simulate_ber_snr_level,
     simulate_outage,
 )
 
-from reference_models import (simulate_ber_cascade_xor,
+from reference_models import (sample_chain_stage_snrs,
+                              simulate_ber_cascade_xor,
                               simulate_ber_signal_level)
 
 hypothesis = pytest.importorskip("hypothesis")
