@@ -12,9 +12,8 @@ threshold g is
 
 where F_2nd is the CDF of the first segment's end-to-end SNR.  For the
 adaptive gain the formulas model the standard min(g1, g2) upper bound of
-g1 g2 / (g1 + g2 + 1); the exact-law gap is measurable through
-montecarlo.simulate_outage with first_segment="exact" on a one-relay
-chain.
+g1 g2 / (g1 + g2 + 1), and Monte Carlo samples that model; the tests
+keep the exact law, as a sampler and a quadrature, to measure the gap.
 
 Everything here is expressed over CDFs.  The closed form and the
 quadrature compose the chain alike, through _compose_hops; Monte Carlo
@@ -105,27 +104,13 @@ def _af_result(snr, out):
     return float(snr) if out is None and np.ndim(snr) == 0 else snr
 
 
-def af_adaptive_snr(g1, g2, *, out=None):
-    """Exact end-to-end SNR of the adaptive-gain relay.
-
-    Formed as g1 * (g2 / (g1 + g2 + 1)): the ratio lies in [0, 1), so
-    it overflows only where g1 + g2 does.  out, a 1-D float64 array of
-    g1's and g2's shape, receives the SNRs in place of new arrays; it
-    must not overlap them (ValueError).
-    """
-    g1, g2 = _nonnegative_snrs(g1, g2, out)
-    den = np.add(g1, g2, out=out)
-    den += 1.0
-    return _af_result(np.multiply(g1, np.divide(g2, den, out=out), out=out),
-                      out)
-
-
 def af_fixed_snr(g1, g2, c, *, out=None):
     """End-to-end SNR of the fixed-gain relay with constant c.
 
     Formed as g1 * (g2 / (c + g2)): the ratio lies in [0, 1] and c > 0,
-    so no finite g1, g2 overflow or divide by zero.  out is as in
-    af_adaptive_snr.
+    so no finite g1, g2 overflow or divide by zero.  out, a 1-D float64
+    array of g1's and g2's shape, receives the SNRs in place of new
+    arrays; it must not overlap them (ValueError).
     """
     if c <= 0:
         raise ValueError("c must be positive")

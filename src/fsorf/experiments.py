@@ -386,10 +386,7 @@ def _monte_carlo(spec, n, lam):
     (mode, relays): one call scores them all from one draw set, and an
     exception it raises fills every cell."""
     shapes = list(dict.fromkeys(itertools.product(spec.modes, spec.m_relays)))
-    # the closed adaptive-gain forms are built on the min combiner, so
-    # their Monte-Carlo column must sample the same quantity
-    chains = [(Topology(n_users=n, m_relays=m, first_segment_mode=mode),
-               "min" if mode is GainMode.ADAPTIVE else "exact")
+    chains = [Topology(n_users=n, m_relays=m, first_segment_mode=mode)
               for mode, m in shapes]
     levels = [_link_params(spec, lam, g) for g in spec.gamma_avg_db]
     simulate = (simulate_outage_curves if spec.metric is Metric.OUTAGE

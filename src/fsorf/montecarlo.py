@@ -14,16 +14,18 @@ the deepest chain's last hop; a shallower chain's draws are a prefix of
 these.  For each distinct ratio rho = gamma_bar_rf / gamma_bar_fso among
 the levels it folds each hop's pair into the gamma-bar-free minimum of
 each depth d, H_d = min_{j<=d} max(G_j, rho R_j), and once every hop is
-drawn it scores level by level.  A level only scales: a d-hop chain's
-minimum is gamma_bar_fso min(rho U, F, H_d) ("min"), or the smaller of
-the relay cascade of gamma_bar_rf U and gamma_bar_fso F and
-gamma_bar_fso H_d ("exact").  So each batch forms one cascade per (gain
-mode, level), which every relay count shares, and one min(rho U, F,
-H_d) per (depth, run of levels of one rho).  A correctly rounded
-product with a positive factor is monotone, so it commutes exactly with
-min and max: each level's chain minimum is bit for bit the smallest
-stage SNR drawn at that level alone, which the tests check against a
-per-stage sampler of their own.  simulate_outage and
+drawn it scores level by level.  A level only scales, and each gain
+mode samples the law its closed forms compute: a d-hop known-csi
+chain's minimum is gamma_bar_fso min(rho U, F, H_d), the min(g1, g2)
+model of the adaptive relay, and an unknown-csi chain's the smaller of
+the fixed-gain relay cascade of gamma_bar_rf U and gamma_bar_fso F and
+gamma_bar_fso H_d.  So each batch forms one cascade per level, which
+every unknown-csi relay count shares, and one min(rho U, F, H_d) per
+(depth, run of levels of one rho).  A correctly rounded product with a
+positive factor is monotone, so it commutes exactly with min and max:
+each level's chain minimum is bit for bit the smallest stage SNR drawn
+at that level alone, which the tests check against a per-stage sampler
+of their own.  simulate_outage and
 simulate_ber_snr_level are the one-chain, one-level case, and
 sample_chain_min_snr is one batch of it that returns the chain minimum.
 Every pool thread of a call keeps one workspace of max(1 + N, 5 + D
@@ -50,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import sample_fso_snr, sample_rf_snr
-from .composition import GainMode, af_adaptive_snr, af_fixed_snr
+from .composition import GainMode, af_fixed_snr
 
 _BATCH = 1 << 16
 _Z95 = 1.959963984540054    # two-sided 95% normal quantile
@@ -191,9 +193,8 @@ def _normal_estimate(s1, s2, n):
 
 # ---------------------------------------------------------------- curves
 
-def _exact_first(mode, params, users, first, out):
-    """The relay cascade SNR of the first segment at params, in gain mode
-    mode.
+def _exact_first(params, users, first, out):
+    """The fixed-gain relay cascade SNR of the first segment at params.
 
     users and first are the unit SNRs U and F.  out, three float rows,
     takes the place of new arrays: gamma_bar_rf U, gamma_bar_fso F and
@@ -201,13 +202,11 @@ def _exact_first(mode, params, users, first, out):
     """
     g1 = np.multiply(params.gamma_bar_rf, users, out=out[0])
     g2 = np.multiply(params.gamma_bar_fso, first, out=out[1])
-    if mode is GainMode.ADAPTIVE:
-        return af_adaptive_snr(g1, g2, out=out[2])
     return af_fixed_snr(g1, g2, params.c_gain, out=out[2])
 
 
 def _unit_min(rho, users, first, out):
-    """min(rho U, F), the "min" first segment over gamma_bar_fso."""
+    """min(rho U, F), the known-csi first segment over gamma_bar_fso."""
     low = np.multiply(rho, users, out=out)
     return np.minimum(low, first, out=low)
 
@@ -215,7 +214,7 @@ def _unit_min(rho, users, first, out):
 def _chain_batch(chains, levels, score, width, threads):
     """The batch body of a curve: one_batch(rng, size), size <= width.
 
-    chains holds (topology, first_segment) pairs of one user count.
+    chains holds topologies of one user count.
     one_batch draws `size` trials from rng and returns, chain-major, one
     slot per (chain, level): the _sums pair of the scores of that
     chain's minimum at that level, or the exception its draws or scores
@@ -243,44 +242,42 @@ def _chain_batch(chains, levels, score, width, threads):
 
     A batch first draws every hop into A (G_j, with B as the draw's
     scratch) and B (R_j), and folds each into H_j = min(H_{j-1},
-    max(G_j, rho R_j)) at every rho.  Then it scores.  Per gain mode with
-    an "exact" chain, level by level: the relay cascade of gamma_bar_rf U
-    (in A) and gamma_bar_fso F (in B) lands in C once, each deeper chain
-    scores min(C, gamma_bar_fso H_d) in A, and a one-relay chain scores C
-    itself, last.  Per depth with a "min" chain, once per run of levels
-    of one rho: min(rho U, F, H_d) lands in C, and each level of the run
-    scores gamma_bar_fso times it in A.  So score meets each chain's
-    levels in order.  Scaling by a positive level mean commutes exactly
-    with min and max, so each lane's minimum is bit for bit the smallest
-    stage SNR drawn at its level alone (tests/reference_models.py has
-    that per-stage sampler).
+    max(G_j, rho R_j)) at every rho.  Then it scores.  With an
+    unknown-csi chain, level by level: the fixed-gain relay cascade of
+    gamma_bar_rf U (in A) and gamma_bar_fso F (in B) lands in C once,
+    each deeper unknown-csi chain scores min(C, gamma_bar_fso H_d) in A,
+    and a one-relay one scores C itself, last.  Per depth with a
+    known-csi chain, once per run of levels of one rho: min(rho U, F,
+    H_d) lands in C, and each level of the run scores gamma_bar_fso
+    times it in A.  So score meets each chain's levels in order.
+    Scaling by a positive level mean commutes exactly with min and max,
+    so each lane's minimum is bit for bit the smallest stage SNR drawn
+    at its level alone (tests/reference_models.py has that per-stage
+    sampler).
     """
-    if any(segment not in ("exact", "min") for _, segment in chains):
-        raise ValueError("first_segment must be 'exact' or 'min'")
     law = (levels[0].lam, levels[0].a0, levels[0].xi)
     if any((p.lam, p.a0, p.xi) != law for p in levels):
         raise ValueError("the levels of a curve share their draws, so they "
                          "must have equal lam, a0 and xi")
-    if len({t.n_users for t, _ in chains}) != 1:
+    if len({t.n_users for t in chains}) != 1:
         raise ValueError("the chains of a call share their draws, so they "
                          "must be one or more of equal n_users")
-    n_users = chains[0][0].n_users
-    depth = max(t.m_relays for t, _ in chains) - 1
+    n_users = chains[0].n_users
+    depth = max(t.m_relays for t in chains) - 1
     ratios = [p.gamma_bar_rf / p.gamma_bar_fso for p in levels]
     rhos = list(dict.fromkeys(ratios))
     slots = [rhos.index(rho) for rho in ratios]
     free = 2 + depth * len(rhos)           # row A; B and C follow
     n_rows = max(1 + n_users, free + 3)
-    # the scoring plan: the chains of each depth, per gain mode for
-    # "exact" and of any mode for "min", as such chains have one minimum
-    # and share its scores; and the runs of levels of one rho
-    exact, least = {}, {}
-    for c, (topology, first_segment) in enumerate(chains):
-        group = least if first_segment == "min" else exact.setdefault(
-            topology.first_segment_mode, {})
+    # the scoring plan: the chains of each gain mode and depth, as such
+    # chains have one minimum and share its scores; and the runs of
+    # levels of one rho
+    fixed, adaptive = {}, {}
+    for c, topology in enumerate(chains):
+        group = (adaptive if topology.first_segment_mode is GainMode.ADAPTIVE
+                 else fixed)
         group.setdefault(topology.m_relays - 1, []).append(c)
-    exact = {mode: sorted(depths.items(), reverse=True)
-             for mode, depths in exact.items()}
+    fixed = sorted(fixed.items(), reverse=True)     # deepest first
     runs = [(slot, [k for k, _ in run])
             for slot, run in itertools.groupby(enumerate(slots),
                                                key=lambda ks: ks[1])]
@@ -355,28 +352,27 @@ def _chain_batch(chains, levels, score, width, threads):
             for c in members:
                 sums[c * n_levels + k] = cell
 
-        for mode, depths in exact.items():
-            for k, (params, slot) in enumerate(zip(levels, slots)):
-                cascade = None      # formed for the first chain to score
-                for d, members in depths:       # deepest first
-                    cell = failure(d, slot)
-                    if cell is None and cascade is None:
-                        try:
-                            cascade = _exact_first(mode, params, best, first,
-                                                   out=(row_a, row_b, row_c))
-                        except Exception as exc:
-                            cascade = exc
-                    if cell is None and isinstance(cascade, Exception):
-                        cell = cascade
-                    elif cell is None and d:
-                        cell = scored(params, lambda: np.minimum(
-                            cascade, np.multiply(params.gamma_bar_fso,
-                                                 h_row(d, slot), out=row_a),
-                            out=row_a), row_b)
-                    elif cell is None:      # in place, as nothing follows
-                        cell = scored(params, lambda: cascade, row_a)
-                    put(members, k, cell)
-        for d, members in least.items():
+        for k, (params, slot) in enumerate(zip(levels, slots)):
+            cascade = None      # formed for the first chain to score
+            for d, members in fixed:
+                cell = failure(d, slot)
+                if cell is None and cascade is None:
+                    try:
+                        cascade = _exact_first(params, best, first,
+                                               out=(row_a, row_b, row_c))
+                    except Exception as exc:
+                        cascade = exc
+                if cell is None and isinstance(cascade, Exception):
+                    cell = cascade
+                elif cell is None and d:
+                    cell = scored(params, lambda: np.minimum(
+                        cascade, np.multiply(params.gamma_bar_fso,
+                                             h_row(d, slot), out=row_a),
+                        out=row_a), row_b)
+                elif cell is None:      # in place, as nothing follows
+                    cell = scored(params, lambda: cascade, row_a)
+                put(members, k, cell)
+        for d, members in adaptive.items():
             for slot, run in runs:
                 cell = failure(d, slot)
                 if cell is None:
@@ -420,8 +416,9 @@ def _curve(chains, levels, cfg, score, estimate):
             for k in range(0, len(cells), len(levels))]
 
 
-def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
-    """Minimum stage SNR over `size` chain realizations drawn from rng.
+def sample_chain_min_snr(topology, params, rng, size):
+    """Minimum stage SNR over `size` chain realizations drawn from rng,
+    in the law of simulate_outage.
 
     One batch of the one-chain curve at params alone, on a workspace
     `size` wide: the chain minimum that curve scores, or the exception
@@ -433,8 +430,7 @@ def sample_chain_min_snr(topology, params, rng, size, first_segment="exact"):
         lows.append(low.copy())     # not a view that keeps the workspace
         return low[:0]      # no scores, so no sum can overflow
 
-    (cell,) = _chain_batch([(topology, first_segment)], [params], keep,
-                           size, 1)(rng, size)
+    (cell,) = _chain_batch([topology], [params], keep, size, 1)(rng, size)
     if isinstance(cell, Exception):
         raise cell
     return lows[0]
@@ -450,15 +446,15 @@ def _one_level(curves):
 # --------------------------------------------------------------- outage
 
 def simulate_outage_curves(chains, levels, cfg):
-    """simulate_outage of every (topology, first_segment) pair of
-    `chains` at every LinkParams of `levels`, all from one draw set.
+    """simulate_outage of every Topology of `chains` at every LinkParams
+    of `levels`, all from one draw set.
 
     The levels may differ in gamma_bar_rf, gamma_bar_fso, gamma_th and
     c_gain, and must share lam, a0 and xi; the chains must share
-    n_users (ValueError otherwise), and may differ in m_relays, gain
-    mode and first segment.  Returns one curve per chain: per level,
-    the MetricEstimate that simulate_outage gives at that level alone,
-    or in its place the exception that level raised.
+    n_users (ValueError otherwise), and may differ in m_relays and gain
+    mode.  Returns one curve per chain: per level, the MetricEstimate
+    that simulate_outage gives at that level alone, or in its place the
+    exception that level raised.
     """
     n = cfg.trials_or_bits
     return _curve(chains, levels, cfg,
@@ -467,14 +463,15 @@ def simulate_outage_curves(chains, levels, cfg):
                   lambda hits, _: _wilson_estimate(hits, n))
 
 
-def simulate_outage(topology, params, cfg, first_segment="exact"):
+def simulate_outage(topology, params, cfg):
     """Outage frequency of the chain with a Wilson 95% interval.
 
     A trial is an outage when any stage SNR falls below gamma_th,
-    equivalently when the chain minimum does.
+    equivalently when the chain minimum does.  The first segment is the
+    one the gain mode's closed forms compute: min(g1, g2) for known-csi,
+    the fixed-gain relay cascade for unknown-csi.
     """
-    return _one_level(simulate_outage_curves([(topology, first_segment)],
-                                             [params], cfg))
+    return _one_level(simulate_outage_curves([topology], [params], cfg))
 
 
 # ------------------------------------------------------- SNR-level BER
@@ -514,8 +511,8 @@ def _dbpsk_error(snr, out=None, scratch=None):
 
 
 def simulate_ber_snr_level_curves(chains, levels, cfg):
-    """simulate_ber_snr_level of every pair of `chains` at every level
-    of `levels`, all from one draw set; chains, levels and return value
+    """simulate_ber_snr_level of every topology of `chains` at every
+    level of `levels`, all from one draw set; chains, levels and return value
     as in simulate_outage_curves.
     """
     n = cfg.trials_or_bits
@@ -525,12 +522,12 @@ def simulate_ber_snr_level_curves(chains, levels, cfg):
                   lambda s1, s2: _normal_estimate(s1, s2, n))
 
 
-def simulate_ber_snr_level(topology, params, cfg, first_segment="exact"):
+def simulate_ber_snr_level(topology, params, cfg):
     """DBPSK bit error rate from per-stage SNR draws.
 
     Averages the conditional kernel exp(-g)/2 of the chain-minimum SNR,
     which is exactly the quantity the closed forms integrate.
     """
-    return _one_level(simulate_ber_snr_level_curves(
-        [(topology, first_segment)], [params], cfg))
+    return _one_level(simulate_ber_snr_level_curves([topology], [params],
+                                                    cfg))
 

@@ -1,10 +1,12 @@
 """Reference models that only the tests use.
 
 Independent constructions that check the package's routes: the
-per-stage chain sampler, the complex-baseband DBPSK simulator and its
+per-stage chain sampler, with the exact adaptive-gain relay and an
+outage estimator over it, the complex-baseband DBPSK simulator and its
 SNR-level cascade-XOR twin, the Rayleigh, selection and FSO link
-densities, the geometric pointing sampler, and the one-hop CDF of a
-decode-and-forward hop.  No CLI sweep calls them, so they live here and
+densities, the geometric pointing sampler, the one-hop CDF of a
+decode-and-forward hop, and the exact adaptive-gain first segment by
+quadrature.  No CLI sweep calls them, so they live here and
 not in fsorf.  The simulators run on fsorf.montecarlo's batch runner,
 so they keep its reproducibility contract: a given (seed, config)
 gives byte-identical estimates on a pool of any size.
@@ -20,10 +22,11 @@ import numpy as np
 
 from fsorf.channels import (_as_float_array, ne_pe_snr_cdf,
                             rayleigh_snr_cdf, sample_fso_snr, sample_rf_snr)
-from fsorf.composition import GainMode, af_adaptive_snr, af_fixed_snr
+from fsorf.composition import (GainMode, _af_result, _nonnegative_snrs,
+                               af_fixed_snr)
 from fsorf.montecarlo import (_BATCH, _Z95, MetricEstimate, _batches,
                               _dbpsk_error, _wilson_estimate)
-from fsorf.special import gamma_upper
+from fsorf.special import gamma_upper, trapezoid
 
 _FRAME_BITS = 250           # bits per fading frame at signal level
 _FRAMES_PER_BATCH = 200
@@ -113,7 +116,61 @@ def hybrid_hop_cdf(gamma, params):
         gamma, params.gamma_bar_rf)
 
 
+def af_adaptive_snr(g1, g2, *, out=None):
+    """Exact end-to-end SNR of the adaptive-gain relay.
+
+    Formed as g1 * (g2 / (g1 + g2 + 1)): the ratio lies in [0, 1), so
+    it overflows only where g1 + g2 does.  out, a 1-D float64 array of
+    g1's and g2's shape, receives the SNRs in place of new arrays; it
+    must not overlap them (ValueError).
+    """
+    g1, g2 = _nonnegative_snrs(g1, g2, out)
+    den = np.add(g1, g2, out=out)
+    den += 1.0
+    return _af_result(np.multiply(g1, np.divide(g2, den, out=out), out=out),
+                      out)
+
+
+def exact_adaptive_segment_cdf(gamma, n, params):
+    """CDF at gamma > 0 of the exact adaptive-gain first segment.
+
+    The segment's SNR is g1 g2 / (g1 + g2 + 1), g1 the best of n
+    Rayleigh users and g2 the FSO SNR.  Given g2 = y it falls below
+    gamma for every g1 when y <= gamma, and otherwise when g1 < gamma
+    (y + 1) / (y - gamma), with probability psi(y) = (1 - e^-w)^n,
+    w = gamma (y + 1) / ((y - gamma) gamma_bar_rf).  By parts,
+
+        F(gamma) = psi(inf) + int F_FSO(y) n (1 - e^-w)^(n-1) e^-w
+                       gamma (gamma + 1) / (gamma_bar_rf (y - gamma)) ds
+
+    over s = ln(y - gamma), psi(inf) = (1 - e^(-gamma / gamma_bar_rf))^n:
+    nonnegative terms only.  The integrand vanishes doubly exponentially
+    as s falls and like e^-s as it grows, so one trapezoid rule of step
+    1/16 spans s in [ln gamma - 45, ln gamma + 45], checked by step
+    halving at a relative 1e-12.
+    """
+    gr = params.gamma_bar_rf
+    psi_inf = (-math.expm1(-gamma / gr)) ** n
+
+    def integral(s, weights):
+        dy = np.exp(s)
+        w = gamma * (gamma + dy + 1.0) / (dy * gr)
+        f = (ne_pe_snr_cdf(gamma + dy, params) * n
+             * (-np.expm1(-w)) ** (n - 1) * np.exp(-w)
+             * (gamma * (gamma + 1.0) / gr) / dy)
+        return (*(psi_inf + weights[0] @ f, psi_inf + weights[1] @ f), 0.0)
+
+    log_g = math.log(gamma)
+    return trapezoid(integral, log_g - 45.0, log_g + 45.0, 1.0 / 16.0, 1e-12,
+                     f"exact adaptive segment (gamma={gamma:g}, n={n})")
+
+
 # -------------------------------------------------- chain sampler
+
+# per gain mode, the first segment of sample_chain_stage_snrs whose chain
+# is the one fsorf.montecarlo samples: its closed forms' law
+PACKAGE_LAW = {GainMode.ADAPTIVE: "min", GainMode.FIXED: "exact"}
+
 
 def _unit_draws(topology, params, rng, size):
     """The SNR-free draws of `size` chain realizations, in draw order.
@@ -170,6 +227,25 @@ def _plain_sums(vals):
     # the sums of vals and of its squares, as fsorf.montecarlo reduces a
     # batch
     return vals.sum().item(), (vals * vals).sum().item()
+
+
+def simulate_outage_per_stage(topology, params, cfg, first_segment="exact"):
+    """Outage frequency of sample_chain_stage_snrs's chain, Wilson 95%.
+
+    It runs on fsorf.montecarlo's batch runner, so a (seed, config)
+    draws what fsorf.montecarlo.simulate_outage draws.  At the gain
+    mode's PACKAGE_LAW the estimate is simulate_outage's bit for bit;
+    "exact" on a known-csi chain samples the exact adaptive relay from
+    the same draws.
+    """
+    def hits(rng, size):
+        stages = sample_chain_stage_snrs(topology, params, rng, size,
+                                         first_segment)
+        return [_plain_sums(stages.min(axis=0) < params.gamma_th)]
+
+    n = cfg.trials_or_bits
+    ((count, _),) = _batches(cfg, n, _BATCH, hits)
+    return _wilson_estimate(count, n)
 
 
 # ------------------------------------------------- cascade-XOR BER

@@ -21,7 +21,6 @@ from fsorf.channels import (
 from fsorf.composition import (
     GainMode,
     Topology,
-    af_adaptive_snr,
     af_fixed_snr,
     end_to_end_outage_semianalytic,
     fixed_segment_kernel,
@@ -29,10 +28,16 @@ from fsorf.composition import (
     second_relay_cdf_fixed_numeric,
 )
 from fsorf.metrics import outage_closed_form
-from fsorf.montecarlo import SimConfig, simulate_outage
+from fsorf.montecarlo import SimConfig
 from fsorf.special import _CLAMP_ULPS, ConvergenceError
 
-from reference_models import hybrid_hop_cdf, multiuser_select_pdf
+from reference_models import (
+    af_adaptive_snr,
+    exact_adaptive_segment_cdf,
+    hybrid_hop_cdf,
+    multiuser_select_pdf,
+    simulate_outage_per_stage,
+)
 
 
 def params(gamma_db=20.0, **kw):
@@ -236,16 +241,23 @@ def test_adaptive_exact_cdf_dominates_min_model():
     # min(g1,g2) >= g1 g2/(g1+g2+1) pointwise, so the exact law piles
     # more mass below any threshold
     p = params(gamma_db=20.0)
-    trials = 400_000
-    # a one-relay chain is the first segment alone
-    exact = simulate_outage(
-        Topology(n_users=2, m_relays=1, first_segment_mode=GainMode.ADAPTIVE),
-        p, SimConfig(trials_or_bits=trials, seed=42), first_segment="exact")
-    p_exact = exact.mean
-    se = math.sqrt(p_exact * (1.0 - p_exact) / trials)
+    p_exact = exact_adaptive_segment_cdf(10.0, 2, p)
     p_min = adaptive_segment(10.0, 2, p)
-    assert p_exact > p_min - 3 * se
-    assert p_exact - p_min > 0.01     # the gap is real at this SNR
+    assert p_exact > p_min
+    assert p_exact - p_min > 0.01     # the gap is real at this SNR (0.0234)
+
+
+@pytest.mark.parametrize("gamma_db, n", [(10.0, 2), (20.0, 4), (40.0, 1)])
+def test_exact_adaptive_rule_matches_reference_sampler(gamma_db, n):
+    # the 1-D rule against the reference sampler's exact law on a
+    # one-relay chain, which is the first segment alone
+    p = params(gamma_db=gamma_db)
+    est = simulate_outage_per_stage(
+        Topology(n_users=n, m_relays=1, first_segment_mode=GainMode.ADAPTIVE),
+        p, SimConfig(trials_or_bits=400_000, seed=42), "exact")
+    rule = exact_adaptive_segment_cdf(p.gamma_th, n, p)
+    sigma = math.sqrt(rule * (1.0 - rule) / est.n)
+    assert abs(est.mean - rule) <= 3.0 * sigma, (est, rule)
 
 
 # ---------------------------------------------- first segment, fixed mode

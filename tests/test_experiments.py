@@ -401,9 +401,9 @@ def test_monte_carlo_runs_once_per_users_lambda_group(monkeypatch):
     calls = []
 
     def spy(chains, levels, cfg):
-        calls.append([(t.n_users, t.m_relays, t.first_segment_mode, first)
-                      for t, first in chains])
-        if chains[0][0].n_users == 1:
+        calls.append([(t.n_users, t.m_relays, t.first_segment_mode)
+                      for t in chains])
+        if chains[0].n_users == 1:
             raise ArithmeticError("synthetic group failure")
         return real(chains, levels, cfg)
 
@@ -411,8 +411,8 @@ def test_monte_carlo_runs_once_per_users_lambda_group(monkeypatch):
     want = run_experiment(spec_from_sources(overrides=overrides))
     monkeypatch.setattr("fsorf.experiments.simulate_outage_curves", spy)
     points = run_experiment(spec_from_sources(overrides=overrides))
-    assert calls == [[(n, 1, GainMode.ADAPTIVE, "min"),
-                      (n, 1, GainMode.FIXED, "exact")] for n in (1, 2)]
+    assert calls == [[(n, 1, GainMode.ADAPTIVE), (n, 1, GainMode.FIXED)]
+                     for n in (1, 2)]
     assert len(points) == 8
     for point, before in zip(points, want):
         if point.n_users == 1:

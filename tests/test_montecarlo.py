@@ -40,7 +40,6 @@ from fsorf.montecarlo import (
     _normal_estimate,
     _stream,
     _sums,
-    _wilson_estimate,
     sample_chain_min_snr,
     simulate_ber_snr_level,
     simulate_ber_snr_level_curves,
@@ -50,11 +49,13 @@ from fsorf.montecarlo import (
 )
 
 from reference_models import (
+    PACKAGE_LAW,
     differential_detect,
     differential_encode,
     sample_chain_stage_snrs,
     simulate_ber_cascade_xor,
     simulate_ber_signal_level,
+    simulate_outage_per_stage,
 )
 
 XI = 1.45
@@ -131,10 +132,8 @@ def test_estimates_pinned_to_random_stream():
     for w in (1, 2):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
         got = {
-            "outage-min": simulate_outage(adaptive, make_params(15.0), cfg,
-                                          first_segment="min"),
-            "outage-exact": simulate_outage(fixed, make_params(15.0), cfg,
-                                            first_segment="exact"),
+            "outage-min": simulate_outage(adaptive, make_params(15.0), cfg),
+            "outage-exact": simulate_outage(fixed, make_params(15.0), cfg),
             "snr-level": simulate_ber_snr_level(fixed, make_params(10.0),
                                                 cfg),
             "cascade-xor": simulate_ber_cascade_xor(
@@ -163,23 +162,19 @@ def _level(rf_db, fso_db, th_db, c_gain):
 # levels of one curve: unequal RF and FSO means, own threshold and gain
 CURVE_LEVELS = (_level(5.0, 12.0, 8.0, 1.0), _level(15.0, 9.0, 10.0, 3.7),
                 _level(25.0, 30.0, 20.0, 0.5))
-# name -> group estimator, point estimator, chain, first segment, and the
-# point estimates at CURVE_LEVELS recorded at random stream v2: outage
-# counts, and (mean, ci_low, ci_high) of the BER, at 70,000 trials and
-# seed 5
+# name -> group estimator, point estimator, chain, and the point
+# estimates at CURVE_LEVELS recorded at random stream v2: outage counts,
+# and (mean, ci_low, ci_high) of the BER, at 70,000 trials and seed 5
 CURVE_CASES = {
     "outage-min": (
         simulate_outage_curves, simulate_outage,
-        topo(2, 3, GainMode.ADAPTIVE), "min", (68596, 62419, 39562)),
-    "outage-exact-adaptive": (
-        simulate_outage_curves, simulate_outage,
-        topo(2, 3, GainMode.ADAPTIVE), "exact", (69458, 64550, 42963)),
+        topo(2, 3, GainMode.ADAPTIVE), (68596, 62419, 39562)),
     "outage-exact-fixed": (
         simulate_outage_curves, simulate_outage,
-        topo(3, 2, GainMode.FIXED), "exact", (64475, 40765, 10424)),
+        topo(3, 2, GainMode.FIXED), (64475, 40765, 10424)),
     "snr-level": (
         simulate_ber_snr_level_curves, simulate_ber_snr_level,
-        topo(2, 3, GainMode.FIXED), "exact", (
+        topo(2, 3, GainMode.FIXED), (
             (0.18692866510258413, 0.18575610814035, 0.18810122206481825),
             (0.09899438227615395, 0.09782173484797131, 0.1001670297043366),
             (0.0013676496442052905, 0.0012097228083271677,
@@ -187,32 +182,28 @@ CURVE_CASES = {
 }
 
 
-def _reference_estimate(name, t, p, cfg, first):
-    # the point estimate rebuilt from the reference per-stage sampler,
-    # with the DBPSK kernel written out
-    def low(rng, size):
-        return sample_chain_stage_snrs(t, p, rng, size, first).min(axis=0)
-
+def _reference_estimate(name, t, p, cfg):
+    # the point estimate rebuilt from the reference per-stage sampler at
+    # the gain mode's law, with the DBPSK kernel written out
+    first = PACKAGE_LAW[t.first_segment_mode]
     n = cfg.trials_or_bits
     if name.startswith("outage"):
-        ((hits, _),) = _batches(cfg, n, _BATCH, lambda rng, size: [
-            _sums(low(rng, size) < p.gamma_th, None)])
-        return _wilson_estimate(hits, n)
-    ((s1, s2),) = _batches(cfg, n, _BATCH, lambda rng, size: [
-        _sums(0.5 * np.exp(-low(rng, size)), None)])
+        return simulate_outage_per_stage(t, p, cfg, first)
+    ((s1, s2),) = _batches(cfg, n, _BATCH, lambda rng, size: [_sums(
+        0.5 * np.exp(-sample_chain_stage_snrs(t, p, rng, size, first).min(
+            axis=0)), None)])
     return _normal_estimate(s1, s2, n)
 
 
 @pytest.mark.parametrize("name", sorted(CURVE_CASES))
 def test_curve_scores_each_level_as_its_own_point(name):
     # 70,000 trials leave a partial second batch
-    group_fn, point_fn, t, first, recorded = CURVE_CASES[name]
+    group_fn, point_fn, t, recorded = CURVE_CASES[name]
     for w in (1, 2):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
-        (curve,) = group_fn([(t, first)], CURVE_LEVELS, cfg)
-        assert curve == [point_fn(t, p, cfg, first_segment=first)
-                         for p in CURVE_LEVELS], (name, w)
-        assert curve == [_reference_estimate(name, t, p, cfg, first)
+        (curve,) = group_fn([t], CURVE_LEVELS, cfg)
+        assert curve == [point_fn(t, p, cfg) for p in CURVE_LEVELS], (name, w)
+        assert curve == [_reference_estimate(name, t, p, cfg)
                          for p in CURVE_LEVELS], (name, w)
         for est, want in zip(curve, recorded):
             assert est.n == 70000
@@ -223,8 +214,21 @@ def test_curve_scores_each_level_as_its_own_point(name):
                     == pytest.approx(want, rel=1e-12), (name, w)
 
 
-@pytest.mark.parametrize("first", ["exact", "min"])
-@pytest.mark.parametrize("mode", list(GainMode))
+def test_exact_adaptive_law_keeps_its_pins():
+    # the exact adaptive relay, which no package sampler draws, from the
+    # reference sampler on the package's draws: the counts recorded at
+    # random stream v2, at 70,000 trials and seed 5
+    t = topo(2, 3, GainMode.ADAPTIVE)
+    for w in (1, 2):
+        cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
+        got = [simulate_outage_per_stage(t, p, cfg, "exact")
+               for p in CURVE_LEVELS]
+        assert all(est.n == 70000 for est in got)
+        assert [est.mean for est in got] \
+            == [hits / 70000 for hits in (69458, 64550, 42963)], w
+
+
+@pytest.mark.parametrize("mode, first", PACKAGE_LAW.items())
 def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
     # the chain minimum a curve scores at each level, built from the
     # gamma-bar-free minimum of its RF/FSO ratio, is bit for bit the
@@ -242,7 +246,7 @@ def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
         seen.append((p, low.copy()))
         return low
 
-    _curve([(t, first)], levels, SimConfig(trials_or_bits=70000, seed=5),
+    _curve([t], levels, SimConfig(trials_or_bits=70000, seed=5),
            score, lambda s1, s2: None)
     sizes = (_BATCH, 70000 - _BATCH)
     assert len(seen) == len(sizes) * len(levels)
@@ -253,11 +257,10 @@ def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
         stages = sample_chain_stage_snrs(t, p, _stream(5, batch), size, first)
         assert np.array_equal(low, stages.min(axis=0)), (batch, level)
         assert np.array_equal(low, sample_chain_min_snr(
-            t, p, _stream(5, batch), size, first)), (batch, level)
+            t, p, _stream(5, batch), size)), (batch, level)
 
 
-@pytest.mark.parametrize("first", ["exact", "min"])
-@pytest.mark.parametrize("mode", list(GainMode))
+@pytest.mark.parametrize("mode, first", PACKAGE_LAW.items())
 def test_chain_min_snr_is_the_reference_column_minimum(mode, first):
     # one batch of the curve's body on a workspace of the caller's size,
     # bit for bit the reference sampler's column minimum from the same
@@ -265,7 +268,7 @@ def test_chain_min_snr_is_the_reference_column_minimum(mode, first):
     t = topo(2, 3, mode)
     p = CURVE_LEVELS[1]
     for size in (1, 1000, _BATCH + 3):
-        low = sample_chain_min_snr(t, p, _stream(7, size), size, first)
+        low = sample_chain_min_snr(t, p, _stream(7, size), size)
         stages = sample_chain_stage_snrs(t, p, _stream(7, size), size, first)
         assert low.shape == (size,)
         assert np.array_equal(low, stages.min(axis=0)), size
@@ -295,7 +298,7 @@ def test_curve_levels_must_share_the_fso_law():
         for group_fn in (simulate_outage_curves,
                          simulate_ber_snr_level_curves):
             with pytest.raises(ValueError, match="lam, a0 and xi"):
-                group_fn([(t, "exact")], levels, cfg)
+                group_fn([t], levels, cfg)
 
 
 def test_failed_shared_draws_fail_every_level():
@@ -307,7 +310,7 @@ def test_failed_shared_draws_fail_every_level():
     for w in (1, 2):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            (curve,) = simulate_outage_curves([(t, "exact")], levels, cfg)
+            (curve,) = simulate_outage_curves([t], levels, cfg)
         assert isinstance(curve[0], FloatingPointError), curve
         assert "overflow encountered in divide" in str(curve[0])
         assert all(level is curve[0] for level in curve)
@@ -320,37 +323,38 @@ def test_failed_shared_draws_fail_every_level():
 
 
 def test_failed_fold_fails_its_ratio_alone():
-    # at rho = 1e308, rho R_j overflows on the first hop of every batch;
-    # the levels of the other ratios keep the estimates of their own runs
+    # at rho = 1e308, rho R_j overflows on the first hop of every batch,
+    # and a known-csi one-relay chain, which folds no hop, overflows in
+    # rho U of its unit minimum min(rho U, F); the levels of the other
+    # ratios keep the estimates of their own runs
     huge = dataclasses.replace(CURVE_LEVELS[1], gamma_bar_rf=1e300,
                                gamma_bar_fso=1e-8)
     levels = (CURVE_LEVELS[0], huge, CURVE_LEVELS[2])
-    t = topo(2, 3, GainMode.ADAPTIVE)
-    for first in ("exact", "min"):
+    for t in (topo(2, 3, GainMode.ADAPTIVE), topo(2, 3, GainMode.FIXED),
+              topo(2, 1, GainMode.ADAPTIVE)):
         for w in (1, 2):
             cfg = SimConfig(trials_or_bits=140000, seed=5, workers=w)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                (curve,) = simulate_outage_curves([(t, first)], levels, cfg)
-                alone = [simulate_outage_curves([(t, first)], [p], cfg)[0][0]
+                (curve,) = simulate_outage_curves([t], levels, cfg)
+                alone = [simulate_outage_curves([t], [p], cfg)[0][0]
                          for p in levels]
             assert isinstance(curve[1], FloatingPointError), curve
             assert str(curve[1]) == str(alone[1]) \
                 == "overflow encountered in multiply"
-            assert (curve[0], curve[2]) == (alone[0], alone[2]), (first, w)
+            assert (curve[0], curve[2]) == (alone[0], alone[2]), (t, w)
         for point_fn in (simulate_outage, simulate_ber_snr_level,
-                         lambda t, p, cfg, first: sample_chain_min_snr(
-                             t, p, _stream(cfg.seed, 0), 1000, first)):
+                         lambda t, p, cfg: sample_chain_min_snr(
+                             t, p, _stream(cfg.seed, 0), 1000)):
             with np.errstate(over="raise"), pytest.raises(
                     FloatingPointError,
                     match="overflow encountered in multiply"):
-                point_fn(t, huge, cfg, first)
+                point_fn(t, huge, cfg)
 
 
-# the chains of one group: both gain modes and first segments at M = 1..3,
-# deepest first; and levels of two RF/FSO ratios, the third level doubling
-# both means of the first
-GROUP_CHAINS = [(topo(2, m, mode), first) for m in (3, 1, 2)
-                for mode in GainMode for first in ("exact", "min")]
+# the chains of one group: both gain modes at M = 1..3, deepest first; and
+# levels of two RF/FSO ratios, the third level doubling both means of the
+# first
+GROUP_CHAINS = [topo(2, m, mode) for m in (3, 1, 2) for mode in GainMode]
 TWO_RATIO_LEVELS = CURVE_LEVELS[:2] + (dataclasses.replace(
     CURVE_LEVELS[0], gamma_bar_rf=2.0 * CURVE_LEVELS[0].gamma_bar_rf,
     gamma_bar_fso=2.0 * CURVE_LEVELS[0].gamma_bar_fso),)
@@ -366,12 +370,11 @@ def test_group_scores_each_chain_as_its_own_curve(group_fn, point_fn):
         cfg = SimConfig(trials_or_bits=70000, seed=5, workers=w)
         group = group_fn(GROUP_CHAINS, TWO_RATIO_LEVELS, cfg)
         assert len(group) == len(GROUP_CHAINS)
-        for (t, first), curve in zip(GROUP_CHAINS, group):
+        for t, curve in zip(GROUP_CHAINS, group):
             assert all(isinstance(est, MetricEstimate) for est in curve)
-            assert [curve] == group_fn([(t, first)], TWO_RATIO_LEVELS,
-                                       cfg), (t, first, w)
-            assert curve == [point_fn(t, p, cfg, first)
-                             for p in TWO_RATIO_LEVELS], (t, first, w)
+            assert [curve] == group_fn([t], TWO_RATIO_LEVELS, cfg), (t, w)
+            assert curve == [point_fn(t, p, cfg)
+                             for p in TWO_RATIO_LEVELS], (t, w)
 
 
 def test_group_draws_its_deepest_chain_once(monkeypatch):
@@ -402,11 +405,9 @@ def test_group_draws_its_deepest_chain_once(monkeypatch):
 def test_group_shares_cascades_and_unit_minima(monkeypatch):
     # a fig3-shaped group at levels of one ratio: each batch forms the
     # fixed-gain cascade once per level, not once per (relay count,
-    # level), and the unit minimum min(rho U, F) of the "min" chains
+    # level), and the unit minimum min(rho U, F) of the known-csi chains
     # once per depth; the estimates do not depend on who counts
-    chains = [(topo(2, m, mode),
-               "min" if mode is GainMode.ADAPTIVE else "exact")
-              for mode in GainMode for m in (1, 2, 3)]
+    chains = [topo(2, m, mode) for mode in GainMode for m in (1, 2, 3)]
     levels = [make_params(db) for db in range(0, 41, 5)]
     cfg = SimConfig(trials_or_bits=70000, seed=5, workers=2)
     want = simulate_ber_snr_level_curves(chains, levels, cfg)
@@ -418,14 +419,13 @@ def test_group_shares_cascades_and_unit_minima(monkeypatch):
             return real(*args, **kwargs)
         return spy
 
-    for name in ("af_fixed_snr", "af_adaptive_snr", "_unit_min"):
+    for name in ("af_fixed_snr", "_unit_min"):
         monkeypatch.setattr(montecarlo, name,
                             counting(name, getattr(montecarlo, name)))
     assert simulate_ber_snr_level_curves(chains, levels, cfg) == want
     # two batches: 9 levels of cascades, and depths 0, 1 and 2
     assert calls.count("af_fixed_snr") == 2 * len(levels)
     assert calls.count("_unit_min") == 2 * 3
-    assert "af_adaptive_snr" not in calls
 
 
 def test_group_failures_stay_with_the_chains_that_reach_them(monkeypatch):
@@ -456,8 +456,8 @@ def test_group_failures_stay_with_the_chains_that_reach_them(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(montecarlo, "sample_rf_snr", spy)
                 group = simulate_outage_curves(GROUP_CHAINS, levels, cfg)
-        for (t, first), curve, own in zip(GROUP_CHAINS, group, alone):
-            tag = (t.m_relays, t.first_segment_mode, first, w)
+        for t, curve, own in zip(GROUP_CHAINS, group, alone):
+            tag = (t.m_relays, t.first_segment_mode, w)
             if t.m_relays == 3:
                 assert all(isinstance(cell, ArithmeticError) and str(cell)
                            == "synthetic last-hop draw failure"
@@ -473,8 +473,8 @@ def test_group_failures_stay_with_the_chains_that_reach_them(monkeypatch):
 
 def test_group_chains_must_share_the_user_count():
     cfg = SimConfig(trials_or_bits=10000, seed=5)
-    for chains in ([], [(topo(2, 1, GainMode.FIXED), "exact"),
-                        (topo(3, 1, GainMode.FIXED), "exact")]):
+    for chains in ([], [topo(2, 1, GainMode.FIXED),
+                        topo(3, 1, GainMode.FIXED)]):
         with pytest.raises(ValueError, match="equal n_users"):
             simulate_outage_curves(chains, CURVE_LEVELS, cfg)
 
@@ -485,11 +485,11 @@ def test_curve_workspace_keeps_nothing_between_curves():
     # batches raised mid-draw
     t = topo(2, 3, GainMode.FIXED)
     cfg = SimConfig(trials_or_bits=140000, seed=5, workers=2)
-    chains = [(t, "exact")]
+    chains = [t]
     alone = simulate_ber_snr_level_curves(chains, CURVE_LEVELS, cfg)
     assert all(isinstance(est, MetricEstimate) for est in alone[0])
-    simulate_outage_curves([(topo(4, 1, GainMode.ADAPTIVE), "min")],
-                           CURVE_LEVELS, cfg)
+    simulate_outage_curves([topo(4, 1, GainMode.ADAPTIVE)], CURVE_LEVELS,
+                           cfg)
     assert simulate_ber_snr_level_curves(chains, CURVE_LEVELS, cfg) == alone
     failing = [dataclasses.replace(p, lam=1e-308) for p in CURVE_LEVELS]
     with np.errstate(over="raise"):
@@ -511,7 +511,7 @@ def test_curve_workspace_dies_with_its_pool(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_dbpsk_error", spy)
     simulate_ber_snr_level_curves(
-        [(topo(2, 2, GainMode.FIXED), "exact")], CURVE_LEVELS,
+        [topo(2, 2, GainMode.FIXED)], CURVE_LEVELS,
         SimConfig(trials_or_bits=4 * _BATCH, seed=5, workers=2))
     assert 1 <= len(refs) <= 2
     assert all(ref() is None for ref in refs.values())
@@ -523,13 +523,13 @@ def test_workspaces_stay_per_thread_under_thread_switching():
     t = topo(3, 3, GainMode.ADAPTIVE)
     n = 8 * _BATCH
     (want,) = simulate_ber_snr_level_curves(
-        [(t, "exact")], CURVE_LEVELS,
+        [t], CURVE_LEVELS,
         SimConfig(trials_or_bits=n, seed=5, workers=1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         (got,) = simulate_ber_snr_level_curves(
-            [(t, "exact")], CURVE_LEVELS,
+            [t], CURVE_LEVELS,
             SimConfig(trials_or_bits=n, seed=5, workers=8))
     finally:
         sys.setswitchinterval(interval)
@@ -566,10 +566,9 @@ def test_curve_survives_more_threads_than_workspaces(monkeypatch):
 
     t = topo(2, 3, GainMode.FIXED)
     cfg = SimConfig(trials_or_bits=70000, seed=5, workers=1)
-    want = simulate_ber_snr_level_curves([(t, "exact")], CURVE_LEVELS, cfg)
+    want = simulate_ber_snr_level_curves([t], CURVE_LEVELS, cfg)
     monkeypatch.setattr(montecarlo, "_stream", spy)
-    assert simulate_ber_snr_level_curves([(t, "exact")], CURVE_LEVELS,
-                                         cfg) == want
+    assert simulate_ber_snr_level_curves([t], CURVE_LEVELS, cfg) == want
 
 
 # one 32-batch BER curve at 9 levels and workers=1, after a warm-up run;
@@ -580,8 +579,7 @@ from fsorf.channels import LinkParams
 from fsorf.composition import GainMode, Topology
 from fsorf.montecarlo import _BATCH, SimConfig, simulate_ber_snr_level_curves
 
-chains = [(Topology(n_users=2, m_relays=2, first_segment_mode=GainMode.FIXED),
-           "exact")]
+chains = [Topology(n_users=2, m_relays=2, first_segment_mode=GainMode.FIXED)]
 levels = [LinkParams(gamma_bar_rf=10.0 ** (db / 10), gamma_bar_fso=10.0 ** (
     db / 10), lam=1.0, a0=1.0, xi=1.45, gamma_th=10.0)
     for db in range(0, 41, 5)]
@@ -677,14 +675,6 @@ def test_metric_estimate_invariants():
         MetricEstimate(mean=0.5, ci_low=0.6, ci_high=0.7, n=10)
 
 
-def test_first_segment_knob_validated():
-    t = topo(1, 1, GainMode.ADAPTIVE)
-    p = make_params(10.0)
-    with pytest.raises(ValueError):
-        simulate_outage(t, p, SimConfig(trials_or_bits=10000),
-                        first_segment="approximate")
-
-
 # --------------------------------------------------------- Wilson / CI
 
 def test_wilson_interval_edges():
@@ -728,8 +718,7 @@ def test_ci_calibration_on_known_truth():
 def test_outage_mc_min_matches_closed_adaptive():
     t = topo(2, 2, GainMode.ADAPTIVE)
     p = make_params(20.0)
-    est = simulate_outage(t, p, SimConfig(trials_or_bits=10 ** 6, seed=7),
-                          first_segment="min")
+    est = simulate_outage(t, p, SimConfig(trials_or_bits=10 ** 6, seed=7))
     closed = outage_closed_form(t, p)
     assert abs(est.mean - closed) <= 3.0 * sigma_of(est)
 
@@ -744,12 +733,13 @@ def test_outage_mc_exact_matches_closed_fixed():
 
 def test_exact_first_segment_bias_is_positive():
     # the exact relay cascade SNR sits below min(g1, g2), so exact
-    # combining sees strictly more outages
+    # combining sees strictly more outages; the reference sampler draws
+    # the exact law from the package estimator's draws
     t = topo(2, 2, GainMode.ADAPTIVE)
     p = make_params(20.0)
     cfg = SimConfig(trials_or_bits=10 ** 6, seed=7)
-    exact = simulate_outage(t, p, cfg, first_segment="exact")
-    approx = simulate_outage(t, p, cfg, first_segment="min")
+    exact = simulate_outage_per_stage(t, p, cfg, "exact")
+    approx = simulate_outage(t, p, cfg)
     assert exact.mean - approx.mean > 5.0 * sigma_of(exact)
 
 
@@ -771,7 +761,7 @@ def test_chain_min_snr_distribution_ks():
     p = make_params(15.0)
     rng = np.random.Generator(
         np.random.Philox(key=np.array([2026, 0], dtype=np.uint64)))
-    samples = sample_chain_min_snr(t, p, rng, 8000, first_segment="min")
+    samples = sample_chain_min_snr(t, p, rng, 8000)
 
     result = st.kstest(
         samples, lambda values: end_to_end_outage_semianalytic(t, p, values))
@@ -784,8 +774,7 @@ def test_ber_minsnr_matches_closed_adaptive():
     t = topo(2, 2, GainMode.ADAPTIVE)
     p = make_params(10.0)
     est = simulate_ber_snr_level(t, p, SimConfig(trials_or_bits=10 ** 6,
-                                                 seed=11),
-                                 first_segment="min")
+                                                 seed=11))
     closed = ber_closed_form(t, p)
     assert abs(est.mean - closed.value) <= 3.0 * sigma_of(est)
 

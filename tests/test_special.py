@@ -399,6 +399,18 @@ def test_meijer_argument_validation():
             meijer_g(p, z)
 
 
+def test_meijer_series_failures_raise_naming_them():
+    # G^{1,0}_{0,1}(z | -; 0) = e^-z: its one pole's series 0F0(;;-z)
+    # needs more than the term cap at z = 1000
+    with pytest.raises(ConvergenceError, match=r"Slater series failed to "
+                       r"converge at pole b\[0\]=0\.0"):
+        meijer_g(MeijerParams(m=1, n=0, a=(), b=(0.0,)), 1000.0)
+    # with p = q the series converges for |z| < 1 and, reflected, |z| > 1
+    with pytest.raises(ConvergenceError,
+                       match=r"Slater series boundary \|z\| = 1 with p = q"):
+        meijer_g(MeijerParams(m=1, n=1, a=(0.5,), b=(0.0,)), 1.0)
+
+
 def test_contour_raises_when_poles_crowd_the_step():
     # the poles at s = 0 and s = -0.01 sit 0.005 off the contour, well
     # inside one step of the rule: the step-halving check must refuse

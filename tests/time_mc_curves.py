@@ -3,13 +3,12 @@
 Times simulate_ber_snr_level_curves and simulate_outage_curves on
 fig3's nine levels (0:5:40 dB, gamma_bar_rf = gamma_bar_fso, lambda =
 a0 = 1, xi = 1.45, gamma_th = 10 dB) for N = 2 users: each chain shape
-alone (M = 1, 2, 3 in both gain modes, "min" for known-csi and "exact"
-for unknown-csi, as a sweep pairs them) and the fig3 group of all six
-chains, which shares one draw set.  Each (shape, estimator, workers)
-case runs once untimed, then --repeats times; the line gives the
-median wall time and the scored trials per second, counting every
-(chain, level) cell: trials x chains x 9 / median.  The first line
-records the core count and the numpy version.
+alone (M = 1, 2, 3 in both gain modes, each sampling its mode's law)
+and the fig3 group of all six chains, which shares one draw set.  Each
+(shape, estimator, workers) case runs once untimed, then --repeats
+times; the line gives the median wall time and the scored trials per
+second, counting every (chain, level) cell: trials x chains x 9 /
+median.  The first line records the core count and the numpy version.
 
 The file has no test_ prefix, so pytest does not collect it.  Run it
 from the repository root; with the defaults it takes about half a
@@ -33,8 +32,7 @@ from fsorf.montecarlo import (SimConfig, simulate_ber_snr_level_curves,
 
 LEVELS = [LinkParams(gamma_bar_rf=db_to_linear(db), gamma_bar_fso=db_to_linear(
     db), lam=1.0, a0=1.0, xi=1.45, gamma_th=10.0) for db in range(0, 41, 5)]
-CHAINS = {(mode, m): (Topology(n_users=2, m_relays=m, first_segment_mode=mode),
-                      "min" if mode is GainMode.ADAPTIVE else "exact")
+CHAINS = {(mode, m): Topology(n_users=2, m_relays=m, first_segment_mode=mode)
           for mode in GainMode for m in (1, 2, 3)}
 CASES = [(f"{mode.value} M={m}", [chain])
          for (mode, m), chain in CHAINS.items()]
