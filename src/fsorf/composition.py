@@ -130,7 +130,7 @@ def _memo_scope(memo, params):
 
 
 def _memoized(scope, key, compute, *args, **kwargs):
-    # a failing compute stores nothing, so it runs and raises again
+    # a failing compute stores nothing, so a later call raises again
     if key not in scope:
         scope[key] = compute(*args, **kwargs)
     return scope[key]

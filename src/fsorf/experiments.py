@@ -451,7 +451,7 @@ def run_experiment(spec):
     time: every gain mode, user count and relay count at one level share
     one memo of the closed-form and quadrature routes' parts, which is
     dropped with the level, and each cell is the value or error a point
-    alone gives.  The Monte-Carlo route runs once per (users, lambda)
+    alone gives.  The Monte-Carlo route is run once per (users, lambda)
     group, before the levels of its lambda, and scores every point of
     every gain mode and relay count of the group from one set of draws;
     spec.sim.workers threads only its batches.  Points come out in sweep

@@ -126,7 +126,7 @@ def _chain_terms(topology):
     against Laplace kernels.  The adaptive gain has k = 1..N, weight
     C(N, k) C(M-1, t) C(t, u) (-1)^{k+t+u} and shift k + u.  The fixed
     gain has k = 0..N-1, C(N-1, k) in place of C(N, k), an extra factor
-    -N / (k + 1) that folds in its outer sign, and shift k + u + 1.
+    -N / (k + 1) that carries its outer sign, and shift k + u + 1.
     """
     n_users = topology.n_users
     m_relays = topology.m_relays

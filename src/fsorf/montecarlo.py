@@ -9,29 +9,29 @@ simulate_outage_curves and simulate_ber_snr_level_curves score every
 average-SNR level of every chain of one user count from the same draws.
 Every stage SNR is its mean times a unit draw, so each batch draws the
 unit quantities once: the users' best unit RF SNR U, the first-segment
-unit FSO SNR F, and each hop's unit FSO and RF SNRs G_j and R_j, up to
+unit FSO SNR F, and each hop's unit FSO SNR G_j and RF SNR R_j, up to
 the deepest chain's last hop; a shallower chain's draws are a prefix of
-these.  For each distinct ratio rho = gamma_bar_rf / gamma_bar_fso among
-the levels it folds each hop's pair into the gamma-bar-free minimum of
-each depth d, H_d = min_{j<=d} max(G_j, rho R_j), and once every hop is
-drawn it scores level by level.  A level only scales, and each gain
-mode samples the law its closed forms compute: a d-hop known-csi
-chain's minimum is gamma_bar_fso min(rho U, F, H_d), the min(g1, g2)
-model of the adaptive relay, and an unknown-csi chain's the smaller of
-the fixed-gain relay cascade of gamma_bar_rf U and gamma_bar_fso F and
-gamma_bar_fso H_d.  So each batch forms one cascade per level, which
-every unknown-csi relay count shares, and one min(rho U, F, H_d) per
-(depth, run of levels of one rho).  A correctly rounded product with a
-positive factor is monotone, so it commutes exactly with min and max:
+these.  The batch body scores levels of one ratio rho = gamma_bar_rf /
+gamma_bar_fso: it draws each hop's RF SNR as rho R_j and reduces the hops
+to the gamma-bar-free minimum of each depth d, H_d = min_{j<=d}
+max(G_j, rho R_j), and once every hop is drawn it scores level by level
+(levels of R ratios get R bodies on the same streams, so they draw R
+times).  A level only scales, and each gain mode samples the law its
+closed forms compute: a d-hop known-csi chain's minimum is gamma_bar_fso
+min(rho U, F, H_d), the min(g1, g2) model of the adaptive relay, and an
+unknown-csi chain's the smaller of the fixed-gain relay cascade of
+gamma_bar_rf U and gamma_bar_fso F and gamma_bar_fso H_d.  So each batch
+forms one cascade per level, which every unknown-csi relay count shares,
+and one min(rho U, F, H_d) per depth.  A correctly rounded product with
+a positive factor is monotone, so it commutes exactly with min and max:
 each level's chain minimum is bit for bit the smallest stage SNR drawn
 at that level alone, which the tests check against a per-stage sampler
-of their own.  simulate_outage and
-simulate_ber_snr_level are the one-chain, one-level case, and
-sample_chain_min_snr is one batch of it that returns the chain minimum.
-Every pool thread of a call keeps one workspace of max(1 + N, 5 + D
-#rho) rows for the call's life, D being the deepest chain's hop count
-(_chain_batch has the layout), so no batch after a thread's first
-allocates an array of batch size.
+of their own.  simulate_outage and simulate_ber_snr_level are the
+one-chain, one-level case, and sample_chain_min_snr is one batch of it
+that returns the chain minimum.  Every pool thread of a body keeps one
+workspace of max(1 + N, 5 + D) rows for the body's life, D being the
+deepest chain's hop count (_chain_batch has the layout), so no batch
+after a thread's first allocates an array of batch size.
 
 One batch runner, _batches, holds the reproducibility contract: work is
 cut into fixed-size batches run by one pool of `workers` threads, batch
@@ -43,7 +43,6 @@ the worker count, so a given (seed, config) gives byte-identical
 estimates on a pool of any size.
 """
 
-import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -140,8 +139,8 @@ def _batches(cfg, total, batch, work):
     """Per-slot totals of work(rng, size) over the batches of `total` units.
 
     Units are cut into batches of `batch` (the last one partial), batch
-    i draws from _stream(cfg.seed, i), and every batch runs on one pool
-    of cfg.workers threads under the caller's numpy error state.  work
+    i draws from _stream(cfg.seed, i), and every batch goes to one
+    pool of cfg.workers threads under the caller's numpy error state.  work
     returns one slot per estimate: the _sums pair of its batch, or an
     exception.  Each slot's total is the batch-order + of its pairs, or
     its first exception in batch order; plain +, not sum() (compensated
@@ -214,7 +213,8 @@ def _unit_min(rho, users, first, out):
 def _chain_batch(chains, levels, score, width, threads):
     """The batch body of a curve: one_batch(rng, size), size <= width.
 
-    chains holds topologies of one user count.
+    chains holds topologies of one user count, and levels LinkParams of
+    one ratio rho = gamma_bar_rf / gamma_bar_fso and one FSO law.
     one_batch draws `size` trials from rng and returns, chain-major, one
     slot per (chain, level): the _sums pair of the scores of that
     chain's minimum at that level, or the exception its draws or scores
@@ -223,64 +223,48 @@ def _chain_batch(chains, levels, score, width, threads):
     scores may replace the minimum in place, and scratch is a float row
     it may overwrite.  The scores are written into out or scratch, or a
     view of either in another dtype, and their squares replace them once
-    they are summed.  An exception of a draw counts for the chains that
-    reach that draw, and one of a hop's fold at a ratio rho for that
-    ratio's levels of the chains that reach that hop.
+    they are summed.  An exception of a draw, the overflow of a hop's
+    rho R_j among them, counts for the chains that reach that draw.
 
-    Each thread that runs one_batch keeps one workspace, width wide, in
+    Each thread that calls one_batch keeps one workspace, width wide, in
     a threading.local: it takes one of the `threads` made here at its
     first batch, or makes its own, and all die with one_batch.  A batch
     writes every array into its workspace's rows, D being the deepest
-    chain's hop count and R the number of distinct rho (H rows only when
-    D > 0):
+    chain's hop count:
 
-        row 0                    U
-        rows 1 to N              the users' (N, size) draw, until U is formed
-        row 1                    F
-        rows 2 to 1+D R          H_d at each rho, depth-major
-        rows 2+D R to 4+D R      the rows A, B and C
+        row 0                U
+        rows 1 to N          the users' (N, size) draw, until U is formed
+        row 1                F
+        rows 2 to 1+D        H_1 to H_D
+        rows 2+D to 4+D      the rows A, B and C
 
-    A batch first draws every hop into A (G_j, with B as the draw's
-    scratch) and B (R_j), and folds each into H_j = min(H_{j-1},
-    max(G_j, rho R_j)) at every rho.  Then it scores.  With an
+    A batch first draws every hop: G_j into A, with B as the draw's
+    scratch, and rho R_j into H_j's row, where it becomes H_j =
+    min(H_{j-1}, max(G_j, rho R_j)).  Then it scores.  With an
     unknown-csi chain, level by level: the fixed-gain relay cascade of
     gamma_bar_rf U (in A) and gamma_bar_fso F (in B) lands in C once,
     each deeper unknown-csi chain scores min(C, gamma_bar_fso H_d) in A,
     and a one-relay one scores C itself, last.  Per depth with a
-    known-csi chain, once per run of levels of one rho: min(rho U, F,
-    H_d) lands in C, and each level of the run scores gamma_bar_fso
-    times it in A.  So score meets each chain's levels in order.
-    Scaling by a positive level mean commutes exactly with min and max,
-    so each lane's minimum is bit for bit the smallest stage SNR drawn
-    at its level alone (tests/reference_models.py has that per-stage
-    sampler).
+    known-csi chain: min(rho U, F, H_d) lands in C once, and each level
+    scores gamma_bar_fso times it in A.  So score meets each chain's
+    levels in order.  Scaling by a positive level mean commutes exactly
+    with min and max, so each lane's minimum is bit for bit the smallest
+    stage SNR drawn at its level alone (tests/reference_models.py has
+    that per-stage sampler).
     """
-    law = (levels[0].lam, levels[0].a0, levels[0].xi)
-    if any((p.lam, p.a0, p.xi) != law for p in levels):
-        raise ValueError("the levels of a curve share their draws, so they "
-                         "must have equal lam, a0 and xi")
-    if len({t.n_users for t in chains}) != 1:
-        raise ValueError("the chains of a call share their draws, so they "
-                         "must be one or more of equal n_users")
     n_users = chains[0].n_users
     depth = max(t.m_relays for t in chains) - 1
-    ratios = [p.gamma_bar_rf / p.gamma_bar_fso for p in levels]
-    rhos = list(dict.fromkeys(ratios))
-    slots = [rhos.index(rho) for rho in ratios]
-    free = 2 + depth * len(rhos)           # row A; B and C follow
+    rho = levels[0].gamma_bar_rf / levels[0].gamma_bar_fso
+    free = 2 + depth        # row A; B and C follow
     n_rows = max(1 + n_users, free + 3)
     # the scoring plan: the chains of each gain mode and depth, as such
-    # chains have one minimum and share its scores; and the runs of
-    # levels of one rho
+    # chains have one minimum and share its scores
     fixed, adaptive = {}, {}
     for c, topology in enumerate(chains):
         group = (adaptive if topology.first_segment_mode is GainMode.ADAPTIVE
                  else fixed)
         group.setdefault(topology.m_relays - 1, []).append(c)
     fixed = sorted(fixed.items(), reverse=True)     # deepest first
-    runs = [(slot, [k for k, _ in run])
-            for slot, run in itertools.groupby(enumerate(slots),
-                                               key=lambda ks: ks[1])]
     spares = [np.empty(n_rows * width) for _ in range(threads)]
     local = threading.local()
     unit = replace(levels[0], gamma_bar_rf=1.0, gamma_bar_fso=1.0)
@@ -299,23 +283,6 @@ def _chain_batch(chains, levels, score, width, threads):
         best, first = rows[0], rows[1]
         row_a, row_b, row_c = rows[free:free + 3]
         sums = [None] * (len(chains) * n_levels)       # chain-major
-        folds = {}          # slot -> (hop, exception) of its failed fold
-
-        def h_row(d, slot):
-            return rows[2 + (d - 1) * len(rhos) + slot]
-
-        def fold(j):
-            for slot, rho in enumerate(rhos):
-                if slot in folds:
-                    continue
-                try:
-                    stage = np.multiply(rho, row_b, out=h_row(j, slot))
-                    np.maximum(row_a, stage, out=stage)
-                    if j > 1:
-                        np.minimum(h_row(j - 1, slot), stage, out=stage)
-                except Exception as exc:
-                    folds[slot] = j, exc
-
         reached, drawn = -1, None       # hops drawn, and a draw's exception
         try:
             users = sample_rf_snr(1.0, rng, (n_users, size),
@@ -325,18 +292,13 @@ def _chain_batch(chains, levels, score, width, threads):
             reached = 0
             for j in range(1, depth + 1):
                 sample_fso_snr(unit, rng, size, out=rows[free:free + 2])
-                sample_rf_snr(1.0, rng, size, out=row_b)
-                fold(j)
+                stage = sample_rf_snr(rho, rng, size, out=rows[1 + j])
+                np.maximum(row_a, stage, out=stage)
+                if j > 1:
+                    np.minimum(rows[j], stage, out=stage)
                 reached = j
         except Exception as exc:
             drawn = exc
-
-        def failure(d, slot):
-            # the draw or fold exception that chains of d hops meet at slot
-            if d > reached:
-                return drawn
-            hop, exc = folds.get(slot, (d + 1, None))
-            return exc if hop <= d else None
 
         def scored(params, form, scratch):
             # the _sums pair of the scores of the chain minimum form()
@@ -352,10 +314,10 @@ def _chain_batch(chains, levels, score, width, threads):
             for c in members:
                 sums[c * n_levels + k] = cell
 
-        for k, (params, slot) in enumerate(zip(levels, slots)):
+        for k, params in enumerate(levels):
             cascade = None      # formed for the first chain to score
             for d, members in fixed:
-                cell = failure(d, slot)
+                cell = drawn if d > reached else None
                 if cell is None and cascade is None:
                     try:
                         cascade = _exact_first(params, best, first,
@@ -367,26 +329,24 @@ def _chain_batch(chains, levels, score, width, threads):
                 elif cell is None and d:
                     cell = scored(params, lambda: np.minimum(
                         cascade, np.multiply(params.gamma_bar_fso,
-                                             h_row(d, slot), out=row_a),
+                                             rows[1 + d], out=row_a),
                         out=row_a), row_b)
                 elif cell is None:      # in place, as nothing follows
                     cell = scored(params, lambda: cascade, row_a)
                 put(members, k, cell)
         for d, members in adaptive.items():
-            for slot, run in runs:
-                cell = failure(d, slot)
-                if cell is None:
-                    try:
-                        _unit_min(rhos[slot], best, first, out=row_c)
-                        if d:
-                            np.minimum(h_row(d, slot), row_c, out=row_c)
-                    except Exception as exc:
-                        cell = exc
-                for k in run:
-                    params = levels[k]
-                    put(members, k, cell or scored(
-                        params, lambda: np.multiply(params.gamma_bar_fso,
-                                                    row_c, out=row_a), row_b))
+            cell = drawn if d > reached else None
+            if cell is None:
+                try:
+                    _unit_min(rho, best, first, out=row_c)
+                    if d:
+                        np.minimum(rows[1 + d], row_c, out=row_c)
+                except Exception as exc:
+                    cell = exc
+            for k, params in enumerate(levels):
+                put(members, k, cell or scored(
+                    params, lambda: np.multiply(params.gamma_bar_fso,
+                                                row_c, out=row_a), row_b))
         return sums
 
     return one_batch
@@ -395,12 +355,22 @@ def _chain_batch(chains, levels, score, width, threads):
 def _curve(chains, levels, cfg, score, estimate):
     """estimate(s1, s2) of the scores of each chain minimum at every level.
 
-    chains, levels and score are as in _chain_batch; the result holds,
-    per chain, one estimate per level.  s1 and s2 are the sums of the
-    score and of its square over cfg.trials_or_bits trials.  A (chain,
-    level) slot that raises in a batch gets, in place of its estimate,
-    its first exception in batch order.
+    chains and score are as in _chain_batch, and levels may hold any
+    ratios gamma_bar_rf / gamma_bar_fso; the result holds, per chain,
+    one estimate per level.  s1 and s2 are the sums of the score and of
+    its square over cfg.trials_or_bits trials.  A (chain, level) slot
+    that raises in a batch gets, in place of its estimate, its first
+    exception in batch order.  Each distinct ratio, in order of first
+    appearance, gets its own batch body on the same streams, so levels
+    of R ratios draw R times.
     """
+    law = (levels[0].lam, levels[0].a0, levels[0].xi)
+    if any((p.lam, p.a0, p.xi) != law for p in levels):
+        raise ValueError("the levels of a curve share their draws, so they "
+                         "must have equal lam, a0 and xi")
+    if len({t.n_users for t in chains}) != 1:
+        raise ValueError("the chains of a call share their draws, so they "
+                         "must be one or more of equal n_users")
     # one workspace per pool thread, made here on the calling thread: a
     # block a pool thread allocates lands in that thread's malloc arena,
     # which keeps it when freed, and the pools of later calls may get
@@ -408,12 +378,19 @@ def _curve(chains, levels, cfg, score, estimate):
     # thread takes, so it has at most one per batch; np.empty touches no
     # page, so an unused workspace costs none
     threads = min(cfg.workers, -(-cfg.trials_or_bits // _BATCH))
-    one_batch = _chain_batch(chains, levels, score,
-                             min(_BATCH, cfg.trials_or_bits), threads)
-    cells = [t if isinstance(t, Exception) else estimate(*t)
-             for t in _batches(cfg, cfg.trials_or_bits, _BATCH, one_batch)]
-    return [cells[k:k + len(levels)]
-            for k in range(0, len(cells), len(levels))]
+    groups = {}         # ratio -> the indices of its levels
+    for k, p in enumerate(levels):
+        groups.setdefault(p.gamma_bar_rf / p.gamma_bar_fso, []).append(k)
+    curves = [[None] * len(levels) for _ in chains]
+    for ks in groups.values():
+        one_batch = _chain_batch(chains, [levels[k] for k in ks], score,
+                                 min(_BATCH, cfg.trials_or_bits), threads)
+        cells = iter(_batches(cfg, cfg.trials_or_bits, _BATCH, one_batch))
+        for curve in curves:        # chain-major, as one_batch returns
+            for k in ks:
+                t = next(cells)
+                curve[k] = t if isinstance(t, Exception) else estimate(*t)
+    return curves
 
 
 def sample_chain_min_snr(topology, params, rng, size):
@@ -482,7 +459,7 @@ def _dbpsk_error(snr, out=None, scratch=None):
 
     numpy's vector exp slows down about 20-fold on a block that holds a
     subnormal or zero result, which most blocks do at high mean SNR.  So
-    exp runs on min(snr, _EXP_FAST), where every result is normal; lanes
+    exp takes min(snr, _EXP_FAST), where every result is normal; lanes
     past _EXP_ZERO are then 0, as exp gives them, and the few lanes
     between the two bounds are evaluated alone, before out is written.
     The result goes into out, which may be snr itself, and the lane flags

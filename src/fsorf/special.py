@@ -247,7 +247,7 @@ def hyp_pfq(a_params, b_params, z):
     ValueError unless a terminating upper parameter cuts the series off
     first.  The z-free part of the rows, their stop and their term
     ratios, is planned once per row (_hyp_row); a call sums only the
-    terms in z, in the loop that meijer_g also runs.
+    terms in z, in the loop that meijer_g also uses.
     """
     row = _hyp_row(tuple(map(float, a_params)), tuple(map(float, b_params)))
     return _hyp_sum(row, float(z))

@@ -123,6 +123,12 @@ def test_sweep_grammar():
     ("gamma_avg_db = -1e308:1:1e308", "more than 10000 points"),
     ("gamma_avg_db = 0:1e-9:40", "more than 10000 points"),
     ("gamma_avg_db = 0:1e-300:1", "more than 10000 points"),
+    ("users = two", "integer(s)"),
+    ("lambda = abc", "number(s)"),
+    ("gamma_avg_db = a:b:c", "bad sweep"),
+    ("gamma_avg_db = 0:5", "start:step:stop"),
+    ("xi = 1.4,1.5", "single value"),
+    ("preset = fig9", "unknown preset"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError) as excinfo:
@@ -160,6 +166,13 @@ def test_overrides_win_over_config_text():
                              overrides={"users": "2"})
     assert spec.n_users == (2,)
     assert spec.sim.seed == 7
+
+
+def test_unknown_override_and_preset_names_are_rejected():
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        spec_from_sources(overrides={"bogus": "1"})
+    with pytest.raises(ConfigError, match="unknown preset 'fig9'"):
+        preset_entries("fig9")
 
 
 # ------------------------------------------------------------ execution

@@ -234,7 +234,9 @@ def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
     # gamma-bar-free minimum of its RF/FSO ratio, is bit for bit the
     # column minimum of the stage SNRs drawn at that level alone.  The
     # levels hold three ratios, and the last level shares the first's
-    # (doubling both means keeps their ratio exact).
+    # (doubling both means keeps their ratio exact).  Score calls come
+    # ratio group by ratio group, so each is matched by its level and
+    # batch (the batch by its size), and each (batch, level) comes once
     t = topo(2, 3, mode)
     twin = dataclasses.replace(
         CURVE_LEVELS[0], gamma_bar_rf=2.0 * CURVE_LEVELS[0].gamma_bar_rf,
@@ -249,10 +251,11 @@ def test_curve_minimum_is_the_sampled_chain_minimum(mode, first):
     _curve([t], levels, SimConfig(trials_or_bits=70000, seed=5),
            score, lambda s1, s2: None)
     sizes = (_BATCH, 70000 - _BATCH)
-    assert len(seen) == len(sizes) * len(levels)
-    for k, (p, low) in enumerate(seen):
-        batch, level = divmod(k, len(levels))
-        assert p is levels[level]
+    keys = [(sizes.index(low.size), [q is p for q in levels].index(True))
+            for p, low in seen]
+    assert sorted(keys) == [(b, k) for b in range(len(sizes))
+                            for k in range(len(levels))]
+    for (batch, level), (p, low) in zip(keys, seen):
         size = sizes[batch]
         stages = sample_chain_stage_snrs(t, p, _stream(5, batch), size, first)
         assert np.array_equal(low, stages.min(axis=0)), (batch, level)
@@ -303,7 +306,8 @@ def test_curve_levels_must_share_the_fso_law():
 
 def test_failed_shared_draws_fail_every_level():
     # lam = 1e-308 overflows the turbulence draw E / lam, which
-    # all levels share; every level gets the first batch's exception,
+    # all levels share; every level gets the first batch's exception
+    # (one object per RF/FSO ratio, so compared by class and message),
     # and a one-level estimator raises its level's
     levels = [dataclasses.replace(p, lam=1e-308) for p in CURVE_LEVELS]
     t = topo(1, 1, GainMode.ADAPTIVE)
@@ -313,7 +317,8 @@ def test_failed_shared_draws_fail_every_level():
             (curve,) = simulate_outage_curves([t], levels, cfg)
         assert isinstance(curve[0], FloatingPointError), curve
         assert "overflow encountered in divide" in str(curve[0])
-        assert all(level is curve[0] for level in curve)
+        assert all(type(level) is type(curve[0])
+                   and str(level) == str(curve[0]) for level in curve)
         for point_fn in (simulate_outage, simulate_ber_snr_level,
                          lambda t, p, cfg: sample_chain_min_snr(
                              t, p, _stream(cfg.seed, 0), 1000)):
@@ -380,7 +385,9 @@ def test_group_scores_each_chain_as_its_own_curve(group_fn, point_fn):
 def test_group_draws_its_deepest_chain_once(monkeypatch):
     # a batch draws U (N arrays), F (2) and 3 arrays per hop of the
     # deepest chain: N + 2 + 3 (M_max - 1) unit arrays, not one set per
-    # chain, and the estimates do not depend on who counts them
+    # chain, and the estimates do not depend on who counts them.  Each
+    # of the levels' two RF/FSO ratios draws its own set: the cost of a
+    # call that mixes ratios
     cfg = SimConfig(trials_or_bits=70000, seed=5, workers=2)
     want = simulate_outage_curves(GROUP_CHAINS, TWO_RATIO_LEVELS, cfg)
     drawn = []
@@ -397,9 +404,10 @@ def test_group_draws_its_deepest_chain_once(monkeypatch):
                         lambda seed, index: Counting(_stream(seed, index)))
     assert simulate_outage_curves(GROUP_CHAINS, TWO_RATIO_LEVELS, cfg) \
         == want
-    # two batches of one users' call, two F calls and 3 calls per hop
-    assert len(drawn) == 2 * (1 + 2 + 3 * 2)
-    assert sum(drawn) == 70000 * (2 + 2 + 3 * 2)
+    # per ratio, two batches of one users' call, two F calls and 3 calls
+    # per hop
+    assert len(drawn) == 2 * 2 * (1 + 2 + 3 * 2)
+    assert sum(drawn) == 2 * 70000 * (2 + 2 + 3 * 2)
 
 
 def test_group_shares_cascades_and_unit_minima(monkeypatch):
@@ -501,7 +509,8 @@ def test_curve_workspace_keeps_nothing_between_curves():
 
 def test_curve_workspace_dies_with_its_pool(monkeypatch):
     # every chain minimum a curve scores is a row of its thread's
-    # workspace: one per pool thread, and none left once the curve returns
+    # workspace: one per pool thread, and none left once the curve
+    # returns.  Levels of one RF/FSO ratio, so one batch body makes them
     kernel = montecarlo._dbpsk_error
     refs = {}
 
@@ -511,7 +520,7 @@ def test_curve_workspace_dies_with_its_pool(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_dbpsk_error", spy)
     simulate_ber_snr_level_curves(
-        [topo(2, 2, GainMode.FIXED)], CURVE_LEVELS,
+        [topo(2, 2, GainMode.FIXED)], [make_params(db) for db in (5, 15, 25)],
         SimConfig(trials_or_bits=4 * _BATCH, seed=5, workers=2))
     assert 1 <= len(refs) <= 2
     assert all(ref() is None for ref in refs.values())
@@ -668,11 +677,21 @@ def test_sim_config_rejects_bad_fields():
         SimConfig(seed=2 ** 64)
     with pytest.raises(ValueError):
         SimConfig(workers=0)
+    for field, value in (("trials_or_bits", 1e6), ("trials_or_bits", True),
+                         ("seed", True), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
 
 
 def test_metric_estimate_invariants():
     with pytest.raises(ValueError):
         MetricEstimate(mean=0.5, ci_low=0.6, ci_high=0.7, n=10)
+    with pytest.raises(ValueError, match="estimate fields must be finite"):
+        MetricEstimate(mean=math.nan, ci_low=0.4, ci_high=0.6, n=10)
+    for n in (-1, True):
+        with pytest.raises(ValueError,
+                           match="n must be a non-negative integer"):
+            MetricEstimate(mean=0.5, ci_low=0.4, ci_high=0.6, n=n)
 
 
 # --------------------------------------------------------- Wilson / CI
